@@ -128,8 +128,7 @@ def build_label_sets(control_level: int, label_level: int,
         labels=labels,
         label_positions=positions,
         control_positions=control.vertices.copy(),
-        edges=np.array([(i, j) for i in range(control.n_vertices)
-                        for j in control.one_ring[i]], dtype=np.int64),
+        edges=np.stack([control.ring_dst, control.ring_src], axis=1),
     )
 
 

@@ -1,4 +1,4 @@
-"""Binary file formats: meshes, signals, coefficients, fields, checkpoints.
+"""Binary file formats: meshes, signals, fields, checkpoints.
 
 All formats are little-endian with a 4-byte magic and a u32 version.  Readers
 track their byte offset and raise FormatError naming the offset of the first
@@ -7,7 +7,6 @@ violation, which the CLI surfaces verbatim.
     SPHM  magic, version=1, u32 level, u32 n_vertices, u32 n_faces,
           f64 vertex triples, u32 face triples
     SPHS  magic, version=1, u32 level, u32 channels, f64 values row-major
-    SPHC  magic, version=1, u32 L, u32 channels, f64 coefficients flat-order
     SPHD  magic, version=1, u32 level, f64 target triples
     SPHK  magic, version=1, u32 config length + UTF-8 JSON config,
           u32 tensor count, then per tensor: u32 name length + UTF-8 name,
@@ -22,7 +21,8 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .icosphere import Icosphere, SphericalSignal, vertex_count, face_count
+from .icosphere import (Icosphere, SphericalSignal, build_mesh, face_count,
+                        vertex_count)
 
 _VERSION = 1
 
@@ -121,9 +121,11 @@ def read_mesh(path) -> Icosphere:
     r.done()
     if faces.max(initial=0) >= n_vertices:
         raise FormatError(faces_at, f"{r.path}: face index out of range")
-    from .icosphere import _build_one_ring, _edges_of
-    return Icosphere(level=level, vertices=vertices, faces=faces,
-                     one_ring=_build_one_ring(n_vertices, _edges_of(faces)))
+    unused = np.bincount(faces.ravel(), minlength=n_vertices) == 0
+    if unused.any():
+        raise FormatError(faces_at, f"{r.path}: vertex "
+                                    f"{int(np.argmax(unused))} is in no face")
+    return build_mesh(level, vertices, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -151,35 +153,6 @@ def read_signal(path) -> SphericalSignal:
     values = r.f64_array(n * channels, "values").reshape(n, channels)
     r.done()
     return SphericalSignal(level, values)
-
-
-# ---------------------------------------------------------------------------
-# SPHC spectral coefficients
-# ---------------------------------------------------------------------------
-
-def write_coeffs(path, coeffs):
-    with open(path, "wb") as f:
-        f.write(b"SPHC")
-        f.write(struct.pack("<III", _VERSION, coeffs.L, coeffs.values.shape[1]))
-        f.write(coeffs.values.astype("<f8").tobytes())
-
-
-def read_coeffs(path):
-    from .sht import SpectralCoeffs
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), str(path))
-    r.magic(b"SPHC")
-    _check_version(r)
-    L = r.u32("L")
-    if L > 64:
-        raise FormatError(r.offset - 4, f"{r.path}: bandwidth {L} out of range")
-    channels = r.u32("channels")
-    if channels == 0:
-        raise FormatError(r.offset - 4, f"{r.path}: zero channels")
-    rows = (L + 1) ** 2
-    values = r.f64_array(rows * channels, "coefficients").reshape(rows, channels)
-    r.done()
-    return SpectralCoeffs(L, values)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from .icosphere import Icosphere
 
 LEAKY_SLOPE = 0.2
 
-_edge_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 
 @dataclass
 class GatLayer:
@@ -58,17 +56,13 @@ def init_gat_layer(d_in: int, heads: int, rng) -> GatLayer:
 
 
 def attention_edges(mesh: Icosphere):
-    """(dst, src) edge arrays covering one-ring neighbours plus self loops."""
-    cached = _edge_cache.get(mesh.level)
-    if cached is not None:
-        return cached
-    dst_parts, src_parts = [], []
-    for v, ring in enumerate(mesh.one_ring):
-        dst_parts.append(np.full(len(ring) + 1, v, dtype=np.int64))
-        src_parts.append(np.concatenate([[v], ring]))
-    edges = (np.concatenate(dst_parts), np.concatenate(src_parts))
-    _edge_cache[mesh.level] = edges
-    return edges
+    """(dst, src) edge arrays covering one-ring neighbours plus self loops.
+
+    The mesh's one-ring CSR with a self loop at the start of every segment,
+    so the sources of v are ``[v] + one_ring[v]``."""
+    vertices = np.arange(mesh.n_vertices)
+    dst = np.repeat(vertices, np.diff(mesh.ring_offsets) + 1)
+    return dst, np.insert(mesh.ring_src, mesh.ring_offsets[:-1], vertices)
 
 
 def gat_forward_edges(features, dst: np.ndarray, src: np.ndarray,

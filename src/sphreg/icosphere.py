@@ -5,7 +5,7 @@ icosahedron in a canonical orientation (poles on the z axis, two staggered
 rings of five).  Subdivision appends the new midpoint vertices after their
 parents, so the vertices of level k are exactly the first 10*4^k + 2 rows of
 every finer level; the rest of the package leans on that prefix property for
-control grids and downsampling.
+control grids and label sets.
 
 Interpolation uses gnomonic (central projection) barycentric coordinates:
 for a query point t inside the cone of face (a, b, c) the weights solve
@@ -17,7 +17,6 @@ tangent-plane linear functions to second order in the edge length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 
@@ -43,16 +42,27 @@ class Icosphere:
     """Triangulated unit sphere at one subdivision level.
 
     ``vertices`` are unit rows, ``faces`` index CCW as seen from outside.
-    Adjacency and per-face solve matrices are built lazily and cached; the
-    geometry arrays are frozen so cached meshes can be shared freely.
+    Every index set depends only on ``faces`` and is built once by
+    ``build_mesh``; the arrays are frozen so cached meshes can be shared
+    freely.  The per-face solve matrices are built lazily.
+
+    ``edges`` are the undirected edges as sorted (i, j) pairs in
+    lexicographic order.  The directed one-ring is stored in CSR form:
+    ``ring_dst`` ascending, ``ring_src`` ascending within each destination,
+    and ``ring_offsets[v]:ring_offsets[v + 1]`` the slice of vertex v, of
+    which ``one_ring[v]`` is a view.  ``incident_faces[v]`` lists the faces
+    around v in ascending order, padded to six with the first of them.
     """
 
     level: int
     vertices: np.ndarray
     faces: np.ndarray
-    one_ring: List[np.ndarray] = field(default_factory=list, repr=False)
-    _edges: np.ndarray | None = field(default=None, repr=False)
-    _vertex_faces: List[np.ndarray] | None = field(default=None, repr=False)
+    edges: np.ndarray = field(repr=False)
+    ring_offsets: np.ndarray = field(repr=False)
+    ring_dst: np.ndarray = field(repr=False)
+    ring_src: np.ndarray = field(repr=False)
+    one_ring: list[np.ndarray] = field(repr=False)
+    incident_faces: np.ndarray = field(repr=False)
     _corner_inverse: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -62,28 +72,6 @@ class Icosphere:
     @property
     def n_faces(self) -> int:
         return self.faces.shape[0]
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Undirected edges as sorted (i, j) pairs, lexicographic order."""
-        if self._edges is None:
-            pairs = np.concatenate([
-                self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]],
-            ])
-            pairs.sort(axis=1)
-            self._edges = np.unique(pairs, axis=0)
-        return self._edges
-
-    @property
-    def vertex_faces(self) -> List[np.ndarray]:
-        if self._vertex_faces is None:
-            order = np.argsort(self.faces.ravel(), kind="stable")
-            face_ids = order // 3
-            verts = self.faces.ravel()[order]
-            splits = np.searchsorted(verts, np.arange(self.n_vertices + 1))
-            self._vertex_faces = [face_ids[splits[v]:splits[v + 1]]
-                                  for v in range(self.n_vertices)]
-        return self._vertex_faces
 
     @property
     def corner_inverse(self) -> np.ndarray:
@@ -134,11 +122,18 @@ def _base_icosahedron():
     return vertices, np.array(faces, dtype=np.int64)
 
 
-def _subdivide(vertices, faces):
+def _unique_edges(faces, n_vertices):
+    """Undirected edges as sorted (i, j) rows in lexicographic order, and the
+    row of each face edge, edge-major: every (a, b), then (b, c), (c, a)."""
     pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    pairs_sorted = np.sort(pairs, axis=1)
-    unique_edges, inverse = np.unique(pairs_sorted, axis=0, return_inverse=True)
+    pairs.sort(axis=1)
+    keys, inverse = np.unique(pairs[:, 0] * n_vertices + pairs[:, 1],
+                              return_inverse=True)
+    return np.stack(np.divmod(keys, n_vertices), axis=1), inverse
 
+
+def _subdivide(vertices, faces):
+    unique_edges, inverse = _unique_edges(faces, vertices.shape[0])
     midpoints = vertices[unique_edges[:, 0]] + vertices[unique_edges[:, 1]]
     midpoints /= np.linalg.norm(midpoints, axis=1, keepdims=True)
     new_vertices = np.concatenate([vertices, midpoints])
@@ -158,12 +153,31 @@ def _subdivide(vertices, faces):
     return new_vertices, children
 
 
-def _build_one_ring(n_vertices, edges):
-    neighbors = [[] for _ in range(n_vertices)]
-    for i, j in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    return [np.array(sorted(n), dtype=np.int64) for n in neighbors]
+def build_mesh(level: int, vertices: np.ndarray, faces: np.ndarray) -> Icosphere:
+    """Icosphere with every index set derived once from ``faces``, frozen."""
+    n_vertices = vertices.shape[0]
+    edges, _ = _unique_edges(faces, n_vertices)
+    directed = np.concatenate([edges, edges[:, ::-1]])
+    order = np.lexsort((directed[:, 1], directed[:, 0]))
+    ring_dst, ring_src = directed[order, 0], directed[order, 1]
+    ring_offsets = np.searchsorted(ring_dst, np.arange(n_vertices + 1))
+
+    corner_vertex = faces.ravel()
+    by_vertex = np.argsort(corner_vertex, kind="stable")
+    face_offsets = np.searchsorted(corner_vertex[by_vertex],
+                                   np.arange(n_vertices + 1))
+    slots = np.arange(6)
+    slots = np.where(slots < np.diff(face_offsets)[:, None], slots, 0)
+    incident_faces = (by_vertex // 3)[face_offsets[:-1, None] + slots]
+
+    for array in (vertices, faces, edges, ring_offsets, ring_dst, ring_src,
+                  incident_faces):
+        array.setflags(write=False)
+    return Icosphere(level=level, vertices=vertices, faces=faces, edges=edges,
+                     ring_offsets=ring_offsets, ring_dst=ring_dst,
+                     ring_src=ring_src,
+                     one_ring=np.split(ring_src, ring_offsets[1:-1]),
+                     incident_faces=incident_faces)
 
 
 def generate_icosphere(level: int) -> Icosphere:
@@ -179,19 +193,9 @@ def generate_icosphere(level: int) -> Icosphere:
     else:
         parent = generate_icosphere(level - 1)
         vertices, faces = _subdivide(parent.vertices, parent.faces)
-    mesh = Icosphere(level=level, vertices=vertices, faces=faces,
-                     one_ring=_build_one_ring(vertices.shape[0],
-                                              _edges_of(faces)))
-    mesh.vertices.setflags(write=False)
-    mesh.faces.setflags(write=False)
+    mesh = build_mesh(level, vertices, faces)
     _mesh_cache[level] = mesh
     return mesh
-
-
-def _edges_of(faces):
-    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    pairs.sort(axis=1)
-    return np.unique(pairs, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +214,14 @@ def _nearest_vertices(mesh, targets, chunk=4096):
     return seeds
 
 
-def locate_faces(mesh: Icosphere, targets: np.ndarray):
+def locate_faces(mesh: Icosphere, targets: np.ndarray, seeds=None):
     """Find the containing face and gnomonic barycentric weights per target.
 
     Candidates incident to each target's nearest vertex cover essentially all
     queries; the rare stragglers (targets balancing on numerical edges) fall
     back to an exhaustive max-min-coordinate scan, which is the geometric
-    argmax and therefore always valid.
+    argmax and therefore always valid.  ``seeds`` are the nearest vertices
+    when the caller has already found them.
     Returns (face_indices, lambdas) with lambdas unnormalised.
     """
     targets = np.asarray(targets, dtype=np.float64)
@@ -226,15 +231,9 @@ def locate_faces(mesh: Icosphere, targets: np.ndarray):
         raise ValueError(
             f"locate_faces: target {worst} has norm {norms[worst]:.9f}, expected unit")
 
-    seeds = _nearest_vertices(mesh, targets)
-    vertex_faces = mesh.vertex_faces
-    candidates = np.full((targets.shape[0], 6), -1, dtype=np.int64)
-    for row, seed in enumerate(seeds):
-        incident = vertex_faces[seed]
-        candidates[row, :len(incident)] = incident
-        if len(incident) < 6:
-            candidates[row, len(incident):] = incident[0]
-
+    if seeds is None:
+        seeds = _nearest_vertices(mesh, targets)
+    candidates = mesh.incident_faces[seeds]                   # (T, 6)
     inv = mesh.corner_inverse[candidates]                     # (T, 6, 3, 3)
     lam = np.einsum("tkij,tj->tki", inv, targets)             # (T, 6, 3)
     min_coord = lam.min(axis=2)                               # (T, 6)
@@ -254,9 +253,9 @@ def locate_faces(mesh: Icosphere, targets: np.ndarray):
     return face_idx, lam_best
 
 
-def barycentric_weights(mesh: Icosphere, targets: np.ndarray):
+def barycentric_weights(mesh: Icosphere, targets: np.ndarray, seeds=None):
     """Containing faces plus weights normalised to sum to one."""
-    face_idx, lam = locate_faces(mesh, targets)
+    face_idx, lam = locate_faces(mesh, targets, seeds)
     weights = lam / lam.sum(axis=1, keepdims=True)
     return face_idx, weights
 
@@ -286,7 +285,7 @@ def barycentric_resample(values: np.ndarray, mesh: Icosphere,
     out[snapped] = values[seeds[snapped]]
     if np.any(~snapped):
         rest = ~snapped
-        face_idx, weights = barycentric_weights(mesh, targets[rest])
+        face_idx, weights = barycentric_weights(mesh, targets[rest], seeds[rest])
         corner_vals = values[mesh.faces[face_idx]]            # (T, 3, C)
         out[rest] = np.einsum("tk,tkc->tc", weights, corner_vals)
     return out
@@ -321,32 +320,3 @@ class SphericalSignal:
     def channels(self) -> int:
         return self.values.shape[1]
 
-
-def resample_signal(signal: SphericalSignal, dst_level: int) -> SphericalSignal:
-    """Move a signal across levels by barycentric resampling."""
-    if dst_level == signal.level:
-        return SphericalSignal(signal.level, signal.values.copy())
-    src = generate_icosphere(signal.level)
-    dst = generate_icosphere(dst_level)
-    return SphericalSignal(dst_level,
-                           barycentric_resample(signal.values, src, dst.vertices))
-
-
-def downsample_to_level(signal: SphericalSignal, dst_level: int) -> SphericalSignal:
-    """Restrict to the coarse-level vertex prefix (exact, no smoothing)."""
-    if dst_level >= signal.level:
-        raise ValueError(
-            f"downsample_to_level: dst {dst_level} must be below {signal.level}")
-    if dst_level < 0:
-        raise ValueError("downsample_to_level: dst level must be >= 0")
-    return SphericalSignal(dst_level, signal.values[:vertex_count(dst_level)].copy())
-
-
-def upsample_to_level(signal: SphericalSignal, dst_level: int) -> SphericalSignal:
-    """Interpolate onto a finer mesh; coarse rows are reproduced exactly."""
-    if dst_level <= signal.level:
-        raise ValueError(
-            f"upsample_to_level: dst {dst_level} must be above {signal.level}")
-    if dst_level > MAX_LEVEL:
-        raise ValueError(f"upsample_to_level: dst level must be <= {MAX_LEVEL}")
-    return resample_signal(signal, dst_level)

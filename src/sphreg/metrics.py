@@ -77,11 +77,8 @@ def smoothness_penalty(targets, mesh_level: int):
             f"targets must be ({mesh.n_vertices}, 3) at level {mesh_level}, "
             f"got {value.shape}")
     disp = ag.sub(targets, mesh.vertices)
-    dst = np.concatenate([np.full(len(ring), v, dtype=np.int64)
-                          for v, ring in enumerate(mesh.one_ring)])
-    src = np.concatenate([np.asarray(ring, dtype=np.int64)
-                          for ring in mesh.one_ring])
-    degree = np.array([len(ring) for ring in mesh.one_ring], dtype=np.float64)
+    dst, src = mesh.ring_dst, mesh.ring_src
+    degree = np.diff(mesh.ring_offsets).astype(np.float64)
     diffs = ag.absolute(ag.sub(ag.take_rows(disp, dst), ag.take_rows(disp, src)))
     scaled = ag.mul(diffs, (1.0 / degree[dst])[:, None])
     return ag.reduce_sum(scaled)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ag
-from .sht import HarmonicBasis, SpectralCoeffs
+from .sht import HarmonicBasis
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -106,23 +106,6 @@ def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis,
                          ag.einsum2("oil,li->lo", gains_lm, coeffs))
     residual = ag.einsum2("ni,oi->no", values, filt.alpha)
     return ag.add(spectral, residual)
-
-
-def spectral_pool(coeffs: SpectralCoeffs) -> SpectralCoeffs:
-    """Truncate to floor(L/2): drop all content above the half bandwidth."""
-    if coeffs.L < 1:
-        raise ValueError("spectral_pool needs L >= 1")
-    L_new = coeffs.L // 2
-    return SpectralCoeffs(L_new, coeffs.values[:(L_new + 1) ** 2].copy())
-
-
-def spectral_unpool(coeffs: SpectralCoeffs, L_new: int) -> SpectralCoeffs:
-    """Zero-pad to a higher bandwidth (no new content is invented)."""
-    if L_new < coeffs.L:
-        raise ValueError(f"spectral_unpool: L_new={L_new} below current {coeffs.L}")
-    out = np.zeros(((L_new + 1) ** 2, coeffs.channels), dtype=np.float64)
-    out[:(coeffs.L + 1) ** 2] = coeffs.values
-    return SpectralCoeffs(L_new, out)
 
 
 @dataclass

@@ -70,18 +70,6 @@ def _sample_basis(points: np.ndarray, L: int) -> np.ndarray:
     return Y
 
 
-def eval_real_sh(l: int, m: int, point) -> float:
-    """Single harmonic at a single unit-norm point."""
-    if l < 0 or l > MAX_DEGREE:
-        raise ValueError(f"degree {l} out of [0, {MAX_DEGREE}]")
-    if abs(m) > l:
-        raise ValueError(f"order {m} invalid for degree {l}")
-    point = np.asarray(point, dtype=np.float64).reshape(1, 3)
-    if abs(np.linalg.norm(point) - 1.0) > 1e-9:
-        raise ValueError("point must be unit norm")
-    return float(_sample_basis(point, l)[0, flat_index(l, m)])
-
-
 @dataclass
 class HarmonicBasis:
     """Sampled basis plus its least-squares forward operator for one mesh."""

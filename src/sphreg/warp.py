@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ag
+from .errors import NumericError
 from .icosphere import (Icosphere, SphericalSignal, barycentric_resample,
                         generate_icosphere, locate_faces, vertex_count)
 
@@ -136,13 +137,6 @@ def densify_targets(control_targets, control_level: int, dst_level: int):
     return ag.row_normalize(rotated)
 
 
-def densify(control_targets: np.ndarray, control_level: int,
-            dst_level: int) -> DeformationField:
-    targets = densify_targets(np.asarray(control_targets, dtype=np.float64),
-                              control_level, dst_level)
-    return DeformationField(dst_level, targets)
-
-
 # ---------------------------------------------------------------------------
 # warping and composition
 # ---------------------------------------------------------------------------
@@ -196,8 +190,8 @@ def invert_field(field: DeformationField, iterations: int = 300,
     """Fixed-point inverse: find u(v) with field(u(v)) = v.
 
     Damped iteration u <- u - damping * (field(u) - v) converges for smooth
-    fields whose displacement gradients stay moderate; raises if the
-    residual stays above 1e-6 (field too large or folded)."""
+    fields whose displacement gradients stay moderate; raises NumericError
+    if the residual stays above 1e-6 (field too large or folded)."""
     mesh = generate_icosphere(field.mesh_level)
     v = mesh.vertices
     u = v.copy()
@@ -212,7 +206,7 @@ def invert_field(field: DeformationField, iterations: int = 300,
         u = u - damping * delta
         u /= np.linalg.norm(u, axis=1, keepdims=True)
     if residual > 1e-6:
-        raise ValueError(
+        raise NumericError(
             f"invert_field did not converge (residual {residual:.3e}); "
             "field is too large or folded")
     return DeformationField(field.mesh_level, u)

@@ -1,4 +1,4 @@
-"""Binary formats: mesh, signal, coefficient, field, and checkpoint files.
+"""Binary formats: mesh, signal, field, and checkpoint files.
 
 Every reader must reject malformed input with a FormatError naming the
 byte offset of the first violation, so corrupted files fail loudly at the
@@ -13,7 +13,6 @@ import pytest
 from sphreg import fileio
 from sphreg.errors import FormatError
 from sphreg.icosphere import SphericalSignal, generate_icosphere
-from sphreg.sht import SpectralCoeffs
 from sphreg.warp import DeformationField
 
 
@@ -37,6 +36,11 @@ def test_mesh_roundtrip_bitwise(tmp_path):
     np.testing.assert_array_equal(loaded.faces, mesh.faces)
     assert [list(ring) for ring in loaded.one_ring] == \
         [list(ring) for ring in mesh.one_ring]
+    for name in ("edges", "ring_offsets", "ring_dst", "ring_src",
+                 "incident_faces"):
+        np.testing.assert_array_equal(getattr(loaded, name),
+                                      getattr(mesh, name))
+        assert getattr(loaded, name).dtype == getattr(mesh, name).dtype
 
 
 def test_mesh_bad_magic(tmp_path):
@@ -70,6 +74,16 @@ def test_mesh_face_index_out_of_range(tmp_path):
     face_bytes_at = 20 + 8 * 3 * mesh.n_vertices
     corrupt(path, face_bytes_at, struct.pack("<I", 12))
     with pytest.raises(FormatError, match="face index out of range"):
+        fileio.read_mesh(path)
+
+
+def test_mesh_vertex_in_no_face(tmp_path):
+    mesh = generate_icosphere(0)
+    path = tmp_path / "mesh.sphm"
+    fileio.write_mesh(path, mesh)
+    faces = np.where(mesh.faces == 11, 0, mesh.faces)
+    corrupt(path, 20 + 8 * 3 * mesh.n_vertices, faces.astype("<u4").tobytes())
+    with pytest.raises(FormatError, match="vertex 11 is in no face"):
         fileio.read_mesh(path)
 
 
@@ -127,28 +141,6 @@ def test_signal_rejects_absurd_level(tmp_path):
     corrupt(path, 8, struct.pack("<I", 30))
     with pytest.raises(FormatError, match="level 30 out of range"):
         fileio.read_signal(path)
-
-
-# ---------------------------------------------------------------------------
-# SPHC coefficients
-# ---------------------------------------------------------------------------
-
-def test_coeffs_roundtrip_bitwise(tmp_path):
-    rng = np.random.default_rng(1)
-    coeffs = SpectralCoeffs(4, rng.standard_normal((25, 2)))
-    path = tmp_path / "coeffs.sphc"
-    fileio.write_coeffs(path, coeffs)
-    loaded = fileio.read_coeffs(path)
-    assert loaded.L == 4
-    np.testing.assert_array_equal(loaded.values, coeffs.values)
-
-
-def test_coeffs_rejects_huge_bandwidth(tmp_path):
-    path = tmp_path / "coeffs.sphc"
-    fileio.write_coeffs(path, SpectralCoeffs(2, np.zeros((9, 1))))
-    corrupt(path, 8, struct.pack("<I", 1000))
-    with pytest.raises(FormatError, match="bandwidth 1000 out of range"):
-        fileio.read_coeffs(path)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from sphreg import autodiff as ag
+from sphreg import icosphere
+from sphreg.discrete_reg import build_label_sets
+from sphreg.graph_attention import attention_edges
 from sphreg.icosphere import (Icosphere, SphericalSignal, barycentric_resample,
-                              barycentric_weights, downsample_to_level,
-                              edge_count, face_count, generate_icosphere,
-                              locate_faces, resample_signal, upsample_to_level,
-                              vertex_count)
+                              barycentric_weights, edge_count, face_count,
+                              generate_icosphere, locate_faces, vertex_count)
+from sphreg.metrics import smoothness_penalty
 
 
 @pytest.mark.parametrize("level,verts", [(0, 12), (1, 42), (2, 162),
@@ -109,13 +112,98 @@ def test_signal_validation():
     assert sig.channels == 3
 
 
-def test_downsample_is_prefix_and_upsample_round_trip():
+def test_resample_searches_nearest_vertices_once(monkeypatch):
+    mesh = generate_icosphere(3)
     rng = np.random.default_rng(3)
-    fine = SphericalSignal(2, rng.standard_normal((162, 1)))
-    coarse = downsample_to_level(fine, 1)
-    np.testing.assert_array_equal(coarse.values, fine.values[:42])
-    up = upsample_to_level(coarse, 2)
-    assert up.level == 2 and up.values.shape == (162, 1)
-    np.testing.assert_array_equal(up.values[:42], coarse.values)
-    same = resample_signal(fine, 2)
-    np.testing.assert_array_equal(same.values, fine.values)
+    values = rng.standard_normal((mesh.n_vertices, 2))
+    targets = rng.standard_normal((700, 3))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    expected_faces, expected_weights = barycentric_weights(mesh, targets)
+
+    calls = []
+    search = icosphere._nearest_vertices
+
+    def counting_search(*args, **kwargs):
+        calls.append(len(args[1]))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(icosphere, "_nearest_vertices", counting_search)
+    out = barycentric_resample(values, mesh, targets)
+    assert calls == [len(targets)]
+    corner_vals = values[mesh.faces[expected_faces]]
+    np.testing.assert_array_equal(
+        out, np.einsum("tk,tkc->tc", expected_weights, corner_vals))
+
+
+def _reference_index_sets(mesh):
+    """The per-module Python constructions the mesh index sets replaced."""
+    faces = mesh.faces
+    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    pairs.sort(axis=1)
+    edges = np.unique(pairs, axis=0)
+
+    neighbors = [[] for _ in range(mesh.n_vertices)]
+    for i, j in edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    one_ring = [np.array(sorted(n), dtype=np.int64) for n in neighbors]
+
+    order = np.argsort(faces.ravel(), kind="stable")
+    face_ids = order // 3
+    verts = faces.ravel()[order]
+    splits = np.searchsorted(verts, np.arange(mesh.n_vertices + 1))
+    vertex_faces = [face_ids[splits[v]:splits[v + 1]]
+                    for v in range(mesh.n_vertices)]
+    table = np.full((mesh.n_vertices, 6), -1, dtype=np.int64)
+    for v, incident in enumerate(vertex_faces):
+        table[v, :len(incident)] = incident
+        table[v, len(incident):] = incident[0]
+
+    att_dst = np.concatenate([np.full(len(ring) + 1, v, dtype=np.int64)
+                              for v, ring in enumerate(one_ring)])
+    att_src = np.concatenate([np.concatenate([[v], ring])
+                              for v, ring in enumerate(one_ring)])
+    ring_dst = np.concatenate([np.full(len(ring), v, dtype=np.int64)
+                               for v, ring in enumerate(one_ring)])
+    ring_src = np.concatenate([np.asarray(ring, dtype=np.int64)
+                               for ring in one_ring])
+    degree = np.array([len(ring) for ring in one_ring], dtype=np.float64)
+    control_edges = np.array([(i, j) for i in range(mesh.n_vertices)
+                              for j in one_ring[i]], dtype=np.int64)
+    return dict(edges=edges, one_ring=one_ring, table=table,
+                att_dst=att_dst, att_src=att_src, ring_dst=ring_dst,
+                ring_src=ring_src, degree=degree, control_edges=control_edges)
+
+
+def _assert_same(got, expected):
+    np.testing.assert_array_equal(got, expected)
+    assert got.dtype == expected.dtype
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
+def test_index_sets_match_reference_loops(level):
+    mesh = generate_icosphere(level)
+    ref = _reference_index_sets(mesh)
+
+    _assert_same(mesh.edges, ref["edges"])
+    _assert_same(mesh.ring_dst, ref["ring_dst"])
+    _assert_same(mesh.ring_src, ref["ring_src"])
+    _assert_same(np.diff(mesh.ring_offsets).astype(np.float64), ref["degree"])
+    assert len(mesh.one_ring) == len(ref["one_ring"])
+    for got, expected in zip(mesh.one_ring, ref["one_ring"]):
+        _assert_same(got, expected)
+    _assert_same(mesh.incident_faces, ref["table"])
+
+    dst, src = attention_edges(mesh)
+    _assert_same(dst, ref["att_dst"])
+    _assert_same(src, ref["att_src"])
+    _assert_same(build_label_sets(level, level + 1).edges, ref["control_edges"])
+
+    # smoothness_penalty against the formula on the reference arrays
+    rng = np.random.default_rng(level)
+    targets = mesh.vertices + 0.05 * rng.standard_normal((mesh.n_vertices, 3))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    disp = targets - mesh.vertices
+    diffs = np.abs(disp[ref["ring_dst"]] - disp[ref["ring_src"]])
+    expected = np.sum(diffs * (1.0 / ref["degree"][ref["ring_dst"]])[:, None])
+    assert ag.value_of(smoothness_penalty(targets, level)) == expected

@@ -5,11 +5,10 @@ import pytest
 
 from sphreg import autodiff as ag
 from sphreg.icosphere import generate_icosphere
-from sphreg.sht import (SpectralCoeffs, build_basis, random_bandlimited,
-                        sht_forward, sht_inverse)
+from sphreg.sht import build_basis, random_bandlimited
 from sphreg.shconv import (BlockParams, ZonalFilter, batch_norm, degree_scale,
                            init_block, init_zonal_filter, shconv_block,
-                           spectral_pool, spectral_unpool, zonal_convolve)
+                           zonal_convolve)
 
 
 def oracle_convolve(values, filt, basis, L_out):
@@ -97,30 +96,6 @@ def test_input_validation():
         zonal_convolve(np.zeros((12, 2)), filt, basis)       # wrong mesh
     with pytest.raises(ValueError):
         zonal_convolve(np.zeros((42, 2)), filt, basis, L_out=5)
-
-
-def test_spectral_pool_halves_bandwidth():
-    rng = np.random.default_rng(5)
-    coeffs = SpectralCoeffs(8, rng.standard_normal((81, 2)))
-    pooled = spectral_pool(coeffs)
-    assert pooled.L == 4
-    np.testing.assert_array_equal(pooled.values, coeffs.values[:25])
-    unpooled = spectral_unpool(pooled, 8)
-    assert unpooled.L == 8
-    np.testing.assert_array_equal(unpooled.values[:25], coeffs.values[:25])
-    assert (unpooled.values[25:] == 0).all()
-
-
-def test_pool_then_synthesise_equals_lowpass():
-    mesh = generate_icosphere(2)
-    basis = build_basis(mesh, 8)
-    rng = np.random.default_rng(6)
-    signal = random_bandlimited(2, 8, 1, rng)
-    pooled = spectral_pool(sht_forward(signal, basis))
-    low = sht_inverse(pooled, basis)
-    direct = sht_inverse(SpectralCoeffs(4, sht_forward(signal, basis).values[:25]),
-                         basis)
-    np.testing.assert_allclose(low.values, direct.values, atol=1e-12)
 
 
 def test_batch_norm_training_stats_and_running_update():

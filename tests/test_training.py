@@ -174,11 +174,11 @@ def test_forward_cascade_matches_composed_field():
                              cfg, grids, hard=True)
     field = composed_field(result, cfg)
 
-    from sphreg.warp import DeformationField, compose, densify
-    phi1 = densify(ag.value_of(result.control1), cfg.control_coarse,
-                   cfg.mesh_level)
-    phi2 = densify(ag.value_of(result.control2), cfg.control_fine,
-                   cfg.mesh_level)
+    from sphreg.warp import DeformationField, compose, densify_targets
+    phi1 = DeformationField(cfg.mesh_level, densify_targets(
+        ag.value_of(result.control1), cfg.control_coarse, cfg.mesh_level))
+    phi2 = DeformationField(cfg.mesh_level, densify_targets(
+        ag.value_of(result.control2), cfg.control_fine, cfg.mesh_level))
     np.testing.assert_array_equal(field.targets,
                                   compose(phi2, phi1).targets)
 

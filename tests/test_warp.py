@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from sphreg.icosphere import SphericalSignal, generate_icosphere
+from sphreg.errors import NumericError
 from sphreg.warp import (DeformationField, apply_rotation_vectors, compose,
-                         densify, identity_field, invert_field,
+                         densify_targets, identity_field, invert_field,
                          minimal_rotation_vectors, warp_signal)
 
 
@@ -101,7 +102,7 @@ def test_zero_rotation_passes_points_through_bitwise():
 
 def test_densify_identity_controls_is_identity():
     control = generate_icosphere(1)
-    field = densify(control.vertices, 1, 3)
+    field = DeformationField(3, densify_targets(control.vertices, 1, 3))
     np.testing.assert_array_equal(field.targets,
                                   generate_icosphere(3).vertices)
 
@@ -111,7 +112,7 @@ def test_densify_targets_are_unit():
     control = generate_icosphere(1)
     moves = control.vertices + 0.2 * rng.standard_normal((42, 3))
     moves /= np.linalg.norm(moves, axis=1, keepdims=True)
-    field = densify(moves, 1, 3)
+    field = DeformationField(3, densify_targets(moves, 1, 3))
     np.testing.assert_allclose(np.linalg.norm(field.targets, axis=1), 1.0,
                                atol=1e-9)
 
@@ -122,7 +123,7 @@ def test_densify_interpolates_controls_exactly():
     control = generate_icosphere(1)
     moves = control.vertices + 0.15 * rng.standard_normal((42, 3))
     moves /= np.linalg.norm(moves, axis=1, keepdims=True)
-    field = densify(moves, 1, 3)
+    field = DeformationField(3, densify_targets(moves, 1, 3))
     assert np.max(np.linalg.norm(field.targets[:42] - moves, axis=1)) < 1e-12
 
 
@@ -132,7 +133,7 @@ def test_densify_common_rotation_error_scales_with_angle():
     errors = []
     for angle in (0.1, 0.01):
         R = axis_angle([1.0, 2.0, 0.5], angle)
-        field = densify(control.vertices @ R.T, 1, 3)
+        field = DeformationField(3, densify_targets(control.vertices @ R.T, 1, 3))
         errors.append(np.max(np.linalg.norm(
             field.targets - fine.vertices @ R.T, axis=1)))
     assert 8.0 < errors[0] / errors[1] < 12.0     # linear in the angle
@@ -145,7 +146,8 @@ def test_densify_common_rotation_error_scales_with_control_spacing():
     errors = []
     for control_level in (1, 2, 3):
         control = generate_icosphere(control_level)
-        field = densify(control.vertices @ R.T, control_level, 4)
+        field = DeformationField(4, densify_targets(control.vertices @ R.T,
+                                                    control_level, 4))
         errors.append(np.max(np.linalg.norm(
             field.targets - fine.vertices @ R.T, axis=1)))
     # quadratic in the control edge length: one level quarters the error
@@ -157,7 +159,7 @@ def test_densify_reproduces_small_common_rotation():
     fine = generate_icosphere(4)
     control = generate_icosphere(3)
     R = axis_angle([0.3, -1.0, 0.8], 1e-4)
-    field = densify(control.vertices @ R.T, 3, 4)
+    field = DeformationField(4, densify_targets(control.vertices @ R.T, 3, 4))
     err = np.max(np.linalg.norm(field.targets - fine.vertices @ R.T, axis=1))
     assert err < 1e-6
 
@@ -168,7 +170,7 @@ def test_densify_single_control_perturbation_is_local():
     moves = control.vertices.copy()
     moves[17] = moves[17] + np.array([0.05, -0.03, 0.02])
     moves[17] /= np.linalg.norm(moves[17])
-    field = densify(moves, 1, 3)
+    field = DeformationField(3, densify_targets(moves, 1, 3))
     # faces not touching control 17 interpolate zero rotation vectors
     corners_near = {17}
     support = np.array([any(c in corners_near for c in face)
@@ -182,9 +184,9 @@ def test_densify_single_control_perturbation_is_local():
 def test_densify_validation():
     control = generate_icosphere(1)
     with pytest.raises(ValueError, match="control targets"):
-        densify(control.vertices[:10], 1, 3)
+        DeformationField(3, densify_targets(control.vertices[:10], 1, 3))
     with pytest.raises(ValueError, match="dst level"):
-        densify(control.vertices, 1, 0)
+        DeformationField(0, densify_targets(control.vertices, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +232,7 @@ def test_compose_identity_laws():
     control = generate_icosphere(1)
     moves = control.vertices + 0.1 * rng.standard_normal((42, 3))
     moves /= np.linalg.norm(moves, axis=1, keepdims=True)
-    phi = densify(moves, 1, 2)
+    phi = DeformationField(2, densify_targets(moves, 1, 2))
     identity = identity_field(2)
     left = compose(identity, phi)
     right = compose(phi, identity)
@@ -255,7 +257,7 @@ def test_compose_targets_unit_norm():
         control = generate_icosphere(1)
         moves = control.vertices + 0.2 * rng.standard_normal((42, 3))
         moves /= np.linalg.norm(moves, axis=1, keepdims=True)
-        fields.append(densify(moves, 1, 3))
+        fields.append(DeformationField(3, densify_targets(moves, 1, 3)))
     composed = compose(fields[0], fields[1])
     np.testing.assert_allclose(np.linalg.norm(composed.targets, axis=1), 1.0,
                                atol=1e-12)
@@ -279,7 +281,7 @@ def test_pullback_associativity():
         control = generate_icosphere(1)
         moves = control.vertices + 0.1 * rng.standard_normal((42, 3))
         moves /= np.linalg.norm(moves, axis=1, keepdims=True)
-        fields.append(densify(moves, 1, level))
+        fields.append(DeformationField(level, densify_targets(moves, 1, level)))
     a, b = fields
     fused = warp_signal(signal, compose(a, b))
     stepped = warp_signal(warp_signal(signal, b), a)
@@ -295,7 +297,7 @@ def test_invert_field_reaches_fixed_point():
     control = generate_icosphere(1)
     moves = control.vertices + 0.1 * rng.standard_normal((42, 3))
     moves /= np.linalg.norm(moves, axis=1, keepdims=True)
-    field = densify(moves, 1, 3)
+    field = DeformationField(3, densify_targets(moves, 1, 3))
     inverse = invert_field(field)
     mesh = generate_icosphere(3)
     from sphreg.icosphere import barycentric_resample
@@ -314,5 +316,5 @@ def test_invert_rejects_extreme_field():
     # antipodal map is orientation-reversing; the fixed point iteration
     # cannot converge and must say so instead of returning garbage
     field = DeformationField(2, -generate_icosphere(2).vertices)
-    with pytest.raises(ValueError, match="did not converge"):
+    with pytest.raises(NumericError, match="did not converge"):
         invert_field(field, iterations=30)
