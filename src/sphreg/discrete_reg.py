@@ -79,6 +79,9 @@ class ControlGrid:
         return self.labels.shape[1]
 
 
+_label_set_cache: dict[tuple[int, int, int], ControlGrid] = {}
+
+
 def build_label_sets(control_level: int, label_level: int,
                      hops: int = 1) -> ControlGrid:
     """Label sets from k-hop neighborhoods on the label mesh.
@@ -88,7 +91,13 @@ def build_label_sets(control_level: int, label_level: int,
     (arc distance, index tie-break).  N_l is the largest neighborhood size;
     sparser (pentagon) control points pad trailing slots with repeats of
     the identity label so Q stays rectangular and padding slots are inert.
+
+    Grids are built once per (control_level, label_level, hops) and shared,
+    with their arrays frozen as the meshes' are.
     """
+    key = (control_level, label_level, hops)
+    if key in _label_set_cache:
+        return _label_set_cache[key]
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
     control = generate_icosphere(control_level)
@@ -121,15 +130,18 @@ def build_label_sets(control_level: int, label_level: int,
         labels[c, 0] = c
         labels[c, 1:1 + len(ids)] = ids
         labels[c, 1 + len(ids):] = c
-    positions = label.vertices[labels]
-    return ControlGrid(
+    grid = ControlGrid(
         control_level=control_level,
         label_level=label_level,
         labels=labels,
-        label_positions=positions,
-        control_positions=control.vertices.copy(),
+        label_positions=label.vertices[labels],
+        control_positions=control.vertices,
         edges=np.stack([control.ring_dst, control.ring_src], axis=1),
     )
+    for array in (grid.labels, grid.label_positions, grid.edges):
+        array.setflags(write=False)
+    _label_set_cache[key] = grid
+    return grid
 
 
 @dataclass

@@ -125,7 +125,10 @@ def read_mesh(path) -> Icosphere:
     if unused.any():
         raise FormatError(faces_at, f"{r.path}: vertex "
                                     f"{int(np.argmax(unused))} is in no face")
-    return build_mesh(level, vertices, faces)
+    try:
+        return build_mesh(level, vertices, faces)
+    except ValueError as exc:
+        raise FormatError(faces_at, f"{r.path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

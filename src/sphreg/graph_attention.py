@@ -5,10 +5,6 @@ edge logits are LeakyReLU(a . [f'_dst || f'_src]) with slope 0.2, softmax is
 taken over each destination's neighbourhood (one ring plus self), and the
 attended neighbour features are summed.  Heads are concatenated, so a layer
 maps (N, D) -> (N, D) with D divisible by the head count.
-
-The edge-list core is exposed separately from the mesh wrapper so degenerate
-neighbourhoods (used in the tests) and future adjacency variants need no
-mesh object.
 """
 
 from __future__ import annotations
@@ -55,65 +51,36 @@ def init_gat_layer(d_in: int, heads: int, rng) -> GatLayer:
     )
 
 
-def attention_edges(mesh: Icosphere):
-    """(dst, src) edge arrays covering one-ring neighbours plus self loops.
-
-    The mesh's one-ring CSR with a self loop at the start of every segment,
-    so the sources of v are ``[v] + one_ring[v]``."""
-    vertices = np.arange(mesh.n_vertices)
-    dst = np.repeat(vertices, np.diff(mesh.ring_offsets) + 1)
-    return dst, np.insert(mesh.ring_src, mesh.ring_offsets[:-1], vertices)
-
-
-def gat_forward_edges(features, dst: np.ndarray, src: np.ndarray,
-                      layer: GatLayer, n_vertices: int):
-    """Attention over an explicit (dst, src) edge list.
-
-    Every destination must appear in at least one edge (its softmax is over
-    its own edges); single-edge neighbourhoods degenerate to attention 1.
-    """
-    d_in = ag.value_of(features).shape[1]
+def gat_forward(features, mesh: Icosphere, layer: GatLayer):
+    """One-ring + self attention on an icosphere, all heads in one pass over
+    the mesh's neighbourhood table."""
+    n, d_in = ag.value_of(features).shape
+    if n != mesh.n_vertices:
+        raise ValueError("feature rows do not match mesh vertex count")
     if d_in != layer.d_in:
         raise ValueError(f"layer expects width {layer.d_in}, got {d_in}")
-    present = np.zeros(n_vertices, dtype=bool)
-    present[dst] = True
-    if not present.all():
-        missing = int(np.argmin(present))
-        raise ValueError(f"vertex {missing} has no attention edges")
+    heads, d_head = layer.heads, layer.d_head
+    table = mesh.neighbourhood                                  # (N, 7)
+    padding = np.arange(table.shape[1]) > np.diff(mesh.ring_offsets)[:, None]
 
-    head_outputs = []
-    for h in range(layer.heads):
-        W_h = ag.take_rows(layer.W, np.array([h]))
-        W_h = ag.reshape(W_h, (layer.d_head, layer.d_in))
-        a_h = ag.reshape(ag.take_rows(layer.a, np.array([h])), (2 * layer.d_head, 1))
-        a_dst = ag.slice_rows(a_h, 0, layer.d_head)
-        a_src = ag.slice_rows(a_h, layer.d_head, 2 * layer.d_head)
+    projected = ag.einsum2("nd,hkd->nhk", features, layer.W)    # (N, H, D_head)
+    a = ag.reshape(layer.a, (heads, 2, d_head))
+    score_dst = ag.einsum2("nhk,hk->nh", projected, ag.take_axis(a, 0, axis=1))
+    score_src = ag.einsum2("nhk,hk->nh", projected, ag.take_axis(a, 1, axis=1))
+    logits = ag.leaky_relu(
+        ag.add(ag.reshape(score_dst, (n, 1, heads)), ag.take_rows(score_src, table)),
+        LEAKY_SLOPE)                                            # (N, 7, H)
 
-        projected = ag.einsum2("nd,kd->nk", features, W_h)      # (N, D_head)
-        score_dst = ag.matmul(projected, a_dst)                 # (N, 1)
-        score_src = ag.matmul(projected, a_src)
-        logits = ag.leaky_relu(
-            ag.add(ag.take_rows(score_dst, dst), ag.take_rows(score_src, src)),
-            LEAKY_SLOPE)
+    # softmax over each row, stabilised by a detached row max (padding slots
+    # repeat slot 0, so they leave it unchanged); padding slots are shifted
+    # by +inf, so their weight is exactly zero
+    shift = np.where(padding[:, :, None], np.inf,
+                     ag.value_of(logits).max(axis=1, keepdims=True))
+    weights = ag.exp(ag.sub(logits, shift))
+    attention = ag.div(weights, ag.reduce_sum(weights, axis=1, keepdims=True))
 
-        # softmax per destination, stabilised by a detached segment max
-        shift = np.full(n_vertices, -np.inf)
-        np.maximum.at(shift, dst, ag.value_of(logits)[:, 0])
-        weights = ag.exp(ag.sub(logits, shift[dst][:, None]))
-        denom = ag.segment_sum(weights, dst, n_vertices)
-        attention = ag.div(weights, ag.take_rows(denom, dst))
-
-        attended = ag.mul(ag.take_rows(projected, src), attention)
-        head_outputs.append(ag.segment_sum(attended, dst, n_vertices))
-    return ag.concat(head_outputs, axis=1)
-
-
-def gat_forward(features, mesh: Icosphere, layer: GatLayer):
-    """One-ring + self attention on an icosphere."""
-    if ag.value_of(features).shape[0] != mesh.n_vertices:
-        raise ValueError("feature rows do not match mesh vertex count")
-    dst, src = attention_edges(mesh)
-    return gat_forward_edges(features, dst, src, layer, mesh.n_vertices)
+    attended = ag.einsum2("njh,njhk->nhk", attention, ag.take_rows(projected, table))
+    return ag.reshape(attended, (n, heads * d_head))
 
 
 @dataclass

@@ -52,6 +52,11 @@ class Icosphere:
     and ``ring_offsets[v]:ring_offsets[v + 1]`` the slice of vertex v, of
     which ``one_ring[v]`` is a view.  ``incident_faces[v]`` lists the faces
     around v in ascending order, padded to six with the first of them.
+
+    ``neighbourhood`` is the (V, 7) attention table: row v holds v itself,
+    then ``one_ring[v]``.  The twelve degree-5 vertices pad their last slot
+    with v, so slot k of row v is padding exactly when k exceeds the degree
+    ``ring_offsets[v + 1] - ring_offsets[v]``.
     """
 
     level: int
@@ -63,6 +68,7 @@ class Icosphere:
     ring_src: np.ndarray = field(repr=False)
     one_ring: list[np.ndarray] = field(repr=False)
     incident_faces: np.ndarray = field(repr=False)
+    neighbourhood: np.ndarray = field(repr=False)
     _corner_inverse: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -154,13 +160,23 @@ def _subdivide(vertices, faces):
 
 
 def build_mesh(level: int, vertices: np.ndarray, faces: np.ndarray) -> Icosphere:
-    """Icosphere with every index set derived once from ``faces``, frozen."""
+    """Icosphere with every index set derived once from ``faces``, frozen.
+
+    The tables have six ring and six face slots, so a vertex with more
+    neighbours or faces than that is rejected."""
     n_vertices = vertices.shape[0]
     edges, _ = _unique_edges(faces, n_vertices)
     directed = np.concatenate([edges, edges[:, ::-1]])
     order = np.lexsort((directed[:, 1], directed[:, 0]))
     ring_dst, ring_src = directed[order, 0], directed[order, 1]
     ring_offsets = np.searchsorted(ring_dst, np.arange(n_vertices + 1))
+    degree = np.diff(ring_offsets)
+    ring_slots = np.arange(6)
+    in_ring = ring_slots < degree[:, None]
+    ring = ring_src[ring_offsets[:-1, None] + np.where(in_ring, ring_slots, 0)]
+    vertex_ids = np.arange(n_vertices)[:, None]
+    neighbourhood = np.concatenate(
+        [vertex_ids, np.where(in_ring, ring, vertex_ids)], axis=1)
 
     corner_vertex = faces.ravel()
     by_vertex = np.argsort(corner_vertex, kind="stable")
@@ -169,15 +185,20 @@ def build_mesh(level: int, vertices: np.ndarray, faces: np.ndarray) -> Icosphere
     slots = np.arange(6)
     slots = np.where(slots < np.diff(face_offsets)[:, None], slots, 0)
     incident_faces = (by_vertex // 3)[face_offsets[:-1, None] + slots]
+    crowded = np.maximum(degree, np.diff(face_offsets)) > 6
+    if crowded.any():
+        raise ValueError(f"vertex {int(np.argmax(crowded))} has more than six "
+                         f"neighbours or faces")
 
     for array in (vertices, faces, edges, ring_offsets, ring_dst, ring_src,
-                  incident_faces):
+                  incident_faces, neighbourhood):
         array.setflags(write=False)
     return Icosphere(level=level, vertices=vertices, faces=faces, edges=edges,
                      ring_offsets=ring_offsets, ring_dst=ring_dst,
                      ring_src=ring_src,
                      one_ring=np.split(ring_src, ring_offsets[1:-1]),
-                     incident_faces=incident_faces)
+                     incident_faces=incident_faces,
+                     neighbourhood=neighbourhood)
 
 
 def generate_icosphere(level: int) -> Icosphere:

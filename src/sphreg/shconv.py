@@ -36,10 +36,7 @@ def degree_scale(L: int) -> np.ndarray:
 
 def degree_of_index(L: int) -> np.ndarray:
     """Degree l for every flat index below (L+1)^2."""
-    out = np.empty((L + 1) ** 2, dtype=np.int64)
-    for l in range(L + 1):
-        out[l * l:(l + 1) * (l + 1)] = l
-    return out
+    return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
 
 
 @dataclass

@@ -304,6 +304,8 @@ class CascadeResult:
     warped_coarse: object     # after stage 1 only
     control1: object          # (N_c1, 3) stage-1 control targets
     control2: object | None   # (N_c2, 3) stage-2 control targets
+    dense1: object            # (N, 3) stage-1 targets densified to the mesh
+    dense2: object | None     # (N, 3) stage-2 targets densified to the mesh
     Q1: DeformationProbabilities
     Q2: DeformationProbabilities | None
     timings: dict
@@ -346,37 +348,31 @@ def forward_cascade(moving, fixed, model: ModelParams, config: TrainConfig,
     output as a constant, so no gradient crosses the scale boundary."""
     grid_coarse, grid_fine = grids
     timings: dict = {}
-    warped1, ctrl1, _, q1 = _stage(
+    warped1, ctrl1, dense1, q1 = _stage(
         moving, fixed, model.coarse, grid_coarse, model.crf_coarse, config,
         hard, training_mode, batch_stats_update, timings)
     if config.stages == 1:
         return CascadeResult(warped=warped1, warped_coarse=warped1,
-                             control1=ctrl1, control2=None, Q1=q1, Q2=None,
-                             timings=timings)
+                             control1=ctrl1, control2=None, dense1=dense1,
+                             dense2=None, Q1=q1, Q2=None, timings=timings)
     stage2_in = warped1
     if config.cascade_mode == "independent":
         stage2_in = ag.value_of(warped1)
-    warped2, ctrl2, _, q2 = _stage(
+    warped2, ctrl2, dense2, q2 = _stage(
         stage2_in, fixed, model.fine, grid_fine, model.crf_fine, config,
         hard, training_mode, batch_stats_update, timings)
     return CascadeResult(warped=warped2, warped_coarse=warped1,
-                         control1=ctrl1, control2=ctrl2, Q1=q1, Q2=q2,
-                         timings=timings)
+                         control1=ctrl1, control2=ctrl2, dense1=dense1,
+                         dense2=dense2, Q1=q1, Q2=q2, timings=timings)
 
 
 def composed_field(result: CascadeResult, config: TrainConfig) -> DeformationField:
     """Single full-resolution field equivalent to the cascade (stage 1 acts
     first, so it is the second argument of compose)."""
-    phi1 = DeformationField(
-        config.mesh_level,
-        densify_targets(ag.value_of(result.control1), config.control_coarse,
-                        config.mesh_level))
-    if result.control2 is None:
+    phi1 = DeformationField(config.mesh_level, ag.value_of(result.dense1))
+    if result.dense2 is None:
         return phi1
-    phi2 = DeformationField(
-        config.mesh_level,
-        densify_targets(ag.value_of(result.control2), config.control_fine,
-                        config.mesh_level))
+    phi2 = DeformationField(config.mesh_level, ag.value_of(result.dense2))
     return compose(phi2, phi1)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sphreg.autodiff as ag
+from sphreg import discrete_reg
 from sphreg.discrete_reg import (ControlGrid, DeformationProbabilities,
                                  argmax_deformation, build_label_sets,
                                  init_unet, predict_probabilities,
@@ -64,6 +65,19 @@ def test_neighbours_ordered_nearest_first():
     arcs = np.arccos(np.clip(cos, -1.0, 1.0))
     for c in range(12, grid.n_controls):    # interior rows have no padding
         assert np.all(np.diff(arcs[c, 1:]) >= -1e-12)
+
+
+def test_label_sets_are_built_once_and_frozen():
+    first = build_label_sets(1, 3, hops=1)
+    assert build_label_sets(1, 3, hops=1) is first
+    discrete_reg._label_set_cache.clear()
+    fresh = build_label_sets(1, 3, hops=1)
+    assert fresh is not first
+    for name in ("labels", "label_positions", "control_positions", "edges"):
+        got, expected = getattr(first, name), getattr(fresh, name)
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == expected.dtype
 
 
 def test_invalid_levels_and_hops_rejected():

@@ -37,7 +37,7 @@ def test_mesh_roundtrip_bitwise(tmp_path):
     assert [list(ring) for ring in loaded.one_ring] == \
         [list(ring) for ring in mesh.one_ring]
     for name in ("edges", "ring_offsets", "ring_dst", "ring_src",
-                 "incident_faces"):
+                 "incident_faces", "neighbourhood"):
         np.testing.assert_array_equal(getattr(loaded, name),
                                       getattr(mesh, name))
         assert getattr(loaded, name).dtype == getattr(mesh, name).dtype
@@ -84,6 +84,27 @@ def test_mesh_vertex_in_no_face(tmp_path):
     faces = np.where(mesh.faces == 11, 0, mesh.faces)
     corrupt(path, 20 + 8 * 3 * mesh.n_vertices, faces.astype("<u4").tobytes())
     with pytest.raises(FormatError, match="vertex 11 is in no face"):
+        fileio.read_mesh(path)
+
+
+def test_mesh_vertex_in_seven_faces(tmp_path):
+    # flip one edge between four degree-6 vertices: the two vertices
+    # opposite the edge end up in seven faces each
+    mesh = generate_icosphere(1)
+    degree = np.diff(mesh.ring_offsets)
+    for i, j in mesh.edges:
+        f, g = np.nonzero(np.isin(mesh.faces, [i, j]).sum(axis=1) == 2)[0]
+        k, = np.setdiff1d(mesh.faces[f], [i, j])
+        l, = np.setdiff1d(mesh.faces[g], [i, j])
+        if degree[[i, j, k, l]].min() == 6:
+            break
+    faces = mesh.faces.copy()
+    faces[f] = np.where(faces[f] == j, l, faces[f])
+    faces[g] = np.where(faces[g] == i, k, faces[g])
+    path = tmp_path / "mesh.sphm"
+    fileio.write_mesh(path, mesh)
+    corrupt(path, 20 + 8 * 3 * mesh.n_vertices, faces.astype("<u4").tobytes())
+    with pytest.raises(FormatError, match="more than six neighbours or faces"):
         fileio.read_mesh(path)
 
 

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import sphreg.autodiff as ag
-from sphreg.graph_attention import (GatLayer, LEAKY_SLOPE, attention_edges,
-                                    gat_forward, gat_forward_edges,
+from sphreg.graph_attention import (GatLayer, LEAKY_SLOPE, gat_forward,
                                     graph_enhanced_module, init_gat_layer,
                                     init_graph_module)
 from sphreg.icosphere import generate_icosphere
@@ -44,10 +43,13 @@ def oracle_gat(features: np.ndarray, mesh, layer: GatLayer):
     return np.concatenate(head_outputs, axis=1), rows
 
 
+# every level-0 vertex has degree 5, so every row of its table is padded;
+# level 1 mixes padded and full rows
 @pytest.mark.parametrize("heads", [1, 2, 4])
-def test_matches_naive_oracle_on_level0(heads):
-    mesh = generate_icosphere(0)
-    rng = np.random.default_rng(41 + heads)
+@pytest.mark.parametrize("level", [0, 1])
+def test_matches_naive_oracle(level, heads):
+    mesh = generate_icosphere(level)
+    rng = np.random.default_rng(41 + heads + 10 * level)
     layer = init_gat_layer(8, heads, rng)
     for _ in range(5):
         features = rng.standard_normal((mesh.n_vertices, 8))
@@ -84,17 +86,6 @@ def test_uniform_attention_reduces_to_neighbourhood_mean():
     assert np.max(np.abs(produced - expected)) < 1e-12
 
 
-def test_single_vertex_neighbourhood_attention_is_one():
-    rng = np.random.default_rng(3)
-    layer = init_gat_layer(4, 2, rng)
-    features = rng.standard_normal((1, 4))
-    out = ag.value_of(gat_forward_edges(
-        features, np.array([0]), np.array([0]), layer, 1))
-    W = np.asarray(layer.W)
-    expected = np.concatenate([features @ W[0].T, features @ W[1].T], axis=1)
-    assert np.max(np.abs(out - expected)) < 1e-12
-
-
 def test_zero_features_give_zero_output():
     mesh = generate_icosphere(0)
     layer = init_gat_layer(8, 4, np.random.default_rng(5))
@@ -103,19 +94,37 @@ def test_zero_features_give_zero_output():
 
 
 def test_edges_cover_one_ring_plus_self():
+    # the attention edges into v are the row of v in the neighbourhood table:
+    # v, its one ring ascending, then v again in the padding slot if any
     mesh = generate_icosphere(1)
-    dst, src = attention_edges(mesh)
+    degree = np.diff(mesh.ring_offsets)
     for v in range(mesh.n_vertices):
-        sources = set(src[dst == v].tolist())
-        assert sources == {v} | set(mesh.one_ring[v].tolist())
+        row = mesh.neighbourhood[v]
+        assert row.tolist() == [v] + mesh.one_ring[v].tolist() + \
+            [v] * (6 - degree[v])
+    assert set(degree.tolist()) == {5, 6}
 
 
-def test_missing_destination_rejected():
-    layer = init_gat_layer(4, 1, np.random.default_rng(0))
-    features = np.zeros((3, 4))
-    with pytest.raises(ValueError, match="no attention edges"):
-        gat_forward_edges(features, np.array([0, 1]), np.array([1, 0]),
-                          layer, 3)
+def _tape_nodes(out):
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+def test_tape_nodes_do_not_grow_with_heads():
+    mesh = generate_icosphere(1)
+    rng = np.random.default_rng(13)
+    features = ag.parameter(rng.standard_normal((mesh.n_vertices, 8)))
+    counts = []
+    for heads in (1, 2, 4):
+        layer = init_gat_layer(8, heads, rng)
+        probe = GatLayer(W=ag.parameter(layer.W), a=ag.parameter(layer.a))
+        counts.append(_tape_nodes(gat_forward(features, mesh, probe)))
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_feature_width_mismatch_rejected():

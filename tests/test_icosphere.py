@@ -6,7 +6,6 @@ import pytest
 from sphreg import autodiff as ag
 from sphreg import icosphere
 from sphreg.discrete_reg import build_label_sets
-from sphreg.graph_attention import attention_edges
 from sphreg.icosphere import (Icosphere, SphericalSignal, barycentric_resample,
                               barycentric_weights, edge_count, face_count,
                               generate_icosphere, locate_faces, vertex_count)
@@ -159,10 +158,8 @@ def _reference_index_sets(mesh):
         table[v, :len(incident)] = incident
         table[v, len(incident):] = incident[0]
 
-    att_dst = np.concatenate([np.full(len(ring) + 1, v, dtype=np.int64)
-                              for v, ring in enumerate(one_ring)])
-    att_src = np.concatenate([np.concatenate([[v], ring])
-                              for v, ring in enumerate(one_ring)])
+    neighbourhood = np.array([[v] + list(ring) + [v] * (6 - len(ring))
+                              for v, ring in enumerate(one_ring)], dtype=np.int64)
     ring_dst = np.concatenate([np.full(len(ring), v, dtype=np.int64)
                                for v, ring in enumerate(one_ring)])
     ring_src = np.concatenate([np.asarray(ring, dtype=np.int64)
@@ -171,7 +168,7 @@ def _reference_index_sets(mesh):
     control_edges = np.array([(i, j) for i in range(mesh.n_vertices)
                               for j in one_ring[i]], dtype=np.int64)
     return dict(edges=edges, one_ring=one_ring, table=table,
-                att_dst=att_dst, att_src=att_src, ring_dst=ring_dst,
+                neighbourhood=neighbourhood, ring_dst=ring_dst,
                 ring_src=ring_src, degree=degree, control_edges=control_edges)
 
 
@@ -194,9 +191,8 @@ def test_index_sets_match_reference_loops(level):
         _assert_same(got, expected)
     _assert_same(mesh.incident_faces, ref["table"])
 
-    dst, src = attention_edges(mesh)
-    _assert_same(dst, ref["att_dst"])
-    _assert_same(src, ref["att_src"])
+    _assert_same(mesh.neighbourhood, ref["neighbourhood"])
+    assert not mesh.neighbourhood.flags.writeable
     _assert_same(build_label_sets(level, level + 1).edges, ref["control_edges"])
 
     # smoothness_penalty against the formula on the reference arrays

@@ -6,9 +6,9 @@ import pytest
 from sphreg import autodiff as ag
 from sphreg.icosphere import generate_icosphere
 from sphreg.sht import build_basis, random_bandlimited
-from sphreg.shconv import (BlockParams, ZonalFilter, batch_norm, degree_scale,
-                           init_block, init_zonal_filter, shconv_block,
-                           zonal_convolve)
+from sphreg.shconv import (BlockParams, ZonalFilter, batch_norm,
+                           degree_of_index, degree_scale, init_block,
+                           init_zonal_filter, shconv_block, zonal_convolve)
 
 
 def oracle_convolve(values, filt, basis, L_out):
@@ -35,6 +35,15 @@ def oracle_convolve(values, filt, basis, L_out):
 
 
 def test_matches_dense_oracle():
+    # the flat degree table that spreads per-degree gains over (l, m) slots
+    for L in range(17):
+        expected = np.empty((L + 1) ** 2, dtype=np.int64)
+        for l in range(L + 1):
+            expected[l * l:(l + 1) * (l + 1)] = l
+        got = degree_of_index(L)
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == np.int64
+
     mesh = generate_icosphere(2)
     basis = build_basis(mesh, 8)
     rng = np.random.default_rng(0)
