@@ -3,9 +3,10 @@
 A ``Tensor`` wraps a float64 ndarray together with the closures needed to
 push gradients back to its parents.  Graphs are built define-by-run: every
 functional op below accepts either ``Tensor`` or plain ndarray arguments and
-only records a node when at least one argument is a ``Tensor``, so the same
-forward code serves both training (differentiable) and inference (pure
-numpy) paths.
+computes its value once; ``_node`` is the one place that decides whether the
+call records a node (only when some argument is a ``Tensor``; otherwise the
+bare ndarray comes back), so the same forward code serves both training
+(differentiable) and inference (pure numpy) paths.
 
 The op set is deliberately small: elementwise arithmetic and activations,
 matmul/einsum contractions, reductions, concatenation, gather/scatter, and a
@@ -145,8 +146,10 @@ def _unbroadcast(grad, shape):
 
 
 def _node(value, inputs, backward):
+    """The one place that decides whether a call records a node: a Tensor
+    when some input is one, else the bare ``value`` (``backward`` dropped)."""
     parents = tuple(x for x in inputs if isinstance(x, Tensor))
-    return Tensor(value, parents, backward)
+    return Tensor(value, parents, backward) if parents else value
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +157,6 @@ def _node(value, inputs, backward):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        return np.add(value_of(a), value_of(b))
     av, bv = value_of(a), value_of(b)
 
     def backward(g):
@@ -168,8 +169,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        return np.subtract(value_of(a), value_of(b))
     av, bv = value_of(a), value_of(b)
 
     def backward(g):
@@ -182,8 +181,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        return np.multiply(value_of(a), value_of(b))
     av, bv = value_of(a), value_of(b)
 
     def backward(g):
@@ -196,8 +193,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        return np.divide(value_of(a), value_of(b))
     av, bv = value_of(a), value_of(b)
 
     def backward(g):
@@ -210,18 +205,13 @@ def div(a, b):
 
 
 def neg(a):
-    if not is_tensor(a):
-        return -value_of(a)
-
     def backward(g):
         _accumulate(a, -g)
 
-    return _node(-a.value, (a,), backward)
+    return _node(-value_of(a), (a,), backward)
 
 
 def matmul(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        return value_of(a) @ value_of(b)
     av, bv = value_of(a), value_of(b)
     if av.ndim != 2 or bv.ndim != 2:
         raise ValueError("matmul expects 2-D operands; use einsum2 otherwise")
@@ -248,8 +238,6 @@ def einsum2(subscripts, a, b):
             raise ValueError(f"repeated index in operand {name}: {subscripts}")
         if not set(spec) <= set(out_spec) | set(other):
             raise ValueError(f"dangling index in operand {name}: {subscripts}")
-    if not (is_tensor(a) or is_tensor(b)):
-        return np.einsum(subscripts, value_of(a), value_of(b))
     av, bv = value_of(a), value_of(b)
 
     def backward(g):
@@ -266,12 +254,11 @@ def einsum2(subscripts, a, b):
 # ---------------------------------------------------------------------------
 
 def _unary(x, fn, dfn):
-    if not is_tensor(x):
-        return fn(value_of(x))
-    out_value = fn(x.value)
+    v = value_of(x)
+    out_value = fn(v)
 
     def backward(g):
-        _accumulate(x, g * dfn(x.value, out_value))
+        _accumulate(x, g * dfn(v, out_value))
 
     return _node(out_value, (x,), backward)
 
@@ -409,9 +396,7 @@ def arc_over_sin(c):
 # ---------------------------------------------------------------------------
 
 def reduce_sum(x, axis=None, keepdims=False):
-    if not is_tensor(x):
-        return np.sum(value_of(x), axis=axis, keepdims=keepdims)
-    v = x.value
+    v = value_of(x)
 
     def backward(g):
         if axis is not None and not keepdims:
@@ -428,19 +413,15 @@ def reduce_mean(x, axis=None, keepdims=False):
 
 
 def reshape(x, shape):
-    if not is_tensor(x):
-        return np.reshape(value_of(x), shape)
-    old = x.value.shape
+    v = value_of(x)
 
     def backward(g):
-        _accumulate(x, g.reshape(old))
+        _accumulate(x, g.reshape(v.shape))
 
-    return _node(x.value.reshape(shape), (x,), backward)
+    return _node(v.reshape(shape), (x,), backward)
 
 
 def concat(parts, axis=0):
-    if not any(is_tensor(p) for p in parts):
-        return np.concatenate([value_of(p) for p in parts], axis=axis)
     values = [value_of(p) for p in parts]
     sizes = [v.shape[axis] for v in values]
     offsets = np.cumsum([0] + sizes)
@@ -458,9 +439,7 @@ def concat(parts, axis=0):
 def take_rows(x, indices):
     """Gather rows (axis 0); repeated indices accumulate on backward."""
     idx = np.asarray(indices)
-    if not is_tensor(x):
-        return value_of(x)[idx]
-    v = x.value
+    v = value_of(x)
 
     def backward(g):
         grad = np.zeros_like(v)
@@ -472,9 +451,7 @@ def take_rows(x, indices):
 
 def take_axis(x, indices, axis):
     idx = np.asarray(indices)
-    if not is_tensor(x):
-        return np.take(value_of(x), idx, axis=axis)
-    v = x.value
+    v = value_of(x)
 
     def backward(g):
         grad = np.zeros_like(v)
@@ -487,9 +464,7 @@ def take_axis(x, indices, axis):
 
 
 def slice_rows(x, start, stop):
-    if not is_tensor(x):
-        return value_of(x)[start:stop]
-    v = x.value
+    v = value_of(x)
 
     def backward(g):
         grad = np.zeros_like(v)
@@ -502,12 +477,7 @@ def slice_rows(x, start, stop):
 def segment_sum(x, segment_ids, num_segments):
     """out[s] = sum of x rows whose segment id is s."""
     seg = np.asarray(segment_ids)
-    if not is_tensor(x):
-        v = value_of(x)
-        out = np.zeros((num_segments,) + v.shape[1:], dtype=np.float64)
-        np.add.at(out, seg, v)
-        return out
-    v = x.value
+    v = value_of(x)
     out = np.zeros((num_segments,) + v.shape[1:], dtype=np.float64)
     np.add.at(out, seg, v)
 
@@ -541,8 +511,6 @@ def row_normalize(x, snap_tol=1e-12):
         raise ValueError("row_normalize: row norm below 0.5, geometry is degenerate")
     scale = np.where(np.abs(norms - 1.0) <= snap_tol, 1.0, 1.0 / norms)
     out_value = v * scale
-    if not is_tensor(x):
-        return out_value
 
     def backward(g):
         inner = np.sum(g * out_value, axis=-1, keepdims=True)

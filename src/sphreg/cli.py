@@ -49,6 +49,10 @@ def _parse_bool(text: str) -> bool:
             f"expected true/false, got {text!r}")
 
 
+# one parser per TrainConfig field type, shared by config files and flags
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+
+
 def _read_config_file(path: str) -> dict:
     """key=value lines; blank lines and # comments ignored."""
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
@@ -65,18 +69,10 @@ def _read_config_file(path: str) -> dict:
             key, value = key.strip(), value.strip()
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = fields[key].type
-            if kind == "bool":
-                if value.lower() not in _BOOL_WORDS:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected true/false for {key}")
-                out[key] = _BOOL_WORDS[value.lower()]
-            elif kind == "int":
-                out[key] = int(value)
-            elif kind == "float":
-                out[key] = float(value)
-            else:
-                out[key] = value
+            try:
+                out[key] = _PARSERS[fields[key].type](value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
@@ -86,20 +82,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group(
         "model/config overrides (flag beats config file beats default)")
     for f in dataclasses.fields(TrainConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            group.add_argument(flag, type=_parse_bool, default=None,
-                               metavar="BOOL",
-                               help=f"override {f.name} (default {f.default})")
-        elif f.type == "int":
-            group.add_argument(flag, type=int, default=None,
-                               help=f"override {f.name} (default {f.default})")
-        elif f.type == "float":
-            group.add_argument(flag, type=float, default=None,
-                               help=f"override {f.name} (default {f.default})")
-        else:
-            group.add_argument(flag, default=None,
-                               help=f"override {f.name} (default {f.default})")
+        group.add_argument("--" + f.name.replace("_", "-"),
+                           type=_PARSERS[f.type], default=None,
+                           metavar="BOOL" if f.type == "bool" else None,
+                           help=f"override {f.name} (default {f.default})")
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:

@@ -21,10 +21,12 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .icosphere import (Icosphere, SphericalSignal, build_mesh, face_count,
-                        vertex_count)
+from .icosphere import (MAX_LEVEL, Icosphere, SphericalSignal, build_mesh,
+                        face_count, vertex_count)
 
 _VERSION = 1
+# the SPHK config blob follows magic, version and its u32 length
+CHECKPOINT_CONFIG_OFFSET = 12
 
 
 class _Reader:
@@ -81,8 +83,8 @@ def _check_version(reader: _Reader):
         raise FormatError(at, f"{reader.path}: unsupported version {version}")
 
 
-def _check_level(reader: _Reader, level: int, limit: int = 7):
-    if level > limit:
+def _check_level(reader: _Reader, level: int):
+    if level > MAX_LEVEL:
         raise FormatError(reader.offset - 4,
                           f"{reader.path}: level {level} out of range")
 
@@ -227,7 +229,11 @@ def read_checkpoint(path):
     tensors = {}
     for _ in range(count):
         name_len = r.u32("name length")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(r.offset - name_len,
+                              f"{r.path}: tensor name is not UTF-8") from None
         rank = r.u32("rank")
         if rank > 8:
             raise FormatError(r.offset - 4, f"{r.path}: tensor {name} rank {rank}")

@@ -154,10 +154,8 @@ def batch_norm(values, params: BlockParams, training_mode: bool,
     else:
         normalized = ag.div(ag.sub(values, params.bn_mean[None, :]),
                             np.sqrt(params.bn_var + BN_EPS)[None, :])
-    gamma = ag.reshape(params.bn_gamma, (1, -1)) if ag.is_tensor(params.bn_gamma) \
-        else ag.value_of(params.bn_gamma)[None, :]
-    beta = ag.reshape(params.bn_beta, (1, -1)) if ag.is_tensor(params.bn_beta) \
-        else ag.value_of(params.bn_beta)[None, :]
+    gamma = ag.reshape(params.bn_gamma, (1, -1))
+    beta = ag.reshape(params.bn_beta, (1, -1))
     return ag.add(ag.mul(normalized, gamma), beta)
 
 

@@ -30,7 +30,7 @@ from .crf import CrfParams, crf_refine, init_crf_params
 from .discrete_reg import (ControlGrid, DeformationProbabilities, UNetParams,
                            argmax_deformation, build_label_sets, init_unet,
                            predict_probabilities, soft_deformation, unet_forward)
-from .errors import NumericError
+from .errors import FormatError, NumericError
 from .icosphere import SphericalSignal, generate_icosphere, vertex_count
 from .metrics import loss_reg, loss_sim, pearson_cc
 from .sht import random_bandlimited
@@ -87,6 +87,9 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("regularization weights must be nonnegative")
+        if self.crf_sigma < 0:
+            raise ValueError("crf_sigma must be nonnegative (0 means per-grid "
+                             "default)")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -94,6 +97,8 @@ class TrainConfig:
     @classmethod
     def from_json(cls, blob: str) -> "TrainConfig":
         data = json.loads(blob)
+        if not isinstance(data, dict):
+            raise ValueError(f"config is not a JSON object: {data!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -132,16 +137,15 @@ def init_model(config: TrainConfig, rng=None) -> ModelParams:
     rng = np.random.default_rng(config.seed) if rng is None else rng
     grid_coarse, grid_fine = build_grids(config)
     n_l = grid_coarse.n_labels
-    sigma_c = config.crf_sigma if config.crf_sigma > 0 else None
-    sigma_f = config.crf_sigma if config.crf_sigma > 0 else None
+    sigma = config.crf_sigma if config.crf_sigma > 0 else None
     return ModelParams(
         coarse=init_unet(config.bandwidth, config.channels, n_l, config.heads,
                          rng, use_graph=config.use_graph_module),
         fine=init_unet(config.bandwidth, config.channels, n_l, config.heads,
                        rng, use_graph=config.use_graph_module),
-        crf_coarse=init_crf_params(grid_coarse, config.crf_iters, sigma_c,
+        crf_coarse=init_crf_params(grid_coarse, config.crf_iters, sigma,
                                    config.crf_weight),
-        crf_fine=init_crf_params(grid_fine, config.crf_iters, sigma_f,
+        crf_fine=init_crf_params(grid_fine, config.crf_iters, sigma,
                                  config.crf_weight),
     )
 
@@ -590,7 +594,11 @@ def save_checkpoint(path, config: TrainConfig, model: ModelParams) -> None:
 
 def load_checkpoint(path) -> tuple[TrainConfig, ModelParams]:
     blob, tensors = fileio.read_checkpoint(path)
-    config = TrainConfig.from_json(blob)
+    try:
+        config = TrainConfig.from_json(blob)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(fileio.CHECKPOINT_CONFIG_OFFSET,
+                          f"{path}: bad config ({exc})") from None
     model = init_model(config)
     expected = named_arrays(model)
     if set(tensors) != set(expected):

@@ -41,6 +41,64 @@ def test_plain_arrays_pass_through():
     assert isinstance(ag.softmax_rows(a), np.ndarray)
 
 
+_RNG = np.random.default_rng(12)
+_X = 0.5 + _RNG.random((4, 3))     # positive rows of norm > 0.5
+_Y = 0.5 + _RNG.random((4, 3))
+_IDX = np.array([3, 0, 0, 2])
+
+# one call per public op on float operands; every operand is wrapped as a
+# Tensor in the recorded call and passed as a plain array in the other
+PLAIN_CASES = {
+    "add": (ag.add, (_X, _Y)),
+    "sub": (ag.sub, (_X, _Y)),
+    "mul": (ag.mul, (_X, _Y)),
+    "div": (ag.div, (_X, _Y)),
+    "neg": (ag.neg, (_X,)),
+    "matmul": (ag.matmul, (_X, _Y.T)),
+    "einsum2": (lambda a, b: ag.einsum2("ij,kj->ik", a, b), (_X, _Y)),
+    "exp": (ag.exp, (_X,)),
+    "log": (ag.log, (_X,)),
+    "sqrt": (ag.sqrt, (_X,)),
+    "square": (ag.square, (_X,)),
+    "power": (lambda x: ag.power(x, 3), (_X,)),
+    "absolute": (ag.absolute, (_X - 1.0,)),
+    "relu": (ag.relu, (_X - 1.0,)),
+    "leaky_relu": (ag.leaky_relu, (_X - 1.0,)),
+    "elu": (ag.elu, (_X - 1.0,)),
+    "reduce_sum": (lambda x: ag.reduce_sum(x, axis=1), (_X,)),
+    "reduce_mean": (lambda x: ag.reduce_mean(x, axis=0, keepdims=True), (_X,)),
+    "concat": (lambda a, b: ag.concat([a, b], axis=1), (_X, _Y)),
+    "reshape": (lambda x: ag.reshape(x, (3, 4)), (_X,)),
+    "take_rows": (lambda x: ag.take_rows(x, _IDX), (_X,)),
+    "take_axis": (lambda x: ag.take_axis(x, _IDX[:3] % 3, axis=1), (_X,)),
+    "slice_rows": (lambda x: ag.slice_rows(x, 1, 3), (_X,)),
+    "segment_sum": (lambda x: ag.segment_sum(x, _IDX, 5), (_X,)),
+    "softmax_rows": (ag.softmax_rows, (_X,)),
+    "row_normalize": (ag.row_normalize, (_X,)),
+    "sinc_sq": (ag.sinc_sq, (_X,)),
+    "cosc_sq": (ag.cosc_sq, (_X,)),
+    "arc_over_sin": (ag.arc_over_sin, (_X - 1.0,)),
+    "cross": (ag.cross, (_X, _Y)),
+}
+
+
+def test_plain_cases_cover_every_public_op():
+    helpers = {"Tensor", "parameter", "value_of", "is_tensor"}
+    assert set(PLAIN_CASES) == set(ag.__all__) - helpers
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_CASES))
+def test_plain_call_returns_the_recorded_value_bitwise(name):
+    fn, args = PLAIN_CASES[name]
+    plain = fn(*args)
+    recorded = fn(*(ag.Tensor(a) for a in args))
+    assert type(plain) is np.ndarray
+    assert ag.is_tensor(recorded)
+    assert plain.dtype == recorded.value.dtype == np.float64
+    assert plain.shape == recorded.value.shape
+    assert plain.tobytes() == recorded.value.tobytes()
+
+
 def test_tensor_in_tensor_out():
     t = ag.Tensor(np.ones((2, 2)))
     assert ag.is_tensor(ag.add(t, 1.0))

@@ -146,6 +146,17 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["use_crf=maybe", "epochs=x",
+                                  "crf_weight=heavy"])
+def test_config_file_bad_value_rejected(tmp_path, capsys, line):
+    config_file = tmp_path / "bad.cfg"
+    config_file.write_text(line + "\n")
+    code = run(["synth", "--n-pairs", 1, "--out-dir", tmp_path / "d",
+                "--config", config_file])
+    assert code == 2
+    assert f"bad.cfg:1: {line.split('=')[0]}" in capsys.readouterr().err
+
+
 def test_config_file_malformed_line_rejected(tmp_path, capsys):
     config_file = tmp_path / "bad.cfg"
     config_file.write_text("mesh_level 2\n")
@@ -267,6 +278,59 @@ def test_register_crf_override_flags(tmp_path):
     manifest = json.loads(
         (tmp_path / "silenced.sphd.manifest.json").read_text())
     assert manifest["config"]["crf_iters"] == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed checkpoints exit 3
+# ---------------------------------------------------------------------------
+
+def register_with(tmp_path, ckpt) -> int:
+    data = make_dataset(tmp_path, n_pairs=1)
+    return run(["register", "--checkpoint", ckpt,
+                "--moving", data / "pair_0000.moving.sphs",
+                "--fixed", data / "pair_0000.fixed.sphs",
+                "--out-field", tmp_path / "f.sphd",
+                "--out-warped", tmp_path / "w.sphs"])
+
+
+def replace_config_blob(path, blob: bytes) -> None:
+    """Swap the SPHK config blob (after magic, version and its length)."""
+    raw = path.read_bytes()
+    (old_len,) = struct.unpack_from("<I", raw, 8)
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                     + raw[12 + old_len:])
+
+
+def test_checkpoint_tensor_name_not_utf8(tmp_path, capsys):
+    ckpt = zero_head_checkpoint(tmp_path)
+    raw = bytearray(ckpt.read_bytes())
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    name_at = 12 + blob_len + 8       # tensor count, first name length
+    raw[name_at] = 0xFF
+    ckpt.write_bytes(bytes(raw))
+    assert register_with(tmp_path, ckpt) == 3
+    err = capsys.readouterr().err
+    assert f"byte {name_at}" in err and "not UTF-8" in err
+
+
+def test_checkpoint_config_value_of_wrong_type(tmp_path, capsys):
+    ckpt = zero_head_checkpoint(tmp_path)
+    raw = ckpt.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    config = json.loads(json.loads(raw[12:12 + blob_len]))
+    config["epochs"] = "x"
+    replace_config_blob(ckpt, json.dumps(json.dumps(config)).encode())
+    assert register_with(tmp_path, ckpt) == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and "byte 12" in err
+
+
+def test_checkpoint_config_not_an_object(tmp_path, capsys):
+    ckpt = zero_head_checkpoint(tmp_path)
+    replace_config_blob(ckpt, json.dumps("[1, 2]").encode())
+    assert register_with(tmp_path, ckpt) == 3
+    err = capsys.readouterr().err
+    assert "byte 12" in err and "not a JSON object" in err
 
 
 def test_eval_ground_truth_field_beats_unregistered(tmp_path, capsys):

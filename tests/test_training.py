@@ -108,6 +108,8 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         TrainConfig(lambda1=-0.1)
+    with pytest.raises(ValueError, match="crf_sigma"):
+        TrainConfig(crf_sigma=-0.1)
 
 
 def test_config_json_roundtrip():
@@ -318,6 +320,28 @@ def test_register_pair_rejects_level_mismatch():
     wrong = SphericalSignal(3, np.zeros((642, 1)))
     with pytest.raises(ValueError, match="mesh level"):
         register_pair(model, cfg, wrong, wrong)
+
+
+def test_register_pair_builds_no_tensors(monkeypatch):
+    # inference runs the training forward code on plain arrays; no op may
+    # record a node when none of its inputs is a Tensor
+    cfg = TrainConfig()
+    model = init_model(cfg)
+    pair = synth_dataset(1, cfg, seed=0)[0]
+    created = []
+    original = ag.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ag.Tensor, "__init__", counting_init)
+    ag.add(ag.Tensor(np.ones(2)), 1.0)
+    assert len(created) == 2          # the counter sees leaves and nodes
+    created.clear()
+    field, warped, _ = register_pair(model, cfg, pair.moving, pair.fixed)
+    assert len(created) == 0
+    assert type(warped.values) is np.ndarray
 
 
 # ---------------------------------------------------------------------------
