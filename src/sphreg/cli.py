@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from . import autodiff as ag
 from .errors import FormatError, NumericError
-from .fileio import (read_checkpoint, read_field, read_mesh, read_signal,
-                     write_field, write_mesh, write_signal)
+from .fileio import (read_field, read_signal, write_field, write_mesh,
+                     write_signal)
 from .icosphere import (SphericalSignal, barycentric_resample,
                         generate_icosphere)
 from .metrics import distortion_report, pearson_cc

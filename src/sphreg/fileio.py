@@ -11,6 +11,10 @@ violation, which the CLI surfaces verbatim.
     SPHK  magic, version=1, u32 config length + UTF-8 JSON config,
           u32 tensor count, then per tensor: u32 name length + UTF-8 name,
           u32 rank, u32 dims, f64 data
+
+SPHM is written for other tools and has no reader: every mesh the package
+uses is generated from its level, with the face hierarchy that point
+location descends.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .icosphere import (MAX_LEVEL, Icosphere, SphericalSignal, build_mesh,
-                        face_count, vertex_count)
+from .icosphere import MAX_LEVEL, Icosphere, SphericalSignal, vertex_count
 
 _VERSION = 1
 # the SPHK config blob follows magic, version and its u32 length
@@ -100,37 +103,6 @@ def write_mesh(path, mesh: Icosphere):
                             mesh.n_vertices, mesh.n_faces))
         f.write(mesh.vertices.astype("<f8").tobytes())
         f.write(mesh.faces.astype("<u4").tobytes())
-
-
-def read_mesh(path) -> Icosphere:
-    with open(path, "rb") as f:
-        r = _Reader(f.read(), str(path))
-    r.magic(b"SPHM")
-    _check_version(r)
-    level = r.u32("level")
-    _check_level(r, level)
-    n_vertices = r.u32("n_vertices")
-    n_faces = r.u32("n_faces")
-    if n_vertices != vertex_count(level):
-        raise FormatError(8, f"{r.path}: level {level} mesh must have "
-                             f"{vertex_count(level)} vertices, file says {n_vertices}")
-    if n_faces != face_count(level):
-        raise FormatError(12, f"{r.path}: level {level} mesh must have "
-                              f"{face_count(level)} faces, file says {n_faces}")
-    vertices = r.f64_array(3 * n_vertices, "vertices").reshape(n_vertices, 3)
-    faces_at = r.offset
-    faces = r.u32_array(3 * n_faces, "faces").reshape(n_faces, 3)
-    r.done()
-    if faces.max(initial=0) >= n_vertices:
-        raise FormatError(faces_at, f"{r.path}: face index out of range")
-    unused = np.bincount(faces.ravel(), minlength=n_vertices) == 0
-    if unused.any():
-        raise FormatError(faces_at, f"{r.path}: vertex "
-                                    f"{int(np.argmax(unused))} is in no face")
-    try:
-        return build_mesh(level, vertices, faces)
-    except ValueError as exc:
-        raise FormatError(faces_at, f"{r.path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ runs with one seed match bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -91,12 +90,8 @@ class TrainConfig:
             raise ValueError("crf_sigma must be nonnegative (0 means per-grid "
                              "default)")
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
     @classmethod
-    def from_json(cls, blob: str) -> "TrainConfig":
-        data = json.loads(blob)
+    def from_dict(cls, data: dict) -> "TrainConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config is not a JSON object: {data!r}")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -589,13 +584,22 @@ def gradient_check(config: TrainConfig, pair: SyntheticPair, rng=None,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, config: TrainConfig, model: ModelParams) -> None:
-    fileio.write_checkpoint(path, config.to_json(), named_arrays(model))
+    fileio.write_checkpoint(path, dataclasses.asdict(config),
+                            named_arrays(model))
 
 
 def load_checkpoint(path) -> tuple[TrainConfig, ModelParams]:
-    blob, tensors = fileio.read_checkpoint(path)
+    """Config and model from a ``.sphk`` file; a config that is not a valid
+    TrainConfig, or tensors that do not fit it, raise FormatError at the
+    config blob."""
+    data, tensors = fileio.read_checkpoint(path)
+    if isinstance(data, str):
+        raise FormatError(fileio.CHECKPOINT_CONFIG_OFFSET,
+                          f"{path}: config is not a JSON object but a JSON "
+                          "string, as in checkpoints that encoded it twice; "
+                          "train the model again")
     try:
-        config = TrainConfig.from_json(blob)
+        config = TrainConfig.from_dict(data)
     except (ValueError, TypeError) as exc:
         raise FormatError(fileio.CHECKPOINT_CONFIG_OFFSET,
                           f"{path}: bad config ({exc})") from None
@@ -604,15 +608,16 @@ def load_checkpoint(path) -> tuple[TrainConfig, ModelParams]:
     if set(tensors) != set(expected):
         missing = sorted(set(expected) - set(tensors))
         extra = sorted(set(tensors) - set(expected))
-        raise ValueError(
-            f"checkpoint parameter names mismatch: missing {missing}, "
-            f"unexpected {extra}")
+        raise FormatError(fileio.CHECKPOINT_CONFIG_OFFSET,
+                          f"{path}: tensor names do not fit the config: "
+                          f"missing {missing}, unexpected {extra}")
     for name, owner, attr in _leaf_specs(model, trainable_only=False):
         stored = tensors[name]
         if stored.shape != expected[name].shape:
-            raise ValueError(
-                f"checkpoint tensor {name} has shape {stored.shape}, "
-                f"expected {expected[name].shape}")
+            raise FormatError(fileio.CHECKPOINT_CONFIG_OFFSET,
+                              f"{path}: tensor {name} has shape "
+                              f"{stored.shape}, the config needs "
+                              f"{expected[name].shape}")
         setattr(owner, attr, stored)
     return config, model
 

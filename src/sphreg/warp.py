@@ -17,6 +17,12 @@ vector.  Unlike Euclidean displacement blending this keeps intermediate
 points on the sphere and is exact for a shared global rotation up to the
 interpolation error of the rotation-vector field.
 
+A field is linear in gnomonic coordinates on each mesh face, so it is
+inverted exactly: each vertex is located in the deformed mesh by a walk
+that starts at one of the vertex's own faces and crosses, over the mesh's
+face-neighbour table, the edge opposite its most negative coordinate, and
+its weights there map back to the original corners.
+
 Everything on the "moving" side (control targets, warped values) may be an
 autodiff tensor; mesh geometry and interpolation weights are constants.
 """
@@ -31,6 +37,11 @@ from . import autodiff as ag
 from .errors import NumericError
 from .icosphere import (Icosphere, SphericalSignal, barycentric_resample,
                         generate_icosphere, locate_faces, vertex_count)
+
+# a walk stops in a face where no gnomonic coordinate is below -tolerance:
+# a vertex on a deformed edge may compute a tiny negative coordinate in
+# both faces, and an exact test would step back and forth between them
+_WALK_TOLERANCE = 1e-12
 
 _densify_weights_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -102,13 +113,10 @@ def _densify_weights(control_level: int, dst_level: int):
     weights = lam / lam.sum(axis=1, keepdims=True)
     corners = control.faces[faces]
     # dst vertices that are control vertices (the level prefix) interpolate
-    # their own rotation vector exactly
-    prefix = vertex_count(control_level)
-    for v in range(min(prefix, dst.n_vertices)):
-        slot = np.nonzero(corners[v] == v)[0]
-        if len(slot):
-            weights[v] = 0.0
-            weights[v, slot[0]] = 1.0
+    # their own rotation vector exactly; the locator puts each in a face
+    # around it, so its row has one corner equal to itself
+    prefix = control.n_vertices
+    weights[:prefix] = corners[:prefix] == np.arange(prefix)[:, None]
     result = (corners, weights)
     _densify_weights_cache[key] = result
     return result
@@ -185,28 +193,39 @@ def compose(first: DeformationField, second: DeformationField) -> DeformationFie
     return DeformationField(first.mesh_level, targets)
 
 
-def invert_field(field: DeformationField, iterations: int = 300,
-                 tol: float = 1e-12, damping: float = 0.5) -> DeformationField:
-    """Fixed-point inverse: find u(v) with field(u(v)) = v.
+def invert_field(field: DeformationField) -> DeformationField:
+    """Exact inverse: the field u with field(u(v)) = v at every vertex v.
 
-    Damped iteration u <- u - damping * (field(u) - v) converges for smooth
-    fields whose displacement gradients stay moderate; raises NumericError
-    if the residual stays above 1e-6 (field too large or folded)."""
+    v is located in the deformed mesh (the same faces with corners at
+    ``field.targets``), and u(v) = normalize(sum_k w_k x_k) over the
+    original corners x_k, with w the normalised gnomonic weights of v in
+    that face.  A walk takes at most one step per face.  A folded field
+    has no inverse and raises NumericError."""
+    from .metrics import distortion_report
     mesh = generate_icosphere(field.mesh_level)
-    v = mesh.vertices
-    u = v.copy()
-    residual = np.inf
-    for _ in range(iterations):
-        t_u = barycentric_resample(field.targets, mesh, u)
-        t_u /= np.linalg.norm(t_u, axis=1, keepdims=True)
-        delta = t_u - v
-        residual = np.abs(delta).max()
-        if residual < tol:
+    folds = distortion_report(mesh, field).fold_count
+    if folds:
+        raise NumericError(f"invert_field: field folds {folds} triangles "
+                           "and has no inverse")
+    deformed = field.targets[mesh.faces]                        # (F, 3, 3)
+    inverse = np.linalg.inv(deformed.transpose(0, 2, 1))
+    points = mesh.vertices
+    face = mesh.incident_faces[:, 0].copy()
+    lam = np.empty_like(points)
+    walking = np.arange(mesh.n_vertices)
+    for _ in range(mesh.n_faces):
+        lam[walking] = np.einsum("tij,tj->ti", inverse[face[walking]],
+                                 points[walking])
+        exit_corner = np.argmin(lam[walking], axis=1)
+        outside = lam[walking, exit_corner] < -_WALK_TOLERANCE
+        walking, exit_corner = walking[outside], exit_corner[outside]
+        if walking.size == 0:
             break
-        u = u - damping * delta
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-    if residual > 1e-6:
-        raise NumericError(
-            f"invert_field did not converge (residual {residual:.3e}); "
-            "field is too large or folded")
-    return DeformationField(field.mesh_level, u)
+        face[walking] = mesh.face_neighbours[face[walking], exit_corner]
+    else:
+        raise NumericError(f"invert_field: {walking.size} vertices found no "
+                           "deformed face")
+    weights = lam / lam.sum(axis=1, keepdims=True)
+    targets = np.einsum("tk,tkx->tx", weights, points[mesh.faces[face]])
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    return DeformationField(field.mesh_level, targets)

@@ -54,9 +54,10 @@ def test_icosphere_writes_mesh_and_manifest(tmp_path, capsys):
     out = tmp_path / "mesh.sphm"
     assert run(["icosphere", "--level", 0, "--out", out]) == 0
     assert "vertices=12" in capsys.readouterr().out
-    loaded = fileio.read_mesh(out)
-    np.testing.assert_array_equal(loaded.vertices,
-                                  generate_icosphere(0).vertices)
+    # the package has no SPHM reader; test_fileio decodes write_mesh's bytes
+    expected = tmp_path / "expected.sphm"
+    fileio.write_mesh(expected, generate_icosphere(0))
+    assert out.read_bytes() == expected.read_bytes()
     manifest = json.loads((tmp_path / "mesh.sphm.manifest.json").read_text())
     assert manifest["command"] == "icosphere"
     assert manifest["outputs"]["mesh"] == str(out)
@@ -317,9 +318,9 @@ def test_checkpoint_config_value_of_wrong_type(tmp_path, capsys):
     ckpt = zero_head_checkpoint(tmp_path)
     raw = ckpt.read_bytes()
     (blob_len,) = struct.unpack_from("<I", raw, 8)
-    config = json.loads(json.loads(raw[12:12 + blob_len]))
+    config = json.loads(raw[12:12 + blob_len])
     config["epochs"] = "x"
-    replace_config_blob(ckpt, json.dumps(json.dumps(config)).encode())
+    replace_config_blob(ckpt, json.dumps(config).encode())
     assert register_with(tmp_path, ckpt) == 3
     err = capsys.readouterr().err
     assert "format error" in err and "byte 12" in err
@@ -327,10 +328,39 @@ def test_checkpoint_config_value_of_wrong_type(tmp_path, capsys):
 
 def test_checkpoint_config_not_an_object(tmp_path, capsys):
     ckpt = zero_head_checkpoint(tmp_path)
-    replace_config_blob(ckpt, json.dumps("[1, 2]").encode())
+    replace_config_blob(ckpt, json.dumps([1, 2]).encode())
     assert register_with(tmp_path, ckpt) == 3
     err = capsys.readouterr().err
     assert "byte 12" in err and "not a JSON object" in err
+
+
+def test_checkpoint_config_is_one_json_object(tmp_path, capsys):
+    ckpt = zero_head_checkpoint(tmp_path)
+    raw = ckpt.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    config = json.loads(raw[12:12 + blob_len])
+    assert config["channels"] == 4
+    # a config encoded twice, as a JSON string holding the object
+    replace_config_blob(ckpt, json.dumps(json.dumps(config)).encode())
+    assert register_with(tmp_path, ckpt) == 3
+    err = capsys.readouterr().err
+    assert "byte 12" in err and "JSON string" in err
+
+
+@pytest.mark.parametrize("change", ["shape", "names"])
+def test_checkpoint_tensors_must_fit_config(tmp_path, capsys, change):
+    ckpt = zero_head_checkpoint(tmp_path)
+    raw = ckpt.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    config = json.loads(raw[12:12 + blob_len])
+    if change == "shape":
+        config["channels"] = 6
+    else:
+        config["use_graph_module"] = not config["use_graph_module"]
+    replace_config_blob(ckpt, json.dumps(config).encode())
+    assert register_with(tmp_path, ckpt) == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and "byte 12" in err
 
 
 def test_eval_ground_truth_field_beats_unregistered(tmp_path, capsys):

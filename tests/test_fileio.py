@@ -23,105 +23,22 @@ def corrupt(path, offset: int, payload: bytes):
 
 
 # ---------------------------------------------------------------------------
-# SPHM mesh
+# SPHM mesh (written for other tools; the package has no reader)
 # ---------------------------------------------------------------------------
 
 def test_mesh_roundtrip_bitwise(tmp_path):
     mesh = generate_icosphere(2)
     path = tmp_path / "mesh.sphm"
     fileio.write_mesh(path, mesh)
-    loaded = fileio.read_mesh(path)
-    assert loaded.level == 2
-    np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
-    np.testing.assert_array_equal(loaded.faces, mesh.faces)
-    assert [list(ring) for ring in loaded.one_ring] == \
-        [list(ring) for ring in mesh.one_ring]
-    for name in ("edges", "ring_offsets", "ring_dst", "ring_src",
-                 "incident_faces", "neighbourhood"):
-        np.testing.assert_array_equal(getattr(loaded, name),
-                                      getattr(mesh, name))
-        assert getattr(loaded, name).dtype == getattr(mesh, name).dtype
-
-
-def test_mesh_bad_magic(tmp_path):
-    path = tmp_path / "mesh.sphm"
-    fileio.write_mesh(path, generate_icosphere(0))
-    corrupt(path, 0, b"JUNK")
-    with pytest.raises(FormatError, match="byte 0: .*bad magic"):
-        fileio.read_mesh(path)
-
-
-def test_mesh_bad_version(tmp_path):
-    path = tmp_path / "mesh.sphm"
-    fileio.write_mesh(path, generate_icosphere(0))
-    corrupt(path, 4, struct.pack("<I", 9))
-    with pytest.raises(FormatError, match="byte 4: .*unsupported version 9"):
-        fileio.read_mesh(path)
-
-
-def test_mesh_wrong_vertex_count(tmp_path):
-    path = tmp_path / "mesh.sphm"
-    fileio.write_mesh(path, generate_icosphere(1))
-    corrupt(path, 12, struct.pack("<I", 43))
-    with pytest.raises(FormatError, match="42 vertices, file says 43"):
-        fileio.read_mesh(path)
-
-
-def test_mesh_face_index_out_of_range(tmp_path):
-    mesh = generate_icosphere(0)
-    path = tmp_path / "mesh.sphm"
-    fileio.write_mesh(path, mesh)
-    face_bytes_at = 20 + 8 * 3 * mesh.n_vertices
-    corrupt(path, face_bytes_at, struct.pack("<I", 12))
-    with pytest.raises(FormatError, match="face index out of range"):
-        fileio.read_mesh(path)
-
-
-def test_mesh_vertex_in_no_face(tmp_path):
-    mesh = generate_icosphere(0)
-    path = tmp_path / "mesh.sphm"
-    fileio.write_mesh(path, mesh)
-    faces = np.where(mesh.faces == 11, 0, mesh.faces)
-    corrupt(path, 20 + 8 * 3 * mesh.n_vertices, faces.astype("<u4").tobytes())
-    with pytest.raises(FormatError, match="vertex 11 is in no face"):
-        fileio.read_mesh(path)
-
-
-def test_mesh_vertex_in_seven_faces(tmp_path):
-    # flip one edge between four degree-6 vertices: the two vertices
-    # opposite the edge end up in seven faces each
-    mesh = generate_icosphere(1)
-    degree = np.diff(mesh.ring_offsets)
-    for i, j in mesh.edges:
-        f, g = np.nonzero(np.isin(mesh.faces, [i, j]).sum(axis=1) == 2)[0]
-        k, = np.setdiff1d(mesh.faces[f], [i, j])
-        l, = np.setdiff1d(mesh.faces[g], [i, j])
-        if degree[[i, j, k, l]].min() == 6:
-            break
-    faces = mesh.faces.copy()
-    faces[f] = np.where(faces[f] == j, l, faces[f])
-    faces[g] = np.where(faces[g] == i, k, faces[g])
-    path = tmp_path / "mesh.sphm"
-    fileio.write_mesh(path, mesh)
-    corrupt(path, 20 + 8 * 3 * mesh.n_vertices, faces.astype("<u4").tobytes())
-    with pytest.raises(FormatError, match="more than six neighbours or faces"):
-        fileio.read_mesh(path)
-
-
-def test_mesh_truncated(tmp_path):
-    path = tmp_path / "mesh.sphm"
-    fileio.write_mesh(path, generate_icosphere(0))
-    path.write_bytes(path.read_bytes()[:30])
-    with pytest.raises(FormatError, match="truncated"):
-        fileio.read_mesh(path)
-
-
-def test_mesh_trailing_bytes(tmp_path):
-    path = tmp_path / "mesh.sphm"
-    fileio.write_mesh(path, generate_icosphere(0))
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(FormatError, match="trailing bytes"):
-        fileio.read_mesh(path)
+    raw = path.read_bytes()
+    n_v, n_f = mesh.n_vertices, mesh.n_faces
+    assert raw[:4] == b"SPHM"
+    assert struct.unpack_from("<IIII", raw, 4) == (1, 2, n_v, n_f)
+    assert len(raw) == 20 + 8 * 3 * n_v + 4 * 3 * n_f
+    vertices = np.frombuffer(raw, "<f8", 3 * n_v, 20).reshape(n_v, 3)
+    faces = np.frombuffer(raw, "<u4", 3 * n_f, 20 + 8 * 3 * n_v)
+    np.testing.assert_array_equal(vertices, mesh.vertices)
+    np.testing.assert_array_equal(faces.reshape(n_f, 3), mesh.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +54,22 @@ def test_signal_roundtrip_bitwise(tmp_path):
     assert loaded.level == 1
     assert loaded.channels == 3
     np.testing.assert_array_equal(loaded.values, signal.values)
+
+
+def test_signal_bad_version(tmp_path):
+    path = tmp_path / "sig.sphs"
+    fileio.write_signal(path, SphericalSignal(0, np.zeros((12, 1))))
+    corrupt(path, 4, struct.pack("<I", 9))
+    with pytest.raises(FormatError, match="byte 4: .*unsupported version 9"):
+        fileio.read_signal(path)
+
+
+def test_signal_trailing_bytes(tmp_path):
+    path = tmp_path / "sig.sphs"
+    fileio.write_signal(path, SphericalSignal(0, np.zeros((12, 1))))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="trailing bytes"):
+        fileio.read_signal(path)
 
 
 def test_signal_rejects_zero_channels(tmp_path):

@@ -1,5 +1,10 @@
 """Mesh construction, topology counts, and barycentric interpolation."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -112,26 +117,103 @@ def test_signal_validation():
 
 
 def test_resample_searches_nearest_vertices_once(monkeypatch):
+    # the nearest-vertex seed of each target comes out of one locate_faces
+    # call, and snapping reads the located face's corners
     mesh = generate_icosphere(3)
     rng = np.random.default_rng(3)
     values = rng.standard_normal((mesh.n_vertices, 2))
     targets = rng.standard_normal((700, 3))
     targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    targets[:50] = mesh.vertices[rng.choice(mesh.n_vertices, 50, replace=False)]
     expected_faces, expected_weights = barycentric_weights(mesh, targets)
 
     calls = []
-    search = icosphere._nearest_vertices
+    locate = icosphere.locate_faces
 
-    def counting_search(*args, **kwargs):
+    def counting_locate(*args, **kwargs):
         calls.append(len(args[1]))
-        return search(*args, **kwargs)
+        return locate(*args, **kwargs)
 
-    monkeypatch.setattr(icosphere, "_nearest_vertices", counting_search)
+    monkeypatch.setattr(icosphere, "locate_faces", counting_locate)
     out = barycentric_resample(values, mesh, targets)
     assert calls == [len(targets)]
     corner_vals = values[mesh.faces[expected_faces]]
     np.testing.assert_array_equal(
-        out, np.einsum("tk,tkc->tc", expected_weights, corner_vals))
+        out[50:], np.einsum("tk,tkc->tc", expected_weights, corner_vals)[50:])
+    vertex_of = np.argmax(targets[:50] @ mesh.vertices.T, axis=1)
+    np.testing.assert_array_equal(out[:50], values[vertex_of])
+
+
+def _oracle_locate(mesh, targets, rows_per_block=256):
+    """Every face scored for every target: the face with the largest minimum
+    gnomonic coordinate, the lowest index on exact ties."""
+    faces, lams = [], []
+    for lo in range(0, len(targets), rows_per_block):
+        block = targets[lo:lo + rows_per_block]
+        every = np.broadcast_to(mesh.corner_inverse,
+                                (len(block),) + mesh.corner_inverse.shape)
+        lam = np.einsum("tkij,tj->tki", every, block)
+        best = np.argmax(np.min(lam.transpose(2, 0, 1), axis=0), axis=1)
+        faces.append(best)
+        lams.append(lam[np.arange(len(block)), best])
+    return np.concatenate(faces), np.concatenate(lams)
+
+
+def _location_cases(level, rng):
+    """Vertices of the next two levels (midpoints on edges: the tie cases),
+    random points, a rotated finer mesh and vertices jittered by 1e-6 to
+    1e-15."""
+    cases = {f"vertices{fine}": generate_icosphere(fine).vertices
+             for fine in (level, level + 1, level + 2)}
+    random = rng.standard_normal((2000, 3))
+    cases["random"] = random / np.linalg.norm(random, axis=1, keepdims=True)
+    finer = generate_icosphere(level + 1).vertices
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    cases["rotated"] = finer @ rotation.T
+    for scale in (1e-6, 1e-9, 1e-13, 1e-15):
+        jittered = finer + scale * rng.standard_normal(finer.shape)
+        cases[f"jitter{scale:g}"] = (
+            jittered / np.linalg.norm(jittered, axis=1, keepdims=True))
+    return cases
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_locate_faces_matches_exhaustive_oracle(level):
+    mesh = generate_icosphere(level)
+    rng = np.random.default_rng(level)
+    for name, targets in _location_cases(level, rng).items():
+        if len(targets) > 1000 and level == 4:
+            # the oracle scores all 5,120 faces per target
+            targets = targets[rng.choice(len(targets), 1000, replace=False)]
+        faces, lam = locate_faces(mesh, targets)
+        expected_faces, expected_lam = _oracle_locate(mesh, targets)
+        np.testing.assert_array_equal(faces, expected_faces, err_msg=name)
+        np.testing.assert_array_equal(lam, expected_lam, err_msg=name)
+
+
+def test_level7_resample_fits_in_memory():
+    # the locator needs O(level) work and O(1) memory per target, so
+    # resampling at MAX_LEVEL runs in a fresh process well under 1.5 GB
+    script = (
+        "import resource, numpy as np\n"
+        "from sphreg.icosphere import barycentric_resample, generate_icosphere\n"
+        "mesh = generate_icosphere(7)\n"
+        "rng = np.random.default_rng(7)\n"
+        "values = rng.standard_normal((mesh.n_vertices, 2))\n"
+        "targets = mesh.vertices + 1e-4 * rng.standard_normal((mesh.n_vertices, 3))\n"
+        "targets /= np.linalg.norm(targets, axis=1, keepdims=True)\n"
+        "assert np.array_equal(barycentric_resample(values, mesh, mesh.vertices), values)\n"
+        "assert np.isfinite(barycentric_resample(values, mesh, targets)).all()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(pathlib.Path(icosphere.__file__).parents[1]),
+                   os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    peak_kib = int(done.stdout.split()[-1])
+    assert peak_kib * 1024 < 1.5e9
 
 
 def _reference_index_sets(mesh):
@@ -167,9 +249,19 @@ def _reference_index_sets(mesh):
     degree = np.array([len(ring) for ring in one_ring], dtype=np.float64)
     control_edges = np.array([(i, j) for i in range(mesh.n_vertices)
                               for j in one_ring[i]], dtype=np.int64)
+    faces_of_edge = {}
+    for f, corners in enumerate(faces.tolist()):
+        for k in range(3):
+            edge = frozenset(corners[:k] + corners[k + 1:])
+            faces_of_edge.setdefault(edge, []).append(f)
+    face_neighbours = np.array(
+        [[next(g for g in faces_of_edge[frozenset(corners[:k] + corners[k + 1:])]
+               if g != f) for k in range(3)]
+         for f, corners in enumerate(faces.tolist())], dtype=np.int64)
     return dict(edges=edges, one_ring=one_ring, table=table,
                 neighbourhood=neighbourhood, ring_dst=ring_dst,
-                ring_src=ring_src, degree=degree, control_edges=control_edges)
+                ring_src=ring_src, degree=degree, control_edges=control_edges,
+                face_neighbours=face_neighbours)
 
 
 def _assert_same(got, expected):
@@ -193,6 +285,8 @@ def test_index_sets_match_reference_loops(level):
 
     _assert_same(mesh.neighbourhood, ref["neighbourhood"])
     assert not mesh.neighbourhood.flags.writeable
+    _assert_same(mesh.face_neighbours, ref["face_neighbours"])
+    assert not mesh.face_neighbours.flags.writeable
     _assert_same(build_label_sets(level, level + 1).edges, ref["control_edges"])
 
     # smoothness_penalty against the formula on the reference arrays

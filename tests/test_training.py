@@ -8,6 +8,7 @@ is about that configuration.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -114,10 +115,10 @@ def test_config_validation():
 
 def test_config_json_roundtrip():
     cfg = tiny_config(lambda1=0.125, use_graph_module=False)
-    clone = TrainConfig.from_json(cfg.to_json())
+    clone = TrainConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert clone == cfg
     with pytest.raises(ValueError, match="unknown config keys"):
-        TrainConfig.from_json('{"momentum": 0.9}')
+        TrainConfig.from_dict({"momentum": 0.9})
 
 
 # ---------------------------------------------------------------------------

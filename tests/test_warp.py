@@ -13,8 +13,11 @@ pin that scaling instead of assuming exactness.
 import numpy as np
 import pytest
 
-from sphreg.icosphere import SphericalSignal, generate_icosphere
+from sphreg import warp
+from sphreg.icosphere import (SphericalSignal, barycentric_resample,
+                              generate_icosphere, locate_faces, vertex_count)
 from sphreg.errors import NumericError
+from sphreg.training import TrainConfig, synth_dataset
 from sphreg.warp import (DeformationField, apply_rotation_vectors, compose,
                          densify_targets, identity_field, invert_field,
                          minimal_rotation_vectors, warp_signal)
@@ -125,6 +128,24 @@ def test_densify_interpolates_controls_exactly():
     moves /= np.linalg.norm(moves, axis=1, keepdims=True)
     field = DeformationField(3, densify_targets(moves, 1, 3))
     assert np.max(np.linalg.norm(field.targets[:42] - moves, axis=1)) < 1e-12
+
+
+@pytest.mark.parametrize("control_level,dst_level",
+                         [(c, d) for d in range(5) for c in range(d + 1)])
+def test_densify_weights_match_prefix_loop(control_level, dst_level):
+    # the one-hot rows of the control prefix against the per-vertex loop
+    corners, weights = warp._densify_weights(control_level, dst_level)
+    faces, lam = locate_faces(generate_icosphere(control_level),
+                              generate_icosphere(dst_level).vertices)
+    expected = lam / lam.sum(axis=1, keepdims=True)
+    np.testing.assert_array_equal(corners,
+                                  generate_icosphere(control_level).faces[faces])
+    for v in range(vertex_count(control_level)):
+        slot = np.nonzero(corners[v] == v)[0]
+        if len(slot):
+            expected[v] = 0.0
+            expected[v, slot[0]] = 1.0
+    np.testing.assert_array_equal(weights, expected)
 
 
 def test_densify_common_rotation_error_scales_with_angle():
@@ -300,7 +321,6 @@ def test_invert_field_reaches_fixed_point():
     field = DeformationField(3, densify_targets(moves, 1, 3))
     inverse = invert_field(field)
     mesh = generate_icosphere(3)
-    from sphreg.icosphere import barycentric_resample
     roundtrip = barycentric_resample(field.targets, mesh, inverse.targets)
     roundtrip /= np.linalg.norm(roundtrip, axis=1, keepdims=True)
     assert np.max(np.abs(roundtrip - mesh.vertices)) < 1e-6
@@ -313,8 +333,19 @@ def test_invert_identity_is_identity():
 
 
 def test_invert_rejects_extreme_field():
-    # antipodal map is orientation-reversing; the fixed point iteration
-    # cannot converge and must say so instead of returning garbage
+    # antipodal map is orientation-reversing, so every triangle folds and
+    # there is no inverse to return
     field = DeformationField(2, -generate_icosphere(2).vertices)
-    with pytest.raises(NumericError, match="did not converge"):
-        invert_field(field, iterations=30)
+    with pytest.raises(NumericError):
+        invert_field(field)
+
+
+def test_invert_seed2_pair17_is_exact():
+    # a fold-free synthetic truth on which a damped fixed-point iteration
+    # stalled at residual 0.29
+    truth = synth_dataset(18, TrainConfig(seed=2), seed=2)[17].ground_truth
+    inverse = invert_field(truth)
+    mesh = generate_icosphere(truth.mesh_level)
+    roundtrip = barycentric_resample(truth.targets, mesh, inverse.targets)
+    roundtrip /= np.linalg.norm(roundtrip, axis=1, keepdims=True)
+    assert np.max(np.abs(roundtrip - mesh.vertices)) <= 1e-12
