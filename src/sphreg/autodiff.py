@@ -3,7 +3,7 @@
 A ``Tensor`` wraps a float64 ndarray together with the closures needed to
 push gradients back to its parents.  Graphs are built define-by-run: every
 functional op below accepts either ``Tensor`` or plain ndarray arguments and
-computes its value once; ``_node`` is the one place that decides whether the
+computes its value once; ``record`` is the one place that decides whether the
 call records a node (only when some argument is a ``Tensor``; otherwise the
 bare ndarray comes back), so the same forward code serves both training
 (differentiable) and inference (pure numpy) paths.
@@ -12,7 +12,16 @@ The op set is deliberately small: elementwise arithmetic and activations,
 matmul/einsum contractions, reductions, concatenation, gather/scatter, and a
 few smooth rotation helpers (``sinc_sq``, ``cosc_sq``, ``arc_over_sin``)
 whose series branches keep derivatives finite at zero rotation.  Everything
-else in the package is composed from these.
+else in the package is composed from these, except the zonal convolution and
+batch norm of ``shconv``, which record one node each through ``record`` and
+``accumulate`` with a hand-written backward.
+
+Every scatter-add (the backward of ``take_rows`` and ``take_axis``, the
+forward of ``segment_sum``) goes through a ``ScatterPlan``: an inverse table
+that adds each target's contributions in the order ``np.add.at`` would,
+starting from +0.0, so results are bitwise those of ``np.add.at``.  Index
+sets fixed per mesh are given as plans their owners build once; a plain
+index array gets a plan per call.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "parameter", "value_of", "is_tensor",
+    "record", "accumulate", "ScatterPlan",
     "add", "sub", "mul", "div", "neg", "matmul", "einsum2",
     "exp", "log", "sqrt", "square", "power", "absolute",
     "relu", "leaky_relu", "elu",
@@ -126,7 +136,8 @@ def _topological_order(root):
     return order
 
 
-def _accumulate(node, grad):
+def accumulate(node, grad):
+    """Add ``grad`` into ``node.grad``, which starts from +0.0."""
     if node.grad is None:
         node.grad = np.zeros_like(node.value)
     node.grad += grad
@@ -145,7 +156,7 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _node(value, inputs, backward):
+def record(value, inputs, backward):
     """The one place that decides whether a call records a node: a Tensor
     when some input is one, else the bare ``value`` (``backward`` dropped)."""
     parents = tuple(x for x in inputs if isinstance(x, Tensor))
@@ -161,11 +172,11 @@ def add(a, b):
 
     def backward(g):
         if is_tensor(a):
-            _accumulate(a, _unbroadcast(g, av.shape))
+            accumulate(a, _unbroadcast(g, av.shape))
         if is_tensor(b):
-            _accumulate(b, _unbroadcast(g, bv.shape))
+            accumulate(b, _unbroadcast(g, bv.shape))
 
-    return _node(av + bv, (a, b), backward)
+    return record(av + bv, (a, b), backward)
 
 
 def sub(a, b):
@@ -173,11 +184,11 @@ def sub(a, b):
 
     def backward(g):
         if is_tensor(a):
-            _accumulate(a, _unbroadcast(g, av.shape))
+            accumulate(a, _unbroadcast(g, av.shape))
         if is_tensor(b):
-            _accumulate(b, _unbroadcast(-g, bv.shape))
+            accumulate(b, _unbroadcast(-g, bv.shape))
 
-    return _node(av - bv, (a, b), backward)
+    return record(av - bv, (a, b), backward)
 
 
 def mul(a, b):
@@ -185,11 +196,11 @@ def mul(a, b):
 
     def backward(g):
         if is_tensor(a):
-            _accumulate(a, _unbroadcast(g * bv, av.shape))
+            accumulate(a, _unbroadcast(g * bv, av.shape))
         if is_tensor(b):
-            _accumulate(b, _unbroadcast(g * av, bv.shape))
+            accumulate(b, _unbroadcast(g * av, bv.shape))
 
-    return _node(av * bv, (a, b), backward)
+    return record(av * bv, (a, b), backward)
 
 
 def div(a, b):
@@ -197,18 +208,18 @@ def div(a, b):
 
     def backward(g):
         if is_tensor(a):
-            _accumulate(a, _unbroadcast(g / bv, av.shape))
+            accumulate(a, _unbroadcast(g / bv, av.shape))
         if is_tensor(b):
-            _accumulate(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
+            accumulate(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
 
-    return _node(av / bv, (a, b), backward)
+    return record(av / bv, (a, b), backward)
 
 
 def neg(a):
     def backward(g):
-        _accumulate(a, -g)
+        accumulate(a, -g)
 
-    return _node(-value_of(a), (a,), backward)
+    return record(-value_of(a), (a,), backward)
 
 
 def matmul(a, b):
@@ -218,11 +229,11 @@ def matmul(a, b):
 
     def backward(g):
         if is_tensor(a):
-            _accumulate(a, g @ bv.T)
+            accumulate(a, g @ bv.T)
         if is_tensor(b):
-            _accumulate(b, av.T @ g)
+            accumulate(b, av.T @ g)
 
-    return _node(av @ bv, (a, b), backward)
+    return record(av @ bv, (a, b), backward)
 
 
 def einsum2(subscripts, a, b):
@@ -242,11 +253,11 @@ def einsum2(subscripts, a, b):
 
     def backward(g):
         if is_tensor(a):
-            _accumulate(a, np.einsum(f"{out_spec},{spec_b}->{spec_a}", g, bv))
+            accumulate(a, np.einsum(f"{out_spec},{spec_b}->{spec_a}", g, bv))
         if is_tensor(b):
-            _accumulate(b, np.einsum(f"{out_spec},{spec_a}->{spec_b}", g, av))
+            accumulate(b, np.einsum(f"{out_spec},{spec_a}->{spec_b}", g, av))
 
-    return _node(np.einsum(subscripts, av, bv), (a, b), backward)
+    return record(np.einsum(subscripts, av, bv), (a, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +269,9 @@ def _unary(x, fn, dfn):
     out_value = fn(v)
 
     def backward(g):
-        _accumulate(x, g * dfn(v, out_value))
+        accumulate(x, g * dfn(v, out_value))
 
-    return _node(out_value, (x,), backward)
+    return record(out_value, (x,), backward)
 
 
 def exp(x):
@@ -392,6 +403,72 @@ def arc_over_sin(c):
 
 
 # ---------------------------------------------------------------------------
+# ordered scatter
+# ---------------------------------------------------------------------------
+
+class ScatterPlan:
+    """Inverse table of an index array over ``n_targets`` targets.
+
+    ``table[j, t]`` is the flat position of the j-th occurrence of target t
+    in ``indices``, positions ascending.  ``scatter`` adds to +0.0, per
+    target, the entry at each of its positions in that order, which is the
+    order of ``np.add.at``, so its sums are bitwise those of ``np.add.at``.
+    A target hit fewer than ``len(table)`` times pads its column with
+    position 0; ``pads`` holds the (slot, target) pairs of that padding,
+    whose entries read as zero.  The plan's own arrays are frozen, so a plan
+    of a fixed index set is built once and shared; ``indices`` must not
+    change after the plan is built.
+    """
+
+    __slots__ = ("indices", "n_targets", "table", "pads")
+
+    def __init__(self, indices, n_targets: int):
+        self.indices = np.asarray(indices)
+        self.n_targets = n_targets
+        flat = self.indices.reshape(-1)
+        flat = np.where(flat < 0, flat + n_targets, flat)
+        counts = np.bincount(flat, minlength=n_targets)
+        order = np.argsort(flat, kind="stable")
+        occurrence = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts,
+                                                      counts)
+        self.table = np.zeros((counts.max(initial=0), n_targets), dtype=np.int64)
+        self.table[occurrence, flat[order]] = order
+        self.pads = np.nonzero(np.arange(len(self.table))[:, None] >= counts)
+        for array in (self.table, *self.pads):
+            array.setflags(write=False)
+
+    def scatter(self, values, axis: int = 0) -> np.ndarray:
+        """Sum the entries of ``values`` into their targets.
+
+        Axes ``axis`` .. ``axis + indices.ndim - 1`` of ``values`` run over
+        ``indices`` (none for a scalar index); the result has one axis of
+        length ``n_targets`` in their place and is C-contiguous."""
+        k = self.indices.ndim
+        if axis:
+            values = np.moveaxis(values, list(range(axis, axis + k)), list(range(k)))
+        entries = values.reshape((-1,) + values.shape[k:])[self.table]
+        entries[self.pads] = 0.0
+        # one in-place add per slot: a sum over the slot axis would add
+        # pairwise when each slot holds a single number
+        out = np.zeros(entries.shape[1:])
+        for slot in entries:
+            out += slot
+        return np.ascontiguousarray(np.moveaxis(out, 0, axis)) if axis else out
+
+
+def _index_and_plan(indices, n_targets):
+    """The index array of ``indices`` and its plan, or None when ``indices``
+    is a plain index array (its plan is then built only if a scatter needs
+    it)."""
+    if isinstance(indices, ScatterPlan):
+        if indices.n_targets != n_targets:
+            raise ValueError(f"scatter plan covers {indices.n_targets} "
+                             f"targets, the axis has {n_targets}")
+        return indices.indices, indices
+    return np.asarray(indices), None
+
+
+# ---------------------------------------------------------------------------
 # reductions, shaping, indexing
 # ---------------------------------------------------------------------------
 
@@ -401,9 +478,9 @@ def reduce_sum(x, axis=None, keepdims=False):
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, v.shape).copy())
+        accumulate(x, np.broadcast_to(g, v.shape).copy())
 
-    return _node(v.sum(axis=axis, keepdims=keepdims), (x,), backward)
+    return record(v.sum(axis=axis, keepdims=keepdims), (x,), backward)
 
 
 def reduce_mean(x, axis=None, keepdims=False):
@@ -416,9 +493,9 @@ def reshape(x, shape):
     v = value_of(x)
 
     def backward(g):
-        _accumulate(x, g.reshape(v.shape))
+        accumulate(x, g.reshape(v.shape))
 
-    return _node(v.reshape(shape), (x,), backward)
+    return record(v.reshape(shape), (x,), backward)
 
 
 def concat(parts, axis=0):
@@ -431,36 +508,33 @@ def concat(parts, axis=0):
             if is_tensor(part):
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(lo, hi)
-                _accumulate(part, g[tuple(index)])
+                accumulate(part, g[tuple(index)])
 
-    return _node(np.concatenate(values, axis=axis), tuple(parts), backward)
+    return record(np.concatenate(values, axis=axis), tuple(parts), backward)
 
 
 def take_rows(x, indices):
-    """Gather rows (axis 0); repeated indices accumulate on backward."""
-    idx = np.asarray(indices)
+    """Gather rows (axis 0); repeated indices accumulate on backward.
+
+    ``indices`` is an index array or a ``ScatterPlan`` of one."""
     v = value_of(x)
+    idx, plan = _index_and_plan(indices, v.shape[0])
 
     def backward(g):
-        grad = np.zeros_like(v)
-        np.add.at(grad, idx, g)
-        _accumulate(x, grad)
+        accumulate(x, (plan or ScatterPlan(idx, v.shape[0])).scatter(g))
 
-    return _node(v[idx], (x,), backward)
+    return record(v[idx], (x,), backward)
 
 
 def take_axis(x, indices, axis):
-    idx = np.asarray(indices)
     v = value_of(x)
+    idx, plan = _index_and_plan(indices, v.shape[axis])
 
     def backward(g):
-        grad = np.zeros_like(v)
-        index = [slice(None)] * v.ndim
-        index[axis] = idx
-        np.add.at(grad, tuple(index), g)
-        _accumulate(x, grad)
+        accumulate(x, (plan or ScatterPlan(idx, v.shape[axis])).scatter(
+            g, axis % v.ndim))
 
-    return _node(np.take(v, idx, axis=axis), (x,), backward)
+    return record(np.take(v, idx, axis=axis), (x,), backward)
 
 
 def slice_rows(x, start, stop):
@@ -469,22 +543,23 @@ def slice_rows(x, start, stop):
     def backward(g):
         grad = np.zeros_like(v)
         grad[start:stop] = g
-        _accumulate(x, grad)
+        accumulate(x, grad)
 
-    return _node(v[start:stop], (x,), backward)
+    return record(v[start:stop], (x,), backward)
 
 
 def segment_sum(x, segment_ids, num_segments):
-    """out[s] = sum of x rows whose segment id is s."""
-    seg = np.asarray(segment_ids)
+    """out[s] = sum of x rows whose segment id is s, added in row order.
+
+    ``segment_ids`` is an index array or a ``ScatterPlan`` of one."""
     v = value_of(x)
-    out = np.zeros((num_segments,) + v.shape[1:], dtype=np.float64)
-    np.add.at(out, seg, v)
+    seg, plan = _index_and_plan(segment_ids, num_segments)
+    out = (plan or ScatterPlan(seg, num_segments)).scatter(v)
 
     def backward(g):
-        _accumulate(x, g[seg])
+        accumulate(x, g[seg])
 
-    return _node(out, (x,), backward)
+    return record(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -514,15 +589,18 @@ def row_normalize(x, snap_tol=1e-12):
 
     def backward(g):
         inner = np.sum(g * out_value, axis=-1, keepdims=True)
-        _accumulate(x, (g - out_value * inner) * scale)
+        accumulate(x, (g - out_value * inner) * scale)
 
-    return _node(out_value, (x,), backward)
+    return record(out_value, (x,), backward)
+
+
+_COLUMN_PLANS = tuple(ScatterPlan(np.array([j]), 3) for j in range(3))
 
 
 def cross(a, b):
     """Row-wise cross product of (N, 3) operands, built from primitives."""
     def col(x, j):
-        return take_axis(x, np.array([j]), axis=-1)
+        return take_axis(x, _COLUMN_PLANS[j], axis=-1)
 
     a0, a1, a2 = col(a, 0), col(a, 1), col(a, 2)
     b0, b1, b2 = col(b, 0), col(b, 1), col(b, 2)

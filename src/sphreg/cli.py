@@ -101,7 +101,7 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
 
 def _write_manifest(path: str, command: str, config: dict | None,
                     inputs: dict, outputs: dict, seed: int | None,
-                    started: float) -> None:
+                    started: float, phases: dict | None = None) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -111,6 +111,8 @@ def _write_manifest(path: str, command: str, config: dict | None,
         "duration_s": round(time.time() - started, 6),
         "version": __version__,
     }
+    if phases is not None:
+        manifest["phases"] = phases
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -220,14 +222,16 @@ def cmd_register(args: argparse.Namespace) -> int:
     cc_before = float(ag.value_of(pearson_cc(fixed.values, moving.values)))
     cc_after = float(ag.value_of(pearson_cc(fixed.values, warped.values)))
     print(f"cc_before={cc_before:.6f} cc_after={cc_after:.6f}")
-    for phase in ("forward", "crf", "densify", "warp"):
-        print(f"time_{phase}={result.timings.get(phase, 0.0):.4f}s")
+    phases = {phase: result.timings.get(phase, 0.0)
+              for phase in ("forward", "crf", "densify", "warp")}
+    for phase, seconds in phases.items():
+        print(f"time_{phase}={seconds:.4f}s")
     _write_manifest(args.out_field + ".manifest.json", "register",
                     dataclasses.asdict(config),
                     {"checkpoint": args.checkpoint, "moving": args.moving,
                      "fixed": args.fixed},
                     {"field": args.out_field, "warped": args.out_warped},
-                    config.seed, started)
+                    config.seed, started, phases)
     return 0
 
 

@@ -122,7 +122,7 @@ def crf_refine(Q: DeformationProbabilities, grid: ControlGrid,
         return Q
     kernel = _kernel_stack(grid, params.sigma)
     coupled = ag.mul(kernel, params.mu)                 # (E, N_l, N_l)
-    dst, src = grid.edges[:, 0], grid.edges[:, 1]
+    dst, src = grid.edge_plans
     anchor = ag.log(ag.add(Q.Q, UNARY_FLOOR))
     q = Q.Q
     for _ in range(params.iterations):

@@ -15,7 +15,7 @@ batch-normalized linear head with one logit channel per label slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,9 @@ class ControlGrid:
 
     ``labels[c]`` indexes label-level vertices; ``label_positions[c, 0]``
     is always the control point's own position (the identity move).
-    ``edges`` holds directed one-ring pairs (dst, src) of the control mesh.
+    ``edges`` holds directed one-ring pairs (dst, src) of the control mesh;
+    ``edge_plans`` are the frozen scatter plans of its two columns onto the
+    controls, built on first use.
     """
 
     control_level: int
@@ -41,6 +43,8 @@ class ControlGrid:
     label_positions: np.ndarray   # (N_c, N_l, 3)
     control_positions: np.ndarray  # (N_c, 3)
     edges: np.ndarray             # (E, 2) directed (dst, src)
+    _edge_plans: tuple[ag.ScatterPlan, ag.ScatterPlan] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.label_level <= self.control_level:
@@ -78,6 +82,13 @@ class ControlGrid:
     def n_labels(self) -> int:
         return self.labels.shape[1]
 
+    @property
+    def edge_plans(self) -> tuple[ag.ScatterPlan, ag.ScatterPlan]:
+        if self._edge_plans is None:
+            self._edge_plans = tuple(
+                ag.ScatterPlan(self.edges[:, k], self.n_controls) for k in (0, 1))
+        return self._edge_plans
+
 
 _label_set_cache: dict[tuple[int, int, int], ControlGrid] = {}
 
@@ -106,6 +117,7 @@ def build_label_sets(control_level: int, label_level: int,
         raise ValueError(
             f"label level {label_level} must exceed control level {control_level}")
 
+    ring, offsets = label.ring_src, label.ring_offsets
     neighbor_sets: list[np.ndarray] = []
     for c in range(control.n_vertices):
         seen = {c}
@@ -113,7 +125,7 @@ def build_label_sets(control_level: int, label_level: int,
         for _ in range(hops):
             nxt = []
             for v in frontier:
-                for u in label.one_ring[v]:
+                for u in ring[offsets[v]:offsets[v + 1]]:
                     if u not in seen:
                         seen.add(u)
                         nxt.append(u)

@@ -18,6 +18,9 @@ from .icosphere import Icosphere
 
 LEAKY_SLOPE = 0.2
 
+# the destination and source halves of each head's attention vector
+_HALF_PLANS = (ag.ScatterPlan(0, 2), ag.ScatterPlan(1, 2))
+
 
 @dataclass
 class GatLayer:
@@ -60,13 +63,15 @@ def gat_forward(features, mesh: Icosphere, layer: GatLayer):
     if d_in != layer.d_in:
         raise ValueError(f"layer expects width {layer.d_in}, got {d_in}")
     heads, d_head = layer.heads, layer.d_head
-    table = mesh.neighbourhood                                  # (N, 7)
-    padding = np.arange(table.shape[1]) > np.diff(mesh.ring_offsets)[:, None]
+    table = mesh.scatter_plan("neighbourhood")                  # (N, 7)
+    padding = np.arange(mesh.neighbourhood.shape[1]) > np.diff(mesh.ring_offsets)[:, None]
 
     projected = ag.einsum2("nd,hkd->nhk", features, layer.W)    # (N, H, D_head)
     a = ag.reshape(layer.a, (heads, 2, d_head))
-    score_dst = ag.einsum2("nhk,hk->nh", projected, ag.take_axis(a, 0, axis=1))
-    score_src = ag.einsum2("nhk,hk->nh", projected, ag.take_axis(a, 1, axis=1))
+    score_dst = ag.einsum2("nhk,hk->nh", projected,
+                           ag.take_axis(a, _HALF_PLANS[0], axis=1))
+    score_src = ag.einsum2("nhk,hk->nh", projected,
+                           ag.take_axis(a, _HALF_PLANS[1], axis=1))
     logits = ag.leaky_relu(
         ag.add(ag.reshape(score_dst, (n, 1, heads)), ag.take_rows(score_src, table)),
         LEAKY_SLOPE)                                            # (N, 7, H)

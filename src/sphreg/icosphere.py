@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ag
+
 MAX_LEVEL = 7
 
 _mesh_cache: dict[int, "Icosphere"] = {}
@@ -59,8 +61,9 @@ class Icosphere:
     lexicographic order.  The directed one-ring is stored in CSR form:
     ``ring_dst`` ascending, ``ring_src`` ascending within each destination,
     and ``ring_offsets[v]:ring_offsets[v + 1]`` the slice of vertex v, of
-    which ``one_ring[v]`` is a view.  ``incident_faces[v]`` lists the faces
-    around v in ascending order, padded to six with the first of them.
+    which ``one_ring[v]`` is a view (the list is built on first use).
+    ``incident_faces[v]`` lists the faces around v in ascending order,
+    padded to six with the first of them.
 
     ``face_neighbours[f, k]`` is the face across the edge opposite corner
     k of face f.
@@ -69,6 +72,10 @@ class Icosphere:
     then ``one_ring[v]``.  The twelve degree-5 vertices pad their last slot
     with v, so slot k of row v is padding exactly when k exceeds the degree
     ``ring_offsets[v + 1] - ring_offsets[v]``.
+
+    ``scatter_plan(name)`` is the frozen autodiff scatter plan of a vertex
+    index array such as ``neighbourhood``, ``ring_dst`` or ``ring_src``
+    onto the vertices, built on first use.
     """
 
     level: int
@@ -78,12 +85,14 @@ class Icosphere:
     ring_offsets: np.ndarray = field(repr=False)
     ring_dst: np.ndarray = field(repr=False)
     ring_src: np.ndarray = field(repr=False)
-    one_ring: list[np.ndarray] = field(repr=False)
     incident_faces: np.ndarray = field(repr=False)
     neighbourhood: np.ndarray = field(repr=False)
     face_neighbours: np.ndarray = field(repr=False)
     _corner_inverse: np.ndarray | None = field(default=None, repr=False)
     _split_normals: np.ndarray | None = field(default=None, repr=False)
+    _one_ring: list[np.ndarray] | None = field(default=None, repr=False)
+    _scatter_plans: dict[str, ag.ScatterPlan] = field(default_factory=dict,
+                                                     repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -92,6 +101,20 @@ class Icosphere:
     @property
     def n_faces(self) -> int:
         return self.faces.shape[0]
+
+    @property
+    def one_ring(self) -> list[np.ndarray]:
+        """Per vertex, the view of ``ring_src`` holding its neighbours."""
+        if self._one_ring is None:
+            self._one_ring = np.split(self.ring_src, self.ring_offsets[1:-1])
+        return self._one_ring
+
+    def scatter_plan(self, name: str) -> ag.ScatterPlan:
+        """Plan of the vertex index array ``name`` onto the vertices."""
+        if name not in self._scatter_plans:
+            self._scatter_plans[name] = ag.ScatterPlan(getattr(self, name),
+                                                       self.n_vertices)
+        return self._scatter_plans[name]
 
     @property
     def corner_inverse(self) -> np.ndarray:
@@ -225,7 +248,6 @@ def build_mesh(level: int, vertices: np.ndarray, faces: np.ndarray) -> Icosphere
     return Icosphere(level=level, vertices=vertices, faces=faces, edges=edges,
                      ring_offsets=ring_offsets, ring_dst=ring_dst,
                      ring_src=ring_src,
-                     one_ring=np.split(ring_src, ring_offsets[1:-1]),
                      incident_faces=incident_faces,
                      neighbourhood=neighbourhood,
                      face_neighbours=face_neighbours)

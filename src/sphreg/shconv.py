@@ -13,6 +13,17 @@ spectral path bitwise and pass alpha * f through untouched.
 Blocks wrap the convolution with per-channel batch normalisation over the
 vertex axis (momentum 0.1 running stats) and an optional ReLU.  All forward
 code accepts plain arrays or autodiff tensors interchangeably.
+
+The convolution and the batch norm each record one autodiff node, so a
+block is three with the ReLU.  Their forwards make the same numpy calls as
+the chains of elementary autodiff ops they replaced, and their hand-written
+backwards make the calls those chains' backwards made, on C-contiguous
+gradients, with each input receiving its contributions in the chains'
+order: the bracket path into ``alpha`` before the residual path, the
+spectral path into the input before the residual path.  Outputs and
+gradients are bitwise those of the chains, which the tests keep as the
+oracle.  The per-degree gains add back through a frozen ``ScatterPlan``
+per bandwidth pair.
 """
 
 from __future__ import annotations
@@ -37,6 +48,20 @@ def degree_scale(L: int) -> np.ndarray:
 def degree_of_index(L: int) -> np.ndarray:
     """Degree l for every flat index below (L+1)^2."""
     return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+
+
+_degree_plan_cache: dict[tuple[int, int], ag.ScatterPlan] = {}
+
+
+def _degree_plan(L_out: int, L_in: int) -> ag.ScatterPlan:
+    """Frozen plan of ``degree_of_index(L_out)`` onto the degrees 0..L_in."""
+    key = (L_out, L_in)
+    plan = _degree_plan_cache.get(key)
+    if plan is None:
+        index = degree_of_index(L_out)
+        index.setflags(write=False)
+        plan = _degree_plan_cache[key] = ag.ScatterPlan(index, L_in + 1)
+    return plan
 
 
 @dataclass
@@ -91,18 +116,38 @@ def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis,
         raise ValueError(f"L_out={L_out} exceeds basis bandwidth {basis.L}")
 
     n_lm = (L_out + 1) ** 2
-    coeffs = ag.slice_rows(ag.matmul(basis.forward, values), 0, n_lm)
+    h_in, alpha_in = filt.h, filt.alpha
+    h, alpha = ag.value_of(h_in), ag.value_of(alpha_in)
+    plan = _degree_plan(L_out, filt.L_in)
+    synthesis = basis.Y[:, :n_lm]
 
+    analysed = basis.forward @ v
+    coeffs = analysed[:n_lm]
     scale = degree_scale(filt.L_in)[None, None, :]          # (1, 1, L_in+1)
-    alpha_col = ag.reshape(filt.alpha, (filt.c_out, filt.c_in, 1))
-    bracket = ag.sub(filt.h, ag.div(alpha_col, scale))
-    gains = ag.mul(bracket, scale)                          # C(l) * (h - a/C(l))
-    gains_lm = ag.take_axis(gains, degree_of_index(L_out), axis=2)
+    bracket = h - alpha.reshape(filt.c_out, filt.c_in, 1) / scale
+    gains_lm = np.take(bracket * scale, plan.indices, axis=2)  # C(l) * (h - a/C(l))
+    mixed = np.einsum("oil,li->lo", gains_lm, coeffs)
+    spectral = synthesis @ mixed
+    residual = np.einsum("ni,oi->no", v, alpha)
 
-    spectral = ag.matmul(basis.Y[:, :n_lm],
-                         ag.einsum2("oil,li->lo", gains_lm, coeffs))
-    residual = ag.einsum2("ni,oi->no", values, filt.alpha)
-    return ag.add(spectral, residual)
+    def backward(g):
+        g_mixed = synthesis.T @ g
+        if ag.is_tensor(h_in) or ag.is_tensor(alpha_in):
+            g_bracket = plan.scatter(np.einsum("lo,li->oil", g_mixed, coeffs),
+                                     axis=2) * scale
+            if ag.is_tensor(h_in):
+                ag.accumulate(h_in, g_bracket)
+            if ag.is_tensor(alpha_in):
+                ag.accumulate(alpha_in, (-g_bracket / scale).sum(axis=2))
+        if ag.is_tensor(values):
+            g_analysed = np.zeros_like(analysed)
+            g_analysed[:n_lm] = np.einsum("lo,oil->li", g_mixed, gains_lm)
+            ag.accumulate(values, basis.forward.T @ g_analysed)
+            ag.accumulate(values, np.einsum("no,oi->ni", g, alpha))
+        if ag.is_tensor(alpha_in):
+            ag.accumulate(alpha_in, np.einsum("no,ni->oi", g, v))
+
+    return ag.record(spectral + residual, (values, h_in, alpha_in), backward)
 
 
 @dataclass
@@ -141,22 +186,46 @@ def batch_norm(values, params: BlockParams, training_mode: bool,
     momentum 0.1 (a side effect on the params, outside the autodiff graph).
     Inference mode uses the running buffers only.
     """
+    v = ag.value_of(values)
+    gamma_in, beta_in = params.bn_gamma, params.bn_beta
+    gamma = ag.value_of(gamma_in).reshape(1, -1)
+    beta = ag.value_of(beta_in).reshape(1, -1)
+    count = float(v.shape[0])
     if training_mode:
-        mean = ag.reduce_mean(values, axis=0, keepdims=True)
-        centered = ag.sub(values, mean)
-        var = ag.reduce_mean(ag.square(centered), axis=0, keepdims=True)
+        mean = v.sum(axis=0, keepdims=True) / count
+        centered = v - mean
+        var = np.square(centered).sum(axis=0, keepdims=True) / count
         if batch_stats_update:
             params.bn_mean = ((1.0 - BN_MOMENTUM) * params.bn_mean
-                              + BN_MOMENTUM * ag.value_of(mean)[0])
+                              + BN_MOMENTUM * mean[0])
             params.bn_var = ((1.0 - BN_MOMENTUM) * params.bn_var
-                             + BN_MOMENTUM * ag.value_of(var)[0])
-        normalized = ag.div(centered, ag.sqrt(ag.add(var, BN_EPS)))
+                             + BN_MOMENTUM * var[0])
+        sd = np.sqrt(var + BN_EPS)
     else:
-        normalized = ag.div(ag.sub(values, params.bn_mean[None, :]),
-                            np.sqrt(params.bn_var + BN_EPS)[None, :])
-    gamma = ag.reshape(params.bn_gamma, (1, -1))
-    beta = ag.reshape(params.bn_beta, (1, -1))
-    return ag.add(ag.mul(normalized, gamma), beta)
+        centered = v - params.bn_mean[None, :]
+        sd = np.sqrt(params.bn_var + BN_EPS)[None, :]
+    normalized = centered / sd
+
+    def backward(g):
+        if ag.is_tensor(values):
+            g_normalized = g * gamma
+            g_centered = g_normalized / sd
+            if training_mode:
+                g_sd = (-g_normalized * centered / (sd * sd)).sum(axis=0,
+                                                                  keepdims=True)
+                g_var = g_sd * (0.5 / sd)
+                g_centered += g_var / count * (2.0 * centered)
+                g_mean = (-g_centered).sum(axis=0, keepdims=True)
+            ag.accumulate(values, g_centered)
+            if training_mode:
+                ag.accumulate(values, np.broadcast_to(g_mean / count, v.shape))
+        if ag.is_tensor(gamma_in):
+            ag.accumulate(gamma_in, (g * normalized).sum(axis=0))
+        if ag.is_tensor(beta_in):
+            ag.accumulate(beta_in, g.sum(axis=0))
+
+    return ag.record(normalized * gamma + beta, (values, gamma_in, beta_in),
+                     backward)
 
 
 def shconv_block(values, params: BlockParams, basis: HarmonicBasis,

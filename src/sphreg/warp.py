@@ -43,7 +43,8 @@ from .icosphere import (Icosphere, SphericalSignal, barycentric_resample,
 # both faces, and an exact test would step back and forth between them
 _WALK_TOLERANCE = 1e-12
 
-_densify_weights_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_densify_weights_cache: dict[tuple[int, int],
+                             tuple[ag.ScatterPlan, np.ndarray]] = {}
 
 
 @dataclass
@@ -101,8 +102,9 @@ def apply_rotation_vectors(rotvecs, points: np.ndarray):
 
 
 def _densify_weights(control_level: int, dst_level: int):
-    """Barycentric corner ids and weights of every dst vertex over the
-    control mesh; pure geometry, cached per level pair."""
+    """Barycentric corners and weights of every dst vertex over the control
+    mesh: a frozen scatter plan of the (N, 3) corner ids onto the control
+    vertices, and the (N, 3) weights; pure geometry, cached per level pair."""
     key = (control_level, dst_level)
     cached = _densify_weights_cache.get(key)
     if cached is not None:
@@ -117,7 +119,8 @@ def _densify_weights(control_level: int, dst_level: int):
     # around it, so its row has one corner equal to itself
     prefix = control.n_vertices
     weights[:prefix] = corners[:prefix] == np.arange(prefix)[:, None]
-    result = (corners, weights)
+    corners.setflags(write=False)
+    result = (ag.ScatterPlan(corners, control.n_vertices), weights)
     _densify_weights_cache[key] = result
     return result
 
@@ -138,8 +141,7 @@ def densify_targets(control_targets, control_level: int, dst_level: int):
 
     rotvecs = minimal_rotation_vectors(control.vertices, control_targets)
     corners, weights = _densify_weights(control_level, dst_level)
-    gathered = ag.take_rows(rotvecs, corners.ravel())           # (N*3, 3)
-    gathered = ag.reshape(gathered, (dst.n_vertices, 3, 3))
+    gathered = ag.take_rows(rotvecs, corners)                   # (N, 3, 3)
     dense_rotvecs = ag.einsum2("nk,nkx->nx", weights, gathered)
     rotated = apply_rotation_vectors(dense_rotvecs, dst.vertices)
     return ag.row_normalize(rotated)

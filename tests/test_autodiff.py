@@ -83,7 +83,8 @@ PLAIN_CASES = {
 
 
 def test_plain_cases_cover_every_public_op():
-    helpers = {"Tensor", "parameter", "value_of", "is_tensor"}
+    helpers = {"Tensor", "parameter", "value_of", "is_tensor", "record",
+               "accumulate", "ScatterPlan"}
     assert set(PLAIN_CASES) == set(ag.__all__) - helpers
 
 
@@ -252,3 +253,58 @@ def test_take_axis_gradient():
     x = rng.standard_normal((3, 6))
     idx = np.array([1, 1, 4])
     check(lambda t: ag.take_axis(t, idx, axis=1), x)
+
+
+def _add_at(shape, index, values, axis):
+    """The scatter oracle: np.add.at into zeros."""
+    out = np.zeros(shape)
+    where = [slice(None)] * len(shape)
+    where[axis] = index
+    np.add.at(out, tuple(where), values)
+    return out
+
+
+_SCATTER_INDICES = {
+    "1d-repeats": np.array([4, 0, 0, 2, 4, 4, 0]),      # targets 1 and 3 unhit
+    "2d-repeats": np.array([[1, 5, 1], [0, 1, 5]]),
+    "scalar": np.array(2),
+    "empty": np.array([], dtype=np.int64),
+    "one-target-many": np.full(40, 3),     # one row sum: no pairwise reduction
+}
+
+
+@pytest.mark.parametrize("axis", [0, 2])
+@pytest.mark.parametrize("name", sorted(_SCATTER_INDICES))
+def test_scatter_plan_is_bitwise_add_at(name, axis):
+    rng = np.random.default_rng(13)
+    index = _SCATTER_INDICES[name]
+    for shape in ((6, 2, 6), (6, 1, 6, 1), (6, 3, 6, 4)):
+        values_shape = shape[:axis] + index.shape + shape[axis + 1:]
+        values = rng.standard_normal(values_shape) \
+            * 10.0 ** rng.integers(-12, 12, values_shape)
+        values = np.where(rng.random(values_shape) < 0.2, -0.0, values)
+        got = ag.ScatterPlan(index, shape[axis]).scatter(values, axis)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.tobytes() == _add_at(shape, index, values, axis).tobytes()
+
+
+def test_scatter_ops_accept_plans_bitwise():
+    # a frozen plan and a plain index array give the same bytes
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((6, 3))
+    rows = np.array([[5, 0], [0, 0], [2, 5]])
+    segments = np.array([3, 0, 3, 3, 1, 0])
+    cases = [(lambda t, i: ag.take_rows(t, i), x, rows, 6),
+             (lambda t, i: ag.take_axis(t, i, axis=1), x.T, rows, 6),
+             (lambda t, i: ag.segment_sum(t, i, 5), x, segments, 5)]
+    for op, value, index, n_targets in cases:
+        results = []
+        for idx in (index, ag.ScatterPlan(index, n_targets)):
+            leaf = ag.Tensor(value)
+            out = op(leaf, idx)
+            weights = np.arange(out.value.size).reshape(out.value.shape)
+            ag.reduce_sum(ag.mul(out, weights)).backward()
+            results.append((out.value.tobytes(), leaf.grad.tobytes()))
+        assert results[0] == results[1]
+    with pytest.raises(ValueError, match="targets"):
+        ag.take_rows(x[:5], ag.ScatterPlan(rows, 6))

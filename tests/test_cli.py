@@ -251,6 +251,26 @@ def test_register_zero_head_gives_identity_and_zero_distortion(
         assert float(row[key]) == 0.0, key
 
 
+def test_register_manifest_keeps_the_printed_phase_times(tmp_path, capsys):
+    data = make_dataset(tmp_path)
+    ckpt = zero_head_checkpoint(tmp_path)
+    field_path = tmp_path / "out.sphd"
+    assert run(["register", "--checkpoint", ckpt,
+                "--moving", data / "pair_0000.moving.sphs",
+                "--fixed", data / "pair_0000.fixed.sphs",
+                "--out-field", field_path,
+                "--out-warped", tmp_path / "w.sphs"]) == 0
+    printed = dict(line.split("=", 1) for line in
+                   capsys.readouterr().out.split("\n")
+                   if line.startswith("time_"))
+    manifest = json.loads(
+        (tmp_path / "out.sphd.manifest.json").read_text())
+    phases = manifest["phases"]
+    assert list(phases) == ["crf", "densify", "forward", "warp"]  # sorted keys
+    assert {f"time_{p}": f"{t:.4f}s" for p, t in phases.items()} == printed
+    assert sum(phases.values()) <= manifest["duration_s"]
+
+
 def test_register_crf_override_flags(tmp_path):
     # a zero-head model is only an exact identity when the CRF is silenced,
     # so the override flags have an observable effect

@@ -297,3 +297,18 @@ def test_index_sets_match_reference_loops(level):
     diffs = np.abs(disp[ref["ring_dst"]] - disp[ref["ring_src"]])
     expected = np.sum(diffs * (1.0 / ref["degree"][ref["ring_dst"]])[:, None])
     assert ag.value_of(smoothness_penalty(targets, level)) == expected
+
+
+def test_one_ring_is_built_on_first_use():
+    # a level-6 mesh is built without its one-ring list, which then matches
+    # the CSR slices of ring_src
+    parent = icosphere.generate_icosphere(5)
+    mesh = icosphere.build_mesh(6, *icosphere._subdivide(parent.vertices,
+                                                         parent.faces))
+    assert mesh._one_ring is None
+    rings = mesh.one_ring
+    assert len(rings) == mesh.n_vertices
+    for v, ring in enumerate(rings):
+        lo, hi = mesh.ring_offsets[v], mesh.ring_offsets[v + 1]
+        np.testing.assert_array_equal(ring, mesh.ring_src[lo:hi])
+    assert mesh.one_ring is rings

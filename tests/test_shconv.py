@@ -1,5 +1,7 @@
 """Zonal spectral convolution against a brute-force oracle."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,114 @@ def test_gradients_flow_through_block():
     assert filt_h.grad is not None
     assert np.isfinite(filt_h.grad).all()
     assert np.abs(filt_h.grad).max() > 0
+
+
+# ---------------------------------------------------------------------------
+# the fused block against the chain of elementary ops it replaced
+# ---------------------------------------------------------------------------
+
+def composite_zonal_convolve(values, filt, basis, L_out):
+    """The zonal convolution as eleven elementary autodiff ops."""
+    n_lm = (L_out + 1) ** 2
+    coeffs = ag.slice_rows(ag.matmul(basis.forward, values), 0, n_lm)
+    scale = degree_scale(filt.L_in)[None, None, :]
+    alpha_col = ag.reshape(filt.alpha, (filt.c_out, filt.c_in, 1))
+    bracket = ag.sub(filt.h, ag.div(alpha_col, scale))
+    gains = ag.mul(bracket, scale)
+    gains_lm = ag.take_axis(gains, degree_of_index(L_out), axis=2)
+    spectral = ag.matmul(basis.Y[:, :n_lm],
+                         ag.einsum2("oil,li->lo", gains_lm, coeffs))
+    residual = ag.einsum2("ni,oi->no", values, filt.alpha)
+    return ag.add(spectral, residual)
+
+
+def composite_batch_norm(values, params, training_mode, batch_stats_update):
+    """Batch norm as elementary autodiff ops (thirteen in training mode)."""
+    if training_mode:
+        mean = ag.reduce_mean(values, axis=0, keepdims=True)
+        centered = ag.sub(values, mean)
+        var = ag.reduce_mean(ag.square(centered), axis=0, keepdims=True)
+        if batch_stats_update:
+            params.bn_mean = 0.9 * params.bn_mean + 0.1 * ag.value_of(mean)[0]
+            params.bn_var = 0.9 * params.bn_var + 0.1 * ag.value_of(var)[0]
+        normalized = ag.div(centered, ag.sqrt(ag.add(var, 1e-5)))
+    else:
+        normalized = ag.div(ag.sub(values, params.bn_mean[None, :]),
+                            np.sqrt(params.bn_var + 1e-5)[None, :])
+    gamma = ag.reshape(params.bn_gamma, (1, -1))
+    beta = ag.reshape(params.bn_beta, (1, -1))
+    return ag.add(ag.mul(normalized, gamma), beta)
+
+
+def composite_block(values, params, basis, L_out, training_mode,
+                    batch_stats_update):
+    out = composite_zonal_convolve(values, params.filt, basis, L_out)
+    out = composite_batch_norm(out, params, training_mode, batch_stats_update)
+    return ag.relu(out) if params.relu else out
+
+
+# (c_out, c_in, filter bandwidth, L_out, relu): the default U-Net's seven
+# blocks at bandwidth 16, channels 8 and 7 labels
+UNET_BLOCKS = [(8, 2, 16, 16, True), (16, 8, 8, 8, True), (32, 16, 4, 4, True),
+               (32, 64, 4, 4, True), (16, 48, 8, 8, True), (8, 24, 16, 16, True),
+               (7, 8, 16, 16, False)]
+
+
+def _tensor_copy(params):
+    """A deep copy of block params whose four trainable arrays are leaves."""
+    twin = copy.deepcopy(params)
+    leaves = {"h": ag.Tensor(np.array(params.filt.h)),
+              "alpha": ag.Tensor(np.array(params.filt.alpha)),
+              "bn_gamma": ag.Tensor(np.array(params.bn_gamma)),
+              "bn_beta": ag.Tensor(np.array(params.bn_beta))}
+    twin.filt.h, twin.filt.alpha = leaves["h"], leaves["alpha"]
+    twin.bn_gamma, twin.bn_beta = leaves["bn_gamma"], leaves["bn_beta"]
+    return twin, leaves
+
+
+@pytest.mark.parametrize("shape", UNET_BLOCKS,
+                         ids=[f"{i}to{o}L{L}" for o, i, L, _, _ in UNET_BLOCKS])
+def test_fused_block_is_bitwise_the_composite(shape):
+    c_out, c_in, L, L_out, relu = shape
+    mesh = generate_icosphere(3)
+    basis = build_basis(mesh, L)
+    rng = np.random.default_rng(c_out * 100 + c_in)
+    params = init_block(c_out, c_in, L, rng, relu=relu)
+    params.bn_gamma = rng.uniform(-1.5, 1.5, c_out)   # negative scales too
+    params.bn_beta = rng.standard_normal(c_out)
+    params.bn_mean = rng.standard_normal(c_out)
+    params.bn_var = rng.uniform(0.5, 2.0, c_out)
+    x = rng.standard_normal((mesh.n_vertices, c_in))
+    weights = rng.standard_normal((mesh.n_vertices, c_out))
+
+    runs = {}
+    for name, block in (("fused", shconv_block), ("composite", composite_block)):
+        twin, leaves = _tensor_copy(params)
+        inputs = ag.Tensor(x.copy())
+        outs = []
+        for _ in range(2):          # two backward passes into the same leaves
+            out = block(inputs, twin, basis, L_out, True, True)
+            ag.reduce_sum(ag.mul(out, weights)).backward()
+            outs.append(out.value.tobytes())
+        inference = ag.value_of(block(x, twin, basis, L_out, False, False))
+        grads = {k: t.grad.tobytes() for k, t in leaves.items()}
+        runs[name] = (outs, twin.bn_mean.tobytes(), twin.bn_var.tobytes(),
+                      inputs.grad.tobytes(), grads, inference.tobytes())
+    fused, composite = runs["fused"], runs["composite"]
+    assert fused[0] == composite[0]                      # training forwards
+    assert fused[1:3] == composite[1:3]                  # running buffers
+    assert fused[3] == composite[3]                      # input gradient
+    for name in ("h", "alpha", "bn_gamma", "bn_beta"):
+        assert fused[4][name] == composite[4][name], name
+    assert fused[5] == composite[5]                      # inference forward
+
+
+def test_taped_block_records_three_nodes(tape_counter):
+    mesh = generate_icosphere(2)
+    basis = build_basis(mesh, 8)
+    params, _ = _tensor_copy(init_block(4, 2, 8, np.random.default_rng(5)))
+    values = ag.Tensor(np.random.default_rng(6).standard_normal((mesh.n_vertices, 2)))
+    tape_counter["nodes"] = 0
+    shconv_block(values, params, basis, training_mode=True,
+                 batch_stats_update=True)
+    assert tape_counter["nodes"] <= 3

@@ -403,3 +403,21 @@ def test_align_search_rejects_level_mismatch():
     b = SphericalSignal(2, np.random.default_rng(1).standard_normal((162, 1)))
     with pytest.raises(ValueError, match="level"):
         align_search(a, b)
+
+
+def test_training_cascade_tape_size(tape_counter):
+    # a conv block is three nodes (convolution, batch norm, ReLU); with
+    # each block as a chain of elementary ops the cascade recorded 653
+    config = TrainConfig()
+    pair = synth_dataset(1, config, 0)[0]
+    model = init_model(config)
+    grids = build_grids(config)
+    _wrap_parameters(model)
+    try:
+        tape_counter["nodes"] = 0
+        forward_cascade(pair.moving.values, pair.fixed.values, model, config,
+                        grids, hard=False, training_mode=True,
+                        batch_stats_update=True)
+    finally:
+        _unwrap_parameters(model)
+    assert tape_counter["nodes"] <= 400
