@@ -8,20 +8,20 @@ call records a node (only when some argument is a ``Tensor``; otherwise the
 bare ndarray comes back), so the same forward code serves both training
 (differentiable) and inference (pure numpy) paths.
 
-The op set is deliberately small: elementwise arithmetic and activations,
-matmul/einsum contractions, reductions, concatenation, gather/scatter, and a
-few smooth rotation helpers (``sinc_sq``, ``cosc_sq``, ``arc_over_sin``)
-whose series branches keep derivatives finite at zero rotation.  Everything
-else in the package is composed from these, except the zonal convolution and
-batch norm of ``shconv``, which record one node each through ``record`` and
-``accumulate`` with a hand-written backward.
+The op set is only what the model records: elementwise arithmetic and
+activations, matmul/einsum contractions, reductions, concatenation, row
+gather/scatter, the row-wise ``cross`` product, and a few smooth rotation
+helpers (``sinc_sq``, ``cosc_sq``, ``arc_over_sin``) whose series branches
+keep derivatives finite at zero rotation.  Everything else in the package is
+composed from these, except the zonal convolution and batch norm of
+``shconv``, which, like ``cross``, record one node each through ``record``
+and ``accumulate`` with a hand-written backward.
 
-Every scatter-add (the backward of ``take_rows`` and ``take_axis``, the
-forward of ``segment_sum``) goes through a ``ScatterPlan``: an inverse table
-that adds each target's contributions in the order ``np.add.at`` would,
-starting from +0.0, so results are bitwise those of ``np.add.at``.  Index
-sets fixed per mesh are given as plans their owners build once; a plain
-index array gets a plan per call.
+Every scatter-add (the backward of ``take_rows``, the forward of
+``segment_sum``) goes through a ``ScatterPlan``: an inverse table that adds
+each target's contributions in the order ``np.add.at`` would, starting from
++0.0, so results are bitwise those of ``np.add.at``.  Both ops take only a
+plan; index sets fixed per mesh are given as plans their owners build once.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ import numpy as np
 __all__ = [
     "Tensor", "parameter", "value_of", "is_tensor",
     "record", "accumulate", "ScatterPlan",
-    "add", "sub", "mul", "div", "neg", "matmul", "einsum2",
-    "exp", "log", "sqrt", "square", "power", "absolute",
+    "add", "sub", "mul", "div", "matmul", "einsum2",
+    "exp", "log", "sqrt", "square", "absolute",
     "relu", "leaky_relu", "elu",
     "reduce_sum", "reduce_mean", "concat", "reshape",
-    "take_rows", "take_axis", "slice_rows",
+    "take_rows", "slice_rows",
     "segment_sum", "softmax_rows", "row_normalize",
     "sinc_sq", "cosc_sq", "arc_over_sin", "cross",
 ]
@@ -65,41 +65,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
@@ -215,13 +180,6 @@ def div(a, b):
     return record(av / bv, (a, b), backward)
 
 
-def neg(a):
-    def backward(g):
-        accumulate(a, -g)
-
-    return record(-value_of(a), (a,), backward)
-
-
 def matmul(a, b):
     av, bv = value_of(a), value_of(b)
     if av.ndim != 2 or bv.ndim != 2:
@@ -288,13 +246,6 @@ def sqrt(x):
 
 def square(x):
     return _unary(x, np.square, lambda v, o: 2.0 * v)
-
-
-def power(x, exponent):
-    if not isinstance(exponent, (int, float)):
-        raise ValueError("power exponent must be a python scalar")
-    return _unary(x, lambda v: v ** exponent,
-                  lambda v, o: exponent * v ** (exponent - 1))
 
 
 def absolute(x):
@@ -437,15 +388,13 @@ class ScatterPlan:
         for array in (self.table, *self.pads):
             array.setflags(write=False)
 
-    def scatter(self, values, axis: int = 0) -> np.ndarray:
+    def scatter(self, values) -> np.ndarray:
         """Sum the entries of ``values`` into their targets.
 
-        Axes ``axis`` .. ``axis + indices.ndim - 1`` of ``values`` run over
-        ``indices`` (none for a scalar index); the result has one axis of
-        length ``n_targets`` in their place and is C-contiguous."""
+        The leading ``indices.ndim`` axes of ``values`` run over ``indices``;
+        the result has one leading axis of length ``n_targets`` in their
+        place and is C-contiguous."""
         k = self.indices.ndim
-        if axis:
-            values = np.moveaxis(values, list(range(axis, axis + k)), list(range(k)))
         entries = values.reshape((-1,) + values.shape[k:])[self.table]
         entries[self.pads] = 0.0
         # one in-place add per slot: a sum over the slot axis would add
@@ -453,19 +402,7 @@ class ScatterPlan:
         out = np.zeros(entries.shape[1:])
         for slot in entries:
             out += slot
-        return np.ascontiguousarray(np.moveaxis(out, 0, axis)) if axis else out
-
-
-def _index_and_plan(indices, n_targets):
-    """The index array of ``indices`` and its plan, or None when ``indices``
-    is a plain index array (its plan is then built only if a scatter needs
-    it)."""
-    if isinstance(indices, ScatterPlan):
-        if indices.n_targets != n_targets:
-            raise ValueError(f"scatter plan covers {indices.n_targets} "
-                             f"targets, the axis has {n_targets}")
-        return indices.indices, indices
-    return np.asarray(indices), None
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -513,28 +450,18 @@ def concat(parts, axis=0):
     return record(np.concatenate(values, axis=axis), tuple(parts), backward)
 
 
-def take_rows(x, indices):
-    """Gather rows (axis 0); repeated indices accumulate on backward.
-
-    ``indices`` is an index array or a ``ScatterPlan`` of one."""
+def take_rows(x, plan: ScatterPlan):
+    """Gather the rows ``plan.indices`` of ``x``; repeated rows accumulate
+    on backward through the plan."""
     v = value_of(x)
-    idx, plan = _index_and_plan(indices, v.shape[0])
+    if plan.n_targets != v.shape[0]:
+        raise ValueError(f"scatter plan covers {plan.n_targets} targets, "
+                         f"x has {v.shape[0]} rows")
 
     def backward(g):
-        accumulate(x, (plan or ScatterPlan(idx, v.shape[0])).scatter(g))
+        accumulate(x, plan.scatter(g))
 
-    return record(v[idx], (x,), backward)
-
-
-def take_axis(x, indices, axis):
-    v = value_of(x)
-    idx, plan = _index_and_plan(indices, v.shape[axis])
-
-    def backward(g):
-        accumulate(x, (plan or ScatterPlan(idx, v.shape[axis])).scatter(
-            g, axis % v.ndim))
-
-    return record(np.take(v, idx, axis=axis), (x,), backward)
+    return record(v[plan.indices], (x,), backward)
 
 
 def slice_rows(x, start, stop):
@@ -548,16 +475,13 @@ def slice_rows(x, start, stop):
     return record(v[start:stop], (x,), backward)
 
 
-def segment_sum(x, segment_ids, num_segments):
-    """out[s] = sum of x rows whose segment id is s, added in row order.
-
-    ``segment_ids`` is an index array or a ``ScatterPlan`` of one."""
-    v = value_of(x)
-    seg, plan = _index_and_plan(segment_ids, num_segments)
-    out = (plan or ScatterPlan(seg, num_segments)).scatter(v)
+def segment_sum(x, plan: ScatterPlan):
+    """out[s] = sum of the x rows whose segment id (``plan.indices``) is s,
+    added in row order, for s below ``plan.n_targets``."""
+    out = plan.scatter(value_of(x))
 
     def backward(g):
-        accumulate(x, g[seg])
+        accumulate(x, g[plan.indices])
 
     return record(out, (x,), backward)
 
@@ -594,18 +518,17 @@ def row_normalize(x, snap_tol=1e-12):
     return record(out_value, (x,), backward)
 
 
-_COLUMN_PLANS = tuple(ScatterPlan(np.array([j]), 3) for j in range(3))
-
-
 def cross(a, b):
-    """Row-wise cross product of (N, 3) operands, built from primitives."""
-    def col(x, j):
-        return take_axis(x, _COLUMN_PLANS[j], axis=-1)
+    """Row-wise cross product of (N, 3) operands.
 
-    a0, a1, a2 = col(a, 0), col(a, 1), col(a, 2)
-    b0, b1, b2 = col(b, 0), col(b, 1), col(b, 2)
-    return concat([
-        sub(mul(a1, b2), mul(a2, b1)),
-        sub(mul(a2, b0), mul(a0, b2)),
-        sub(mul(a0, b1), mul(a1, b0)),
-    ], axis=-1)
+    d(a x b) = da x b + a x db, so the gradient of <g, a x b> is b x g for
+    ``a`` and g x a for ``b``."""
+    av, bv = value_of(a), value_of(b)
+
+    def backward(g):
+        if is_tensor(a):
+            accumulate(a, np.cross(bv, g))
+        if is_tensor(b):
+            accumulate(b, np.cross(g, av))
+
+    return record(np.cross(av, bv), (a, b), backward)

@@ -127,6 +127,6 @@ def crf_refine(Q: DeformationProbabilities, grid: ControlGrid,
     q = Q.Q
     for _ in range(params.iterations):
         per_edge = ag.einsum2("elm,em->el", coupled, ag.take_rows(q, src))
-        message = ag.segment_sum(per_edge, dst, grid.n_controls)
+        message = ag.segment_sum(per_edge, dst)
         q = ag.softmax_rows(ag.sub(anchor, ag.mul(params.weight, message)))
     return DeformationProbabilities(q)

@@ -70,10 +70,6 @@ class _Reader:
                               f"{self.path}: non-finite value in {what}")
         return arr
 
-    def u32_array(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count)
-        return np.frombuffer(raw, dtype="<u4").astype(np.int64)
-
     def done(self):
         if self.offset != len(self.data):
             self.fail(f"{len(self.data) - self.offset} trailing bytes")

@@ -18,8 +18,19 @@ from .icosphere import Icosphere
 
 LEAKY_SLOPE = 0.2
 
-# the destination and source halves of each head's attention vector
-_HALF_PLANS = (ag.ScatterPlan(0, 2), ag.ScatterPlan(1, 2))
+_half_plan_cache: dict[int, tuple[ag.ScatterPlan, ag.ScatterPlan]] = {}
+
+
+def _half_plans(heads: int) -> tuple[ag.ScatterPlan, ag.ScatterPlan]:
+    """Frozen plans of the even and odd rows of the ``(2 * heads, D_head)``
+    attention vectors: each head's destination and source halves."""
+    plans = _half_plan_cache.get(heads)
+    if plans is None:
+        halves = np.arange(2 * heads).reshape(heads, 2).T.copy()
+        halves.setflags(write=False)
+        plans = _half_plan_cache[heads] = tuple(
+            ag.ScatterPlan(rows, 2 * heads) for rows in halves)
+    return plans
 
 
 @dataclass
@@ -67,11 +78,10 @@ def gat_forward(features, mesh: Icosphere, layer: GatLayer):
     padding = np.arange(mesh.neighbourhood.shape[1]) > np.diff(mesh.ring_offsets)[:, None]
 
     projected = ag.einsum2("nd,hkd->nhk", features, layer.W)    # (N, H, D_head)
-    a = ag.reshape(layer.a, (heads, 2, d_head))
-    score_dst = ag.einsum2("nhk,hk->nh", projected,
-                           ag.take_axis(a, _HALF_PLANS[0], axis=1))
-    score_src = ag.einsum2("nhk,hk->nh", projected,
-                           ag.take_axis(a, _HALF_PLANS[1], axis=1))
+    a = ag.reshape(layer.a, (2 * heads, d_head))
+    dst_half, src_half = _half_plans(heads)
+    score_dst = ag.einsum2("nhk,hk->nh", projected, ag.take_rows(a, dst_half))
+    score_src = ag.einsum2("nhk,hk->nh", projected, ag.take_rows(a, src_half))
     logits = ag.leaky_relu(
         ag.add(ag.reshape(score_dst, (n, 1, heads)), ag.take_rows(score_src, table)),
         LEAKY_SLOPE)                                            # (N, 7, H)

@@ -23,7 +23,7 @@ order: the bracket path into ``alpha`` before the residual path, the
 spectral path into the input before the residual path.  Outputs and
 gradients are bitwise those of the chains, which the tests keep as the
 oracle.  The per-degree gains add back through a frozen ``ScatterPlan``
-per bandwidth pair.
+per bandwidth, over the (l, o, i) product with the degree axis first.
 """
 
 from __future__ import annotations
@@ -50,17 +50,16 @@ def degree_of_index(L: int) -> np.ndarray:
     return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
 
 
-_degree_plan_cache: dict[tuple[int, int], ag.ScatterPlan] = {}
+_degree_plan_cache: dict[int, ag.ScatterPlan] = {}
 
 
-def _degree_plan(L_out: int, L_in: int) -> ag.ScatterPlan:
-    """Frozen plan of ``degree_of_index(L_out)`` onto the degrees 0..L_in."""
-    key = (L_out, L_in)
-    plan = _degree_plan_cache.get(key)
+def _degree_plan(L: int) -> ag.ScatterPlan:
+    """Frozen plan of ``degree_of_index(L)`` onto the degrees 0..L."""
+    plan = _degree_plan_cache.get(L)
     if plan is None:
-        index = degree_of_index(L_out)
+        index = degree_of_index(L)
         index.setflags(write=False)
-        plan = _degree_plan_cache[key] = ag.ScatterPlan(index, L_in + 1)
+        plan = _degree_plan_cache[L] = ag.ScatterPlan(index, L + 1)
     return plan
 
 
@@ -93,12 +92,10 @@ def init_zonal_filter(c_out: int, c_in: int, L: int, rng) -> ZonalFilter:
     )
 
 
-def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis,
-                   L_out: int | None = None):
+def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis):
     """Convolve (N, C_in) vertex values with a zonal filter bank.
 
-    ``L_out`` truncates the spectral path (default: the filter bandwidth).
-    The basis must live on the signal's mesh and cover L_out.
+    The basis must live on the signal's mesh and cover the filter bandwidth.
     """
     v = ag.value_of(values)
     if v.ndim != 2:
@@ -108,17 +105,14 @@ def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis,
             f"filter expects {filt.c_in} input channels, got {v.shape[1]}")
     if v.shape[0] != basis.Y.shape[0]:
         raise ValueError("values row count does not match basis mesh")
-    if L_out is None:
-        L_out = filt.L_in
-    if L_out > filt.L_in:
-        raise ValueError(f"L_out={L_out} exceeds filter bandwidth {filt.L_in}")
-    if L_out > basis.L:
-        raise ValueError(f"L_out={L_out} exceeds basis bandwidth {basis.L}")
+    if filt.L_in > basis.L:
+        raise ValueError(f"filter bandwidth {filt.L_in} exceeds basis "
+                         f"bandwidth {basis.L}")
 
-    n_lm = (L_out + 1) ** 2
+    n_lm = (filt.L_in + 1) ** 2
     h_in, alpha_in = filt.h, filt.alpha
     h, alpha = ag.value_of(h_in), ag.value_of(alpha_in)
-    plan = _degree_plan(L_out, filt.L_in)
+    plan = _degree_plan(filt.L_in)
     synthesis = basis.Y[:, :n_lm]
 
     analysed = basis.forward @ v
@@ -133,8 +127,12 @@ def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis,
     def backward(g):
         g_mixed = synthesis.T @ g
         if ag.is_tensor(h_in) or ag.is_tensor(alpha_in):
-            g_bracket = plan.scatter(np.einsum("lo,li->oil", g_mixed, coeffs),
-                                     axis=2) * scale
+            by_degree = plan.scatter(np.einsum("lo,li->loi", g_mixed, coeffs))
+            # copied C-contiguous with the degree axis last: the product with
+            # ``scale`` keeps its operand's layout, and the ``alpha`` path's
+            # .sum(axis=2) adds the elements of a strided array in another
+            # order, which changes bits
+            g_bracket = np.ascontiguousarray(np.moveaxis(by_degree, 0, 2)) * scale
             if ag.is_tensor(h_in):
                 ag.accumulate(h_in, g_bracket)
             if ag.is_tensor(alpha_in):
@@ -229,10 +227,9 @@ def batch_norm(values, params: BlockParams, training_mode: bool,
 
 
 def shconv_block(values, params: BlockParams, basis: HarmonicBasis,
-                 L_out: int | None = None, training_mode: bool = False,
-                 batch_stats_update: bool = False):
+                 training_mode: bool = False, batch_stats_update: bool = False):
     """Zonal convolution -> batch norm -> optional ReLU."""
-    out = zonal_convolve(values, params.filt, basis, L_out)
+    out = zonal_convolve(values, params.filt, basis)
     out = batch_norm(out, params, training_mode, batch_stats_update)
     if params.relu:
         out = ag.relu(out)

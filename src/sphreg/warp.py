@@ -168,7 +168,8 @@ def warp_values(values, targets, src_mesh: Icosphere):
     inverse = src_mesh.corner_inverse[faces]                    # (T, 3, 3)
     lam = ag.einsum2("tij,tj->ti", inverse, targets)
     weights = ag.div(lam, ag.reduce_sum(lam, axis=1, keepdims=True))
-    corner_vals = ag.reshape(ag.take_rows(values, corner_ids.ravel()),
+    corner_plan = ag.ScatterPlan(corner_ids.ravel(), src_mesh.n_vertices)
+    corner_vals = ag.reshape(ag.take_rows(values, corner_plan),
                              (target_values.shape[0], 3, -1))
     return ag.einsum2("tk,tkc->tc", weights, corner_vals)
 

@@ -13,25 +13,26 @@ from sphreg.shconv import (BlockParams, ZonalFilter, batch_norm,
                            init_zonal_filter, shconv_block, zonal_convolve)
 
 
-def oracle_convolve(values, filt, basis, L_out):
+def oracle_convolve(values, filt, basis):
     """Dense per-coefficient reference: analyse, scale every (l, m) by
     C(l) * h[l], synthesise, then add the alpha residual channel mix."""
     h = ag.value_of(filt.h)
     alpha = ag.value_of(filt.alpha)
     c_out, c_in, _ = h.shape
+    L = filt.L_in
     n = values.shape[0]
     out = np.zeros((n, c_out))
-    scale = degree_scale(filt.L_in)
+    scale = degree_scale(L)
     for o in range(c_out):
         for i in range(c_in):
             coeffs = basis.forward @ values[:, i]
-            shaped = np.zeros((L_out + 1) ** 2)
-            for l in range(L_out + 1):
+            shaped = np.zeros((L + 1) ** 2)
+            for l in range(L + 1):
                 gain = scale[l] * (h[o, i, l] - alpha[o, i] / scale[l])
                 for m in range(-l, l + 1):
                     idx = l * l + l + m
                     shaped[idx] = gain * coeffs[idx]
-            out[:, o] += basis.Y[:, :(L_out + 1) ** 2] @ shaped
+            out[:, o] += basis.Y[:, :(L + 1) ** 2] @ shaped
             out[:, o] += alpha[o, i] * values[:, i]
     return out
 
@@ -54,7 +55,7 @@ def test_matches_dense_oracle():
         filt = init_zonal_filter(2, 3, 8, rng)
         values = rng.standard_normal((mesh.n_vertices, 3))
         ours = ag.value_of(zonal_convolve(values, filt, basis))
-        ref = oracle_convolve(values, filt, basis, 8)
+        ref = oracle_convolve(values, filt, basis)
         worst = max(worst, np.abs(ours - ref).max())
     assert worst < 1e-8
 
@@ -85,15 +86,24 @@ def test_alpha_cancellation_passes_alpha_times_input():
     np.testing.assert_array_equal(out, alpha * values)
 
 
-def test_l_out_truncates_spectral_path():
-    mesh = generate_icosphere(2)
-    basis = build_basis(mesh, 8)
-    rng = np.random.default_rng(3)
-    filt = init_zonal_filter(1, 1, 8, rng)
-    values = rng.standard_normal((mesh.n_vertices, 1))
-    truncated = ag.value_of(zonal_convolve(values, filt, basis, L_out=4))
-    ref = oracle_convolve(values, filt, basis, 4)
-    assert np.abs(truncated - ref).max() < 1e-8
+def test_alpha_cancels_on_band_limited_input():
+    # on input limited to the filter's degrees the spectral path's -alpha * f
+    # cancels the residual alpha * f, so alpha has no effect on the output;
+    # the pooled encoder blocks see only such input
+    mesh = generate_icosphere(3)
+    basis = build_basis(mesh, 16)
+    rng = np.random.default_rng(15)
+    filt = init_zonal_filter(4, 3, 16, rng)
+    redrawn = ZonalFilter(h=filt.h, alpha=rng.uniform(-1, 1, filt.alpha.shape))
+    noise = rng.standard_normal((mesh.n_vertices, 3))
+    limited = basis.Y @ (basis.forward @ noise)
+
+    def alpha_effect(values):
+        return np.abs(zonal_convolve(values, filt, basis)
+                      - zonal_convolve(values, redrawn, basis)).max()
+
+    assert alpha_effect(limited) < 1e-12
+    assert alpha_effect(noise) > 1.0
 
 
 def test_input_validation():
@@ -105,8 +115,9 @@ def test_input_validation():
         zonal_convolve(np.zeros((42, 1)), filt, basis)       # channel count
     with pytest.raises(ValueError):
         zonal_convolve(np.zeros((12, 2)), filt, basis)       # wrong mesh
-    with pytest.raises(ValueError):
-        zonal_convolve(np.zeros((42, 2)), filt, basis, L_out=5)
+    with pytest.raises(ValueError, match="bandwidth"):
+        zonal_convolve(np.zeros((42, 2)), init_zonal_filter(1, 2, 5, rng),
+                       basis)
 
 
 def test_batch_norm_training_stats_and_running_update():
@@ -158,15 +169,28 @@ def test_gradients_flow_through_block():
 # the fused block against the chain of elementary ops it replaced
 # ---------------------------------------------------------------------------
 
-def composite_zonal_convolve(values, filt, basis, L_out):
+def take_degrees(gains, degrees):
+    """The per-degree gain gather as one recorded op whose backward is
+    np.add.at on the degree axis, the reference order of the scatter."""
+    v = ag.value_of(gains)
+
+    def backward(g):
+        grad = np.zeros_like(v)
+        np.add.at(grad, (slice(None), slice(None), degrees), g)
+        ag.accumulate(gains, grad)
+
+    return ag.record(np.take(v, degrees, axis=2), (gains,), backward)
+
+
+def composite_zonal_convolve(values, filt, basis):
     """The zonal convolution as eleven elementary autodiff ops."""
-    n_lm = (L_out + 1) ** 2
+    n_lm = (filt.L_in + 1) ** 2
     coeffs = ag.slice_rows(ag.matmul(basis.forward, values), 0, n_lm)
     scale = degree_scale(filt.L_in)[None, None, :]
     alpha_col = ag.reshape(filt.alpha, (filt.c_out, filt.c_in, 1))
     bracket = ag.sub(filt.h, ag.div(alpha_col, scale))
     gains = ag.mul(bracket, scale)
-    gains_lm = ag.take_axis(gains, degree_of_index(L_out), axis=2)
+    gains_lm = take_degrees(gains, degree_of_index(filt.L_in))
     spectral = ag.matmul(basis.Y[:, :n_lm],
                          ag.einsum2("oil,li->lo", gains_lm, coeffs))
     residual = ag.einsum2("ni,oi->no", values, filt.alpha)
@@ -191,18 +215,17 @@ def composite_batch_norm(values, params, training_mode, batch_stats_update):
     return ag.add(ag.mul(normalized, gamma), beta)
 
 
-def composite_block(values, params, basis, L_out, training_mode,
-                    batch_stats_update):
-    out = composite_zonal_convolve(values, params.filt, basis, L_out)
+def composite_block(values, params, basis, training_mode, batch_stats_update):
+    out = composite_zonal_convolve(values, params.filt, basis)
     out = composite_batch_norm(out, params, training_mode, batch_stats_update)
     return ag.relu(out) if params.relu else out
 
 
-# (c_out, c_in, filter bandwidth, L_out, relu): the default U-Net's seven
-# blocks at bandwidth 16, channels 8 and 7 labels
-UNET_BLOCKS = [(8, 2, 16, 16, True), (16, 8, 8, 8, True), (32, 16, 4, 4, True),
-               (32, 64, 4, 4, True), (16, 48, 8, 8, True), (8, 24, 16, 16, True),
-               (7, 8, 16, 16, False)]
+# (c_out, c_in, filter bandwidth, relu): the default U-Net's seven blocks at
+# bandwidth 16, channels 8 and 7 labels
+UNET_BLOCKS = [(8, 2, 16, True), (16, 8, 8, True), (32, 16, 4, True),
+               (32, 64, 4, True), (16, 48, 8, True), (8, 24, 16, True),
+               (7, 8, 16, False)]
 
 
 def _tensor_copy(params):
@@ -218,9 +241,9 @@ def _tensor_copy(params):
 
 
 @pytest.mark.parametrize("shape", UNET_BLOCKS,
-                         ids=[f"{i}to{o}L{L}" for o, i, L, _, _ in UNET_BLOCKS])
+                         ids=[f"{i}to{o}L{L}" for o, i, L, _ in UNET_BLOCKS])
 def test_fused_block_is_bitwise_the_composite(shape):
-    c_out, c_in, L, L_out, relu = shape
+    c_out, c_in, L, relu = shape
     mesh = generate_icosphere(3)
     basis = build_basis(mesh, L)
     rng = np.random.default_rng(c_out * 100 + c_in)
@@ -238,10 +261,10 @@ def test_fused_block_is_bitwise_the_composite(shape):
         inputs = ag.Tensor(x.copy())
         outs = []
         for _ in range(2):          # two backward passes into the same leaves
-            out = block(inputs, twin, basis, L_out, True, True)
+            out = block(inputs, twin, basis, True, True)
             ag.reduce_sum(ag.mul(out, weights)).backward()
             outs.append(out.value.tobytes())
-        inference = ag.value_of(block(x, twin, basis, L_out, False, False))
+        inference = ag.value_of(block(x, twin, basis, False, False))
         grads = {k: t.grad.tobytes() for k, t in leaves.items()}
         runs[name] = (outs, twin.bn_mean.tobytes(), twin.bn_var.tobytes(),
                       inputs.grad.tobytes(), grads, inference.tobytes())

@@ -406,8 +406,9 @@ def test_align_search_rejects_level_mismatch():
 
 
 def test_training_cascade_tape_size(tape_counter):
-    # a conv block is three nodes (convolution, batch norm, ReLU); with
-    # each block as a chain of elementary ops the cascade recorded 653
+    # a conv block is three nodes (convolution, batch norm, ReLU) and a
+    # cross product one; as chains of elementary ops they made the cascade
+    # 653 nodes
     config = TrainConfig()
     pair = synth_dataset(1, config, 0)[0]
     model = init_model(config)
@@ -420,4 +421,4 @@ def test_training_cascade_tape_size(tape_counter):
                         batch_stats_update=True)
     finally:
         _unwrap_parameters(model)
-    assert tape_counter["nodes"] <= 400
+    assert tape_counter["nodes"] <= 300
