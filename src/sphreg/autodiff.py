@@ -497,18 +497,18 @@ def softmax_rows(x):
     return div(e, reduce_sum(e, axis=-1, keepdims=True))
 
 
-def row_normalize(x, snap_tol=1e-12):
+def row_normalize(x):
     """Project rows onto the unit sphere.
 
-    Rows already unit up to ``snap_tol`` pass through bitwise unchanged so
-    that exactly-on-sphere inputs stay exact; the backward uses the same
-    snapped scale, which only perturbs the Jacobian at O(snap_tol).
+    Rows already unit up to 1e-12 pass through bitwise unchanged so that
+    exactly-on-sphere inputs stay exact; the backward uses the same snapped
+    scale, which only perturbs the Jacobian at O(1e-12).
     """
     v = value_of(x)
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
     if np.any(norms < 0.5):
         raise ValueError("row_normalize: row norm below 0.5, geometry is degenerate")
-    scale = np.where(np.abs(norms - 1.0) <= snap_tol, 1.0, 1.0 / norms)
+    scale = np.where(np.abs(norms - 1.0) <= 1e-12, 1.0, 1.0 / norms)
     out_value = v * scale
 
     def backward(g):

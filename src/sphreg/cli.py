@@ -204,16 +204,7 @@ def cmd_register(args: argparse.Namespace) -> int:
         overrides["crf_iters"] = args.crf_iters
     if args.crf_weight is not None:
         overrides["crf_weight"] = args.crf_weight
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-        # the checkpoint's CRF schedule lives on the model, not the config
-        crf_kw = {}
-        if "crf_iters" in overrides:
-            crf_kw["iterations"] = overrides["crf_iters"]
-        if "crf_weight" in overrides:
-            crf_kw["weight"] = overrides["crf_weight"]
-        model.crf_coarse = dataclasses.replace(model.crf_coarse, **crf_kw)
-        model.crf_fine = dataclasses.replace(model.crf_fine, **crf_kw)
+    config = dataclasses.replace(config, **overrides)
     moving = read_signal(args.moving)
     fixed = read_signal(args.fixed)
     field, warped, result = register_pair(model, config, moving, fixed)

@@ -6,7 +6,9 @@ points, where K is a Gaussian kernel on great-circle distance between the
 candidate label positions.  Refinement unrolls T mean-field updates
 (CRF-as-RNN style): messages are accumulated from current beliefs, added to
 the anchored unary logits, and re-normalized by a row softmax.  The
-compatibility matrix mu is learnable; sigma and w are configuration.
+compatibility matrix mu is learnable and lives on the model; the schedule
+(T, sigma, w) comes from the training config, which builds one
+``CrfParams`` per stage and call.
 """
 
 from __future__ import annotations
@@ -46,17 +48,6 @@ def mean_edge_arc(grid: ControlGrid) -> float:
     a = grid.control_positions[grid.edges[:, 0]]
     b = grid.control_positions[grid.edges[:, 1]]
     return float(np.mean(np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))))
-
-
-def init_crf_params(grid: ControlGrid, iterations: int = 5,
-                    sigma: float | None = None, weight: float = 1.0) -> CrfParams:
-    """mu starts at 1 - I (equal labels cost nothing); sigma defaults to the
-    mean control edge arc so the kernel spans neighboring label sets."""
-    n_l = grid.n_labels
-    mu = np.ones((n_l, n_l)) - np.eye(n_l)
-    if sigma is None:
-        sigma = mean_edge_arc(grid)
-    return CrfParams(iterations=iterations, mu=mu, sigma=sigma, weight=weight)
 
 
 def _kernel_stack(grid: ControlGrid, sigma: float) -> np.ndarray:

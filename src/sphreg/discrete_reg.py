@@ -232,11 +232,12 @@ def spectral_project(values, basis: HarmonicBasis, L_new: int):
 
 
 def unet_forward(moving, fixed, params: UNetParams, mesh_level: int,
-                 training_mode: bool = False, batch_stats_update: bool = False):
+                 training: bool = False):
     """Full-resolution per-vertex label logits for a (moving, fixed) pair.
 
     ``moving`` and ``fixed`` are (N, 1) vertex signals (arrays or autodiff
     tensors).  Gradient flows through both inputs and all parameters.
+    ``training`` selects the batch norms' mode (see ``shconv.batch_norm``).
     """
     n = vertex_count(mesh_level)
     for name, sig in (("moving", moving), ("fixed", fixed)):
@@ -250,23 +251,22 @@ def unet_forward(moving, fixed, params: UNetParams, mesh_level: int,
     b_full = build_basis(mesh, L)
     b_half = build_basis(mesh, L // 2)
     b_quarter = build_basis(mesh, L // 4)
-    kw = dict(training_mode=training_mode, batch_stats_update=batch_stats_update)
 
     x = ag.concat([moving, fixed], axis=1)
-    f1 = shconv_block(x, params.enc1, b_full, **kw)
+    f1 = shconv_block(x, params.enc1, b_full, training)
     f2 = shconv_block(spectral_project(f1, b_full, L // 2), params.enc2,
-                      b_half, **kw)
+                      b_half, training)
     f3 = shconv_block(spectral_project(f2, b_half, L // 4), params.enc3,
-                      b_quarter, **kw)
+                      b_quarter, training)
 
     bottleneck = f3 if params.graph is None else \
         graph_enhanced_module(f3, mesh, params.graph)
 
     d1 = shconv_block(ag.concat([bottleneck, f3], axis=1), params.dec1,
-                      b_quarter, **kw)
-    d2 = shconv_block(ag.concat([d1, f2], axis=1), params.dec2, b_half, **kw)
-    d3 = shconv_block(ag.concat([d2, f1], axis=1), params.dec3, b_full, **kw)
-    return shconv_block(d3, params.head, b_full, **kw)
+                      b_quarter, training)
+    d2 = shconv_block(ag.concat([d1, f2], axis=1), params.dec2, b_half, training)
+    d3 = shconv_block(ag.concat([d2, f1], axis=1), params.dec3, b_full, training)
+    return shconv_block(d3, params.head, b_full, training)
 
 
 def predict_probabilities(logits, grid: ControlGrid) -> DeformationProbabilities:

@@ -140,7 +140,7 @@ def write_field(path, field):
 
 
 def read_field(path):
-    from .warp import DeformationField
+    from .warp import UNIT_TOLERANCE, DeformationField
     with open(path, "rb") as f:
         r = _Reader(f.read(), str(path))
     r.magic(b"SPHD")
@@ -152,7 +152,7 @@ def read_field(path):
     targets = r.f64_array(3 * n, "targets").reshape(n, 3)
     r.done()
     norms = np.linalg.norm(targets, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    if np.any(np.abs(norms - 1.0) > UNIT_TOLERANCE):
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise FormatError(at + 24 * bad,
                           f"{r.path}: target {bad} is not unit norm")

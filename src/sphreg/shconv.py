@@ -175,29 +175,27 @@ def init_block(c_out: int, c_in: int, L: int, rng, relu: bool = True) -> BlockPa
     )
 
 
-def batch_norm(values, params: BlockParams, training_mode: bool,
-               batch_stats_update: bool):
+def batch_norm(values, params: BlockParams, training: bool):
     """Per-channel normalisation over the vertex axis.
 
-    Training mode normalises with the biased batch statistics and, when
-    ``batch_stats_update`` is set, folds them into the running buffers with
-    momentum 0.1 (a side effect on the params, outside the autodiff graph).
-    Inference mode uses the running buffers only.
+    Training normalises with the biased batch statistics and folds them
+    into the running buffers with momentum 0.1 (a side effect on the params,
+    outside the autodiff graph), but never reads the buffers, so no training
+    output depends on them.  Inference uses the running buffers only.
     """
     v = ag.value_of(values)
     gamma_in, beta_in = params.bn_gamma, params.bn_beta
     gamma = ag.value_of(gamma_in).reshape(1, -1)
     beta = ag.value_of(beta_in).reshape(1, -1)
     count = float(v.shape[0])
-    if training_mode:
+    if training:
         mean = v.sum(axis=0, keepdims=True) / count
         centered = v - mean
         var = np.square(centered).sum(axis=0, keepdims=True) / count
-        if batch_stats_update:
-            params.bn_mean = ((1.0 - BN_MOMENTUM) * params.bn_mean
-                              + BN_MOMENTUM * mean[0])
-            params.bn_var = ((1.0 - BN_MOMENTUM) * params.bn_var
-                             + BN_MOMENTUM * var[0])
+        params.bn_mean = ((1.0 - BN_MOMENTUM) * params.bn_mean
+                          + BN_MOMENTUM * mean[0])
+        params.bn_var = ((1.0 - BN_MOMENTUM) * params.bn_var
+                         + BN_MOMENTUM * var[0])
         sd = np.sqrt(var + BN_EPS)
     else:
         centered = v - params.bn_mean[None, :]
@@ -208,14 +206,14 @@ def batch_norm(values, params: BlockParams, training_mode: bool,
         if ag.is_tensor(values):
             g_normalized = g * gamma
             g_centered = g_normalized / sd
-            if training_mode:
+            if training:
                 g_sd = (-g_normalized * centered / (sd * sd)).sum(axis=0,
                                                                   keepdims=True)
                 g_var = g_sd * (0.5 / sd)
                 g_centered += g_var / count * (2.0 * centered)
                 g_mean = (-g_centered).sum(axis=0, keepdims=True)
             ag.accumulate(values, g_centered)
-            if training_mode:
+            if training:
                 ag.accumulate(values, np.broadcast_to(g_mean / count, v.shape))
         if ag.is_tensor(gamma_in):
             ag.accumulate(gamma_in, (g * normalized).sum(axis=0))
@@ -227,10 +225,10 @@ def batch_norm(values, params: BlockParams, training_mode: bool,
 
 
 def shconv_block(values, params: BlockParams, basis: HarmonicBasis,
-                 training_mode: bool = False, batch_stats_update: bool = False):
+                 training: bool = False):
     """Zonal convolution -> batch norm -> optional ReLU."""
     out = zonal_convolve(values, params.filt, basis)
-    out = batch_norm(out, params, training_mode, batch_stats_update)
+    out = batch_norm(out, params, training)
     if params.relu:
         out = ag.relu(out)
     return out

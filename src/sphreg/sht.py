@@ -154,14 +154,14 @@ def sht_inverse(coeffs: SpectralCoeffs, basis: HarmonicBasis) -> SphericalSignal
     return SphericalSignal(basis.mesh_level, values)
 
 
-def random_bandlimited(mesh_level: int, L: int, channels: int, rng,
-                       decay: float = 2.0) -> SphericalSignal:
-    """Random signal with content only below degree L and a 1/(1+l)^decay
-    spectrum; used by the synthetic-data generator and several tests."""
+def random_bandlimited(mesh_level: int, L: int, channels: int,
+                       rng) -> SphericalSignal:
+    """Random signal below degree L with a 1/(1+l)^2 amplitude spectrum;
+    used by the synthetic-data generator and several tests."""
     basis = build_basis(generate_icosphere(mesh_level), L)
     n = (L + 1) ** 2
     scales = np.empty(n)
     for l in range(L + 1):
-        scales[l * l:(l + 1) * (l + 1)] = (1.0 + l) ** (-decay)
+        scales[l * l:(l + 1) * (l + 1)] = (1.0 + l) ** (-2.0)
     coeffs = rng.normal(size=(n, channels)) * scales[:, None]
     return sht_inverse(SpectralCoeffs(L, coeffs), basis)

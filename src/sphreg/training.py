@@ -5,9 +5,11 @@ level ``control_coarse``) deforms the moving image first, then a fine stage
 (control level ``control_fine``) refines the result.  Training is
 unsupervised: similarity is measured at the finest scale only (cascaded
 mode) or per stage (independent mode, the ablation), plus control-grid
-smoothness regularization.  Deformation through the discrete label choice
-is relaxed to the probability-weighted mean of label positions; inference
-uses the hard argmax.
+smoothness regularization.  There are two run modes: training relaxes the
+discrete label choice to the probability-weighted mean of label positions
+and normalises with batch statistics, folding them into running buffers it
+never reads; inference decodes the hard argmax and normalises with those
+buffers.  Label grids and the CRF schedule come from the config alone.
 
 All parameters live in plain numpy arrays; during a training step they are
 wrapped as autodiff tensors, gradients accumulate over the batch, and an
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ag
 from . import fileio
-from .crf import CrfParams, crf_refine, init_crf_params
+from .crf import CrfParams, crf_refine, mean_edge_arc
 from .discrete_reg import (ControlGrid, DeformationProbabilities, UNetParams,
                            argmax_deformation, build_label_sets, init_unet,
                            predict_probabilities, soft_deformation, unet_forward)
@@ -50,7 +52,7 @@ class TrainConfig:
     label_hops: int = 1
     crf_iters: int = 5
     crf_weight: float = 0.5
-    crf_sigma: float = 0.0          # 0 means per-grid default (mean edge arc)
+    crf_sigma: float = 0.0          # 0: each stage's mean control edge arc
     lambda1: float = 0.05
     lambda2: float = 0.02
     learning_rate: float = 0.01
@@ -86,9 +88,13 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("regularization weights must be nonnegative")
+        if not 0 <= self.crf_iters <= 20:
+            raise ValueError(f"crf_iters must lie in [0, 20], got {self.crf_iters}")
+        if self.crf_weight < 0:
+            raise ValueError("crf_weight must be nonnegative")
         if self.crf_sigma < 0:
-            raise ValueError("crf_sigma must be nonnegative (0 means per-grid "
-                             "default)")
+            raise ValueError("crf_sigma must be nonnegative (0 means each "
+                             "stage's mean control edge arc)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -105,8 +111,8 @@ class TrainConfig:
 class ModelParams:
     coarse: UNetParams
     fine: UNetParams
-    crf_coarse: CrfParams
-    crf_fine: CrfParams
+    mu_coarse: object   # (N_l, N_l) CRF label compatibility, array or Tensor
+    mu_fine: object
 
 
 def build_grids(config: TrainConfig) -> tuple[ControlGrid, ControlGrid]:
@@ -124,24 +130,23 @@ def build_grids(config: TrainConfig) -> tuple[ControlGrid, ControlGrid]:
     if coarse.n_labels != fine.n_labels:
         raise ValueError(
             f"label counts differ across scales ({coarse.n_labels} vs "
-            f"{fine.n_labels}); use matching hop counts")
+            f"{fine.n_labels}): the coarse control points' {config.label_hops}"
+            "-hop neighbourhoods reach fewer label vertices; change "
+            "label_hops or control_coarse")
     return coarse, fine
 
 
-def init_model(config: TrainConfig, rng=None) -> ModelParams:
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    grid_coarse, grid_fine = build_grids(config)
-    n_l = grid_coarse.n_labels
-    sigma = config.crf_sigma if config.crf_sigma > 0 else None
+def init_model(config: TrainConfig) -> ModelParams:
+    """Seeded initial parameters; CRF mu starts at 1 - I."""
+    rng = np.random.default_rng(config.seed)
+    n_l = build_grids(config)[0].n_labels
     return ModelParams(
         coarse=init_unet(config.bandwidth, config.channels, n_l, config.heads,
                          rng, use_graph=config.use_graph_module),
         fine=init_unet(config.bandwidth, config.channels, n_l, config.heads,
                        rng, use_graph=config.use_graph_module),
-        crf_coarse=init_crf_params(grid_coarse, config.crf_iters, sigma,
-                                   config.crf_weight),
-        crf_fine=init_crf_params(grid_fine, config.crf_iters, sigma,
-                                 config.crf_weight),
+        mu_coarse=np.ones((n_l, n_l)) - np.eye(n_l),
+        mu_fine=np.ones((n_l, n_l)) - np.eye(n_l),
     )
 
 
@@ -168,8 +173,8 @@ def _leaf_specs(model: ModelParams, trainable_only: bool = True):
                 layer = getattr(net.graph, lname)
                 specs.append((f"{scale}.graph.{lname}.W", layer, "W"))
                 specs.append((f"{scale}.graph.{lname}.a", layer, "a"))
-    specs.append(("crf.coarse.mu", model.crf_coarse, "mu"))
-    specs.append(("crf.fine.mu", model.crf_fine, "mu"))
+    specs.append(("crf.coarse.mu", model, "mu_coarse"))
+    specs.append(("crf.fine.mu", model, "mu_fine"))
     return specs
 
 
@@ -311,21 +316,21 @@ class CascadeResult:
 
 
 def _stage(values_moving, values_fixed, net: UNetParams, grid: ControlGrid,
-           crf_params: CrfParams, config: TrainConfig, hard: bool,
-           training_mode: bool, batch_stats_update: bool, timings: dict):
+           mu, config: TrainConfig, training: bool, timings: dict):
     t0 = time.perf_counter()
     logits = unet_forward(values_moving, values_fixed, net, config.mesh_level,
-                          training_mode=training_mode,
-                          batch_stats_update=batch_stats_update)
+                          training)
     Q = predict_probabilities(logits, grid)
     t1 = time.perf_counter()
     if config.use_crf:
-        Q = crf_refine(Q, grid, crf_params)
+        sigma = config.crf_sigma if config.crf_sigma > 0 else mean_edge_arc(grid)
+        Q = crf_refine(Q, grid, CrfParams(config.crf_iters, mu, sigma,
+                                          config.crf_weight))
     t2 = time.perf_counter()
-    if hard:
-        control = argmax_deformation(Q, grid)
-    else:
+    if training:
         control = soft_deformation(Q, grid)
+    else:
+        control = argmax_deformation(Q, grid)
     dense = densify_targets(control, grid.control_level, config.mesh_level)
     t3 = time.perf_counter()
     mesh = generate_icosphere(config.mesh_level)
@@ -339,17 +344,16 @@ def _stage(values_moving, values_fixed, net: UNetParams, grid: ControlGrid,
 
 
 def forward_cascade(moving, fixed, model: ModelParams, config: TrainConfig,
-                    grids: tuple[ControlGrid, ControlGrid],
-                    hard: bool = False, training_mode: bool = False,
-                    batch_stats_update: bool = False) -> CascadeResult:
+                    training: bool = False) -> CascadeResult:
     """Run both stages.  ``moving``/``fixed`` are (N, 1) values (arrays or
-    tensors).  In independent mode the second stage sees the first stage's
-    output as a constant, so no gradient crosses the scale boundary."""
-    grid_coarse, grid_fine = grids
+    tensors).  ``training`` picks the mode (see the module docstring).  In
+    independent mode the second stage sees the first stage's output as a
+    constant, so no gradient crosses the scale boundary."""
+    grid_coarse, grid_fine = build_grids(config)
     timings: dict = {}
     warped1, ctrl1, dense1, q1 = _stage(
-        moving, fixed, model.coarse, grid_coarse, model.crf_coarse, config,
-        hard, training_mode, batch_stats_update, timings)
+        moving, fixed, model.coarse, grid_coarse, model.mu_coarse, config,
+        training, timings)
     if config.stages == 1:
         return CascadeResult(warped=warped1, warped_coarse=warped1,
                              control1=ctrl1, control2=None, dense1=dense1,
@@ -358,8 +362,8 @@ def forward_cascade(moving, fixed, model: ModelParams, config: TrainConfig,
     if config.cascade_mode == "independent":
         stage2_in = ag.value_of(warped1)
     warped2, ctrl2, dense2, q2 = _stage(
-        stage2_in, fixed, model.fine, grid_fine, model.crf_fine, config,
-        hard, training_mode, batch_stats_update, timings)
+        stage2_in, fixed, model.fine, grid_fine, model.mu_fine, config,
+        training, timings)
     return CascadeResult(warped=warped2, warped_coarse=warped1,
                          control1=ctrl1, control2=ctrl2, dense1=dense1,
                          dense2=dense2, Q1=q1, Q2=q2, timings=timings)
@@ -425,16 +429,14 @@ def _parameter_norms(model: ModelParams) -> dict[str, float]:
 
 def train(config: TrainConfig, dataset: list[SyntheticPair],
           val_dataset: list[SyntheticPair] | None = None,
-          log_path=None, checkpoint_path=None,
-          model: ModelParams | None = None):
-    """Adam training loop.  Returns (model, history); history rows carry
-    epoch, loss, loss_sim, loss_reg, cc_val.  The log CSV and the per-epoch
-    checkpoint are written when paths are given."""
+          log_path=None, checkpoint_path=None):
+    """Adam training loop from ``init_model(config)``.  Returns (model,
+    history); history rows carry epoch, loss, loss_sim, loss_reg, cc_val.
+    The log CSV and the per-epoch checkpoint are written when paths are
+    given."""
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    if model is None:
-        model = init_model(config)
-    grids = build_grids(config)
+    model = init_model(config)
     val_pairs = val_dataset if val_dataset else dataset[:min(8, len(dataset))]
 
     tensors = _wrap_parameters(model)
@@ -452,8 +454,7 @@ def train(config: TrainConfig, dataset: list[SyntheticPair],
                 for pair in batch:
                     result = forward_cascade(
                         pair.moving.values, pair.fixed.values, model, config,
-                        grids, hard=False, training_mode=True,
-                        batch_stats_update=True)
+                        training=True)
                     loss, sim, reg = total_loss(result, pair.fixed.values,
                                                 config)
                     loss_value = float(ag.value_of(loss))
@@ -475,9 +476,6 @@ def train(config: TrainConfig, dataset: list[SyntheticPair],
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, config, model)
             tensors = _wrap_parameters(model)
-            optimizer_tensors_ok = set(tensors) == set(optimizer.m)
-            if not optimizer_tensors_ok:
-                raise RuntimeError("parameter set changed during training")
 
             history.append({"epoch": epoch, "loss": epoch_loss,
                             "loss_sim": epoch_sim, "loss_reg": epoch_reg,
@@ -497,28 +495,24 @@ def train(config: TrainConfig, dataset: list[SyntheticPair],
 
 def evaluate_cc(model: ModelParams, config: TrainConfig,
                 pairs: list[SyntheticPair]) -> float:
-    """Mean held-out Pearson CC of registered pairs (hard inference path)."""
-    grids = build_grids(config)
+    """Mean held-out Pearson CC of registered pairs (inference mode)."""
     scores = []
     for pair in pairs:
         result = forward_cascade(pair.moving.values, pair.fixed.values, model,
-                                 config, grids, hard=True)
+                                 config)
         scores.append(float(ag.value_of(
             pearson_cc(pair.fixed.values, ag.value_of(result.warped)))))
     return float(np.mean(scores))
 
 
 def register_pair(model: ModelParams, config: TrainConfig,
-                  moving: SphericalSignal, fixed: SphericalSignal,
-                  hard: bool = True):
+                  moving: SphericalSignal, fixed: SphericalSignal):
     """Inference: returns (field, warped signal, result) where ``field`` is
     the composed full-resolution deformation."""
     if moving.level != config.mesh_level or fixed.level != config.mesh_level:
         raise ValueError(
             f"signals must be at mesh level {config.mesh_level}")
-    grids = build_grids(config)
-    result = forward_cascade(moving.values, fixed.values, model, config,
-                             grids, hard=hard)
+    result = forward_cascade(moving.values, fixed.values, model, config)
     field = composed_field(result, config)
     warped = SphericalSignal(config.mesh_level, ag.value_of(result.warped))
     return field, warped, result
@@ -529,21 +523,22 @@ def register_pair(model: ModelParams, config: TrainConfig,
 # ---------------------------------------------------------------------------
 
 _FAMILIES = ("h", "alpha", "bn_gamma", "bn_beta", "W", "a", "mu")
+_SAMPLES_PER_FAMILY = 9
+_FD_STEP = 1e-5
 
 
-def gradient_check(config: TrainConfig, pair: SyntheticPair, rng=None,
-                   per_family: int = 9, step: float = 1e-5) -> float:
+def gradient_check(config: TrainConfig, pair: SyntheticPair,
+                   rng=None) -> float:
     """Max relative error between reverse-mode and central finite-difference
     gradients of the total loss, sampling coordinates from every parameter
-    family.  Relative error uses max(|fd|, |grad|, 1e-6) as denominator."""
+    family.  Relative error uses max(|fd|, |grad|, 1e-6) as denominator.
+    The forwards update this private model's buffers, which they never read."""
     rng = np.random.default_rng(0) if rng is None else rng
     model = init_model(config)
-    grids = build_grids(config)
 
     def run_loss():
         result = forward_cascade(pair.moving.values, pair.fixed.values, model,
-                                 config, grids, hard=False,
-                                 training_mode=True, batch_stats_update=False)
+                                 config, training=True)
         loss, _, _ = total_loss(result, pair.fixed.values, config)
         return loss
 
@@ -561,18 +556,18 @@ def gradient_check(config: TrainConfig, pair: SyntheticPair, rng=None,
                    if attr == family or name.endswith(f".{family}")]
         if not members:
             continue
-        for _ in range(per_family):
+        for _ in range(_SAMPLES_PER_FAMILY):
             name, owner, attr = members[rng.integers(len(members))]
             base = getattr(owner, attr)
             flat_index = int(rng.integers(base.size))
             idx = np.unravel_index(flat_index, base.shape)
             original = base[idx]
-            base[idx] = original + step
+            base[idx] = original + _FD_STEP
             f_plus = float(ag.value_of(run_loss()))
-            base[idx] = original - step
+            base[idx] = original - _FD_STEP
             f_minus = float(ag.value_of(run_loss()))
             base[idx] = original
-            fd = (f_plus - f_minus) / (2 * step)
+            fd = (f_plus - f_minus) / (2 * _FD_STEP)
             analytic = grads[name][idx]
             rel = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-6)
             worst = max(worst, rel)
@@ -641,16 +636,15 @@ def _axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 def align_search(moving: SphericalSignal, fixed: SphericalSignal,
-                 n_axes: int = 32, n_angles: int = 16,
-                 search_level: int = 2):
+                 n_axes: int = 32, n_angles: int = 16):
     """Coarse SO(3) grid search for the rotation field maximizing Pearson CC.
 
     Rotations are sampled as golden-spiral axes times uniformly spaced
-    angles; CC is scored at ``search_level`` resolution.  Returns
-    (field at the input level, best cc)."""
+    angles; CC is scored at mesh level 2 (or the input's, if coarser).
+    Returns (field at the input level, best cc)."""
     if moving.level != fixed.level:
         raise ValueError("signals must share a mesh level")
-    level = min(search_level, moving.level)
+    level = min(2, moving.level)
     coarse_mesh = generate_icosphere(level)
     n_coarse = coarse_mesh.n_vertices
     m_coarse = SphericalSignal(level, moving.values[:n_coarse].copy())

@@ -43,6 +43,9 @@ from .icosphere import (Icosphere, SphericalSignal, barycentric_resample,
 # both faces, and an exact test would step back and forth between them
 _WALK_TOLERANCE = 1e-12
 
+# largest |norm - 1| of a field target, in memory and on disk alike
+UNIT_TOLERANCE = 1e-9
+
 _densify_weights_cache: dict[tuple[int, int],
                              tuple[ag.ScatterPlan, np.ndarray]] = {}
 
@@ -64,7 +67,7 @@ class DeformationField:
         if not np.all(np.isfinite(self.targets)):
             raise ValueError("field targets must be finite")
         norms = np.linalg.norm(self.targets, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if np.any(np.abs(norms - 1.0) > UNIT_TOLERANCE):
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(
                 f"field target {bad} has norm {norms[bad]:.12f}, expected unit")

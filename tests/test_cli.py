@@ -118,6 +118,32 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert "format error" in err and "byte 0" in err
 
 
+def write_level2_field(path, scale_target5: float) -> None:
+    """A level-2 identity field whose target 5 is scaled off unit length."""
+    targets = generate_icosphere(2).vertices.copy()
+    targets[5] *= scale_target5
+    with open(path, "wb") as f:
+        f.write(b"SPHD" + struct.pack("<II", 1, 2))
+        f.write(targets.astype("<f8").tobytes())
+
+
+def test_eval_field_off_unit_length_is_a_format_error(tmp_path, capsys):
+    # the reader and DeformationField share one tolerance, so a target
+    # that the reader used to pass but the field rejected exits 3 at its
+    # byte offset (12-byte header + 24 bytes per target), not 2
+    data = make_dataset(tmp_path, n_pairs=1)
+    field = tmp_path / "off.sphd"
+    write_level2_field(field, 1.0 + 1e-7)
+    code = run(["eval", "--field", field,
+                "--moving", data / "pair_0000.moving.sphs",
+                "--fixed", data / "pair_0000.fixed.sphs"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and "byte 132" in err
+    write_level2_field(field, 1.0 + 1e-10)
+    assert fileio.read_field(field).targets.shape == (162, 3)
+
+
 # ---------------------------------------------------------------------------
 # configuration precedence
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import sphreg.autodiff as ag
-from sphreg.crf import (CrfParams, crf_energy, crf_refine, init_crf_params,
-                        mean_edge_arc)
+from sphreg.crf import CrfParams, crf_energy, crf_refine, mean_edge_arc
 from sphreg.discrete_reg import (ControlGrid, DeformationProbabilities,
                                  build_label_sets)
 
@@ -208,7 +207,9 @@ def test_refinement_equivariant_under_ring_rotation():
 
 def test_refinement_on_real_control_grid():
     grid = build_label_sets(1, 3, hops=1)
-    params = init_crf_params(grid, iterations=5, weight=0.5)
+    n_l = grid.n_labels
+    params = CrfParams(iterations=5, mu=np.ones((n_l, n_l)) - np.eye(n_l),
+                       sigma=mean_edge_arc(grid), weight=0.5)
     Q = random_q(grid.n_controls, grid.n_labels, seed=9)
     refined = crf_refine(Q, grid, params)
     assert refined.value.shape == Q.value.shape
@@ -256,15 +257,6 @@ def test_param_validation():
         CrfParams(iterations=5, mu=mu, sigma=0.5, weight=-0.1)
     with pytest.raises(ValueError, match="square"):
         CrfParams(iterations=5, mu=np.zeros((3, 4)), sigma=0.5, weight=1.0)
-
-
-def test_default_params_from_grid():
-    grid = build_label_sets(1, 3, hops=1)
-    params = init_crf_params(grid)
-    n_l = grid.n_labels
-    np.testing.assert_array_equal(params.mu, np.ones((n_l, n_l)) - np.eye(n_l))
-    assert params.sigma == pytest.approx(mean_edge_arc(grid))
-    assert params.iterations == 5
 
 
 def test_mu_shape_mismatch_rejected():

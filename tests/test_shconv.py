@@ -124,15 +124,13 @@ def test_batch_norm_training_stats_and_running_update():
     rng = np.random.default_rng(7)
     params = init_block(3, 2, 4, rng)
     values = rng.standard_normal((100, 3)) * 2.0 + 1.5
-    out = ag.value_of(batch_norm(values, params, training_mode=True,
-                                 batch_stats_update=True))
+    out = ag.value_of(batch_norm(values, params, training=True))
     assert np.abs(out.mean(axis=0)).max() < 1e-9
     assert np.abs(out.std(axis=0) - 1.0).max() < 1e-3
     # one momentum-0.1 update pulls the buffers toward the batch stats
     np.testing.assert_allclose(params.bn_mean, 0.1 * values.mean(axis=0),
                                atol=1e-12)
-    inference = ag.value_of(batch_norm(values, params, training_mode=False,
-                                       batch_stats_update=False))
+    inference = ag.value_of(batch_norm(values, params, training=False))
     assert inference.shape == values.shape
 
 
@@ -142,11 +140,11 @@ def test_block_relu_clamps_and_block_shapes():
     rng = np.random.default_rng(8)
     params = init_block(4, 2, 6, rng)
     values = rng.standard_normal((mesh.n_vertices, 2))
-    out = ag.value_of(shconv_block(values, params, basis, training_mode=True))
+    out = ag.value_of(shconv_block(values, params, basis, training=True))
     assert out.shape == (mesh.n_vertices, 4)
     assert out.min() >= 0.0
     no_relu = init_block(4, 2, 6, rng, relu=False)
-    out2 = ag.value_of(shconv_block(values, no_relu, basis, training_mode=True))
+    out2 = ag.value_of(shconv_block(values, no_relu, basis, training=True))
     assert out2.min() < 0.0
 
 
@@ -158,7 +156,7 @@ def test_gradients_flow_through_block():
     filt_h = ag.Tensor(ag.value_of(params.filt.h).copy())
     params.filt.h = filt_h
     values = rng.standard_normal((42, 1))
-    out = shconv_block(values, params, basis, training_mode=True)
+    out = shconv_block(values, params, basis, training=True)
     ag.reduce_sum(ag.square(out)).backward()
     assert filt_h.grad is not None
     assert np.isfinite(filt_h.grad).all()
@@ -197,15 +195,14 @@ def composite_zonal_convolve(values, filt, basis):
     return ag.add(spectral, residual)
 
 
-def composite_batch_norm(values, params, training_mode, batch_stats_update):
+def composite_batch_norm(values, params, training):
     """Batch norm as elementary autodiff ops (thirteen in training mode)."""
-    if training_mode:
+    if training:
         mean = ag.reduce_mean(values, axis=0, keepdims=True)
         centered = ag.sub(values, mean)
         var = ag.reduce_mean(ag.square(centered), axis=0, keepdims=True)
-        if batch_stats_update:
-            params.bn_mean = 0.9 * params.bn_mean + 0.1 * ag.value_of(mean)[0]
-            params.bn_var = 0.9 * params.bn_var + 0.1 * ag.value_of(var)[0]
+        params.bn_mean = 0.9 * params.bn_mean + 0.1 * ag.value_of(mean)[0]
+        params.bn_var = 0.9 * params.bn_var + 0.1 * ag.value_of(var)[0]
         normalized = ag.div(centered, ag.sqrt(ag.add(var, 1e-5)))
     else:
         normalized = ag.div(ag.sub(values, params.bn_mean[None, :]),
@@ -215,9 +212,9 @@ def composite_batch_norm(values, params, training_mode, batch_stats_update):
     return ag.add(ag.mul(normalized, gamma), beta)
 
 
-def composite_block(values, params, basis, training_mode, batch_stats_update):
+def composite_block(values, params, basis, training):
     out = composite_zonal_convolve(values, params.filt, basis)
-    out = composite_batch_norm(out, params, training_mode, batch_stats_update)
+    out = composite_batch_norm(out, params, training)
     return ag.relu(out) if params.relu else out
 
 
@@ -261,10 +258,10 @@ def test_fused_block_is_bitwise_the_composite(shape):
         inputs = ag.Tensor(x.copy())
         outs = []
         for _ in range(2):          # two backward passes into the same leaves
-            out = block(inputs, twin, basis, True, True)
+            out = block(inputs, twin, basis, True)
             ag.reduce_sum(ag.mul(out, weights)).backward()
             outs.append(out.value.tobytes())
-        inference = ag.value_of(block(x, twin, basis, False, False))
+        inference = ag.value_of(block(x, twin, basis, False))
         grads = {k: t.grad.tobytes() for k, t in leaves.items()}
         runs[name] = (outs, twin.bn_mean.tobytes(), twin.bn_var.tobytes(),
                       inputs.grad.tobytes(), grads, inference.tobytes())
@@ -283,6 +280,5 @@ def test_taped_block_records_three_nodes(tape_counter):
     params, _ = _tensor_copy(init_block(4, 2, 8, np.random.default_rng(5)))
     values = ag.Tensor(np.random.default_rng(6).standard_normal((mesh.n_vertices, 2)))
     tape_counter["nodes"] = 0
-    shconv_block(values, params, basis, training_mode=True,
-                 batch_stats_update=True)
+    shconv_block(values, params, basis, training=True)
     assert tape_counter["nodes"] <= 3

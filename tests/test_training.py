@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sphreg import autodiff as ag
+from sphreg.crf import mean_edge_arc
 from sphreg.icosphere import SphericalSignal, generate_icosphere
 from sphreg.metrics import distortion_report, pearson_cc
 from sphreg.training import (ModelParams, TrainConfig, align_search,
@@ -113,6 +114,25 @@ def test_config_validation():
         TrainConfig(crf_sigma=-0.1)
 
 
+def test_config_rejects_bad_crf_schedule():
+    # the config is the schedule's only owner, so it validates it even
+    # when use_crf is off and no CrfParams is ever built
+    with pytest.raises(ValueError, match="crf_iters"):
+        TrainConfig(crf_iters=21)
+    with pytest.raises(ValueError, match="crf_iters"):
+        TrainConfig(crf_iters=-1, use_crf=False)
+    with pytest.raises(ValueError, match="crf_weight"):
+        TrainConfig(crf_weight=-0.1)
+
+
+@pytest.mark.parametrize("overrides", [dict(control_coarse=0),
+                                       dict(label_hops=5)],
+                         ids=["control_coarse0", "label_hops5"])
+def test_unequal_label_counts_name_the_fields_to_change(overrides):
+    with pytest.raises(ValueError, match="label_hops|control_coarse"):
+        build_grids(TrainConfig(**overrides))
+
+
 def test_config_json_roundtrip():
     cfg = tiny_config(lambda1=0.125, use_graph_module=False)
     clone = TrainConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
@@ -148,13 +168,12 @@ def test_identity_init_is_near_loss_minimum():
     # at identity initialization are small but not zero
     cfg = tiny_config(use_crf=False)
     pair = synth_dataset(1, cfg, seed=3)[0]
-    grids = build_grids(cfg)
 
     def loss_at(moving_values):
         model = init_model(cfg)
         zero_head(model)
         result = forward_cascade(moving_values, pair.fixed.values, model,
-                                 cfg, grids, hard=False, training_mode=True)
+                                 cfg, training=True)
         return float(ag.value_of(total_loss(result, pair.fixed.values,
                                             cfg)[0]))
 
@@ -172,9 +191,8 @@ def test_forward_cascade_matches_composed_field():
     cfg = TrainConfig()
     pair = synth_dataset(1, cfg, seed=9)[0]
     model = init_model(cfg)
-    grids = build_grids(cfg)
     result = forward_cascade(pair.moving.values, pair.fixed.values, model,
-                             cfg, grids, hard=True)
+                             cfg)
     field = composed_field(result, cfg)
 
     from sphreg.warp import DeformationField, compose, densify_targets
@@ -197,7 +215,7 @@ def test_single_stage_runs_coarse_only():
     pair = synth_dataset(1, cfg, seed=13)[0]
     model = init_model(cfg)
     result = forward_cascade(pair.moving.values, pair.fixed.values, model,
-                             cfg, build_grids(cfg), hard=True)
+                             cfg)
     assert result.control2 is None
     assert result.Q2 is None
     np.testing.assert_array_equal(ag.value_of(result.warped),
@@ -207,13 +225,12 @@ def test_single_stage_runs_coarse_only():
 def test_loss_invariant_to_common_signal_shift():
     cfg = tiny_config(use_crf=True)
     pair = synth_dataset(1, cfg, seed=15)[0]
-    grids = build_grids(cfg)
 
     def loss_with_offset(c: float) -> float:
         model = init_model(cfg)
         result = forward_cascade(pair.moving.values + c,
-                                 pair.fixed.values + c, model, cfg, grids,
-                                 hard=False, training_mode=True)
+                                 pair.fixed.values + c, model, cfg,
+                                 training=True)
         return float(ag.value_of(total_loss(result, pair.fixed.values + c,
                                             cfg)[0]))
 
@@ -225,8 +242,7 @@ def test_lambda_zero_makes_loss_pure_similarity():
     pair = synth_dataset(1, cfg, seed=17)[0]
     model = init_model(cfg)
     result = forward_cascade(pair.moving.values, pair.fixed.values, model,
-                             cfg, build_grids(cfg), hard=False,
-                             training_mode=True)
+                             cfg, training=True)
     loss, sim, reg = total_loss(result, pair.fixed.values, cfg)
     assert float(ag.value_of(reg)) == 0.0
     assert float(ag.value_of(loss)) == float(ag.value_of(sim))
@@ -242,13 +258,51 @@ def test_soft_matches_hard_when_probabilities_are_one_hot():
         net.head.filt.alpha[...] = 0.0
         net.head.bn_beta[...] = 0.0
         net.head.bn_beta[0] = 60.0
-    grids = build_grids(cfg)
+    # inference first: the training forward moves the running buffers
+    hard = forward_cascade(pair.moving.values, pair.fixed.values, model, cfg)
     soft = forward_cascade(pair.moving.values, pair.fixed.values, model, cfg,
-                           grids, hard=False)
-    hard = forward_cascade(pair.moving.values, pair.fixed.values, model, cfg,
-                           grids, hard=True)
+                           training=True)
     np.testing.assert_allclose(ag.value_of(soft.control1),
                                ag.value_of(hard.control1), atol=1e-12)
+
+
+def test_training_mode_never_reads_running_buffers():
+    # every training-mode forward may update the buffers because none reads
+    # them: the second call runs on buffers the first one moved
+    cfg = tiny_config()
+    pair = synth_dataset(1, cfg, seed=29)[0]
+    model = init_model(cfg)
+    start = model.coarse.enc1.bn_mean.copy()
+    first = forward_cascade(pair.moving.values, pair.fixed.values, model, cfg,
+                            training=True)
+    moved = model.coarse.enc1.bn_mean.copy()
+    second = forward_cascade(pair.moving.values, pair.fixed.values, model,
+                             cfg, training=True)
+    assert not np.array_equal(moved, start)
+    assert not np.array_equal(model.coarse.enc1.bn_mean, moved)
+    assert (ag.value_of(first.warped).tobytes()
+            == ag.value_of(second.warped).tobytes())
+
+
+def test_crf_schedule_defaults_from_grid():
+    # mu starts at 1 - I, and crf_sigma = 0 means the stage's mean control
+    # edge arc (one stage, so one grid decides it)
+    cfg = tiny_config(stages=1)
+    grid = build_grids(cfg)[0]
+    model = init_model(cfg)
+    n_l = grid.n_labels
+    for mu in (model.mu_coarse, model.mu_fine):
+        np.testing.assert_array_equal(mu, np.ones((n_l, n_l)) - np.eye(n_l))
+    pair = synth_dataset(1, cfg, seed=31)[0]
+
+    def refined(sigma: float) -> bytes:
+        config = dataclasses.replace(cfg, crf_sigma=sigma)
+        result = forward_cascade(pair.moving.values, pair.fixed.values, model,
+                                 config)
+        return result.Q1.value.tobytes()
+
+    assert refined(0.0) == refined(mean_edge_arc(grid))
+    assert refined(0.0) != refined(0.5 * mean_edge_arc(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +418,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     for name in saved:
         np.testing.assert_array_equal(saved[name], restored[name])
 
-    grids = build_grids(cfg)
-    a = forward_cascade(pair.moving.values, pair.fixed.values, model, cfg,
-                        grids, hard=True)
-    b = forward_cascade(pair.moving.values, pair.fixed.values, loaded, cfg,
-                        grids, hard=True)
+    a = forward_cascade(pair.moving.values, pair.fixed.values, model, cfg)
+    b = forward_cascade(pair.moving.values, pair.fixed.values, loaded, cfg)
     np.testing.assert_array_equal(ag.value_of(a.warped),
                                   ag.value_of(b.warped))
 
@@ -412,13 +463,11 @@ def test_training_cascade_tape_size(tape_counter):
     config = TrainConfig()
     pair = synth_dataset(1, config, 0)[0]
     model = init_model(config)
-    grids = build_grids(config)
     _wrap_parameters(model)
     try:
         tape_counter["nodes"] = 0
         forward_cascade(pair.moving.values, pair.fixed.values, model, config,
-                        grids, hard=False, training_mode=True,
-                        batch_stats_update=True)
+                        training=True)
     finally:
         _unwrap_parameters(model)
     assert tape_counter["nodes"] <= 300
