@@ -395,7 +395,8 @@ class ScatterPlan:
         the result has one leading axis of length ``n_targets`` in their
         place and is C-contiguous."""
         k = self.indices.ndim
-        entries = values.reshape((-1,) + values.shape[k:])[self.table]
+        entries = np.take(values.reshape((-1,) + values.shape[k:]), self.table,
+                          axis=0)
         entries[self.pads] = 0.0
         # one in-place add per slot: a sum over the slot axis would add
         # pairwise when each slot holds a single number
@@ -461,7 +462,7 @@ def take_rows(x, plan: ScatterPlan):
     def backward(g):
         accumulate(x, plan.scatter(g))
 
-    return record(v[plan.indices], (x,), backward)
+    return record(np.take(v, plan.indices, axis=0), (x,), backward)
 
 
 def slice_rows(x, start, stop):
@@ -481,7 +482,7 @@ def segment_sum(x, plan: ScatterPlan):
     out = plan.scatter(value_of(x))
 
     def backward(g):
-        accumulate(x, g[plan.indices])
+        accumulate(x, np.take(g, plan.indices, axis=0))
 
     return record(out, (x,), backward)
 

@@ -50,15 +50,6 @@ def mean_edge_arc(grid: ControlGrid) -> float:
     return float(np.mean(np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))))
 
 
-def _kernel_stack(grid: ControlGrid, sigma: float) -> np.ndarray:
-    """K[e, l, l'] = exp(-arc(pos_dst(l), pos_src(l'))^2 / (2 sigma^2))."""
-    pos_dst = grid.label_positions[grid.edges[:, 0]]    # (E, N_l, 3)
-    pos_src = grid.label_positions[grid.edges[:, 1]]
-    cos = np.einsum("elx,emx->elm", pos_dst, pos_src)
-    arc = np.arccos(np.clip(cos, -1.0, 1.0))
-    return np.exp(-(arc ** 2) / (2.0 * sigma * sigma))
-
-
 def _check_shapes(Q: DeformationProbabilities, grid: ControlGrid,
                   params: CrfParams) -> None:
     q = Q.value
@@ -111,7 +102,7 @@ def crf_refine(Q: DeformationProbabilities, grid: ControlGrid,
     _check_shapes(Q, grid, params)
     if params.iterations == 0 or params.weight == 0 or len(grid.edges) == 0:
         return Q
-    kernel = _kernel_stack(grid, params.sigma)
+    kernel = grid.kernel_stack(params.sigma)
     coupled = ag.mul(kernel, params.mu)                 # (E, N_l, N_l)
     dst, src = grid.edge_plans
     anchor = ag.log(ag.add(Q.Q, UNARY_FLOOR))

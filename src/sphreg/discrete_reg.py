@@ -34,7 +34,9 @@ class ControlGrid:
     is always the control point's own position (the identity move).
     ``edges`` holds directed one-ring pairs (dst, src) of the control mesh;
     ``edge_plans`` are the frozen scatter plans of its two columns onto the
-    controls, built on first use.
+    controls, built on first use.  ``kernel_stack(sigma)`` is the CRF's
+    frozen Gaussian kernel over those edges, built on first use per sigma.
+    Both assume ``edges`` and ``label_positions`` do not change.
     """
 
     control_level: int
@@ -45,6 +47,8 @@ class ControlGrid:
     edges: np.ndarray             # (E, 2) directed (dst, src)
     _edge_plans: tuple[ag.ScatterPlan, ag.ScatterPlan] | None = field(
         default=None, init=False, repr=False, compare=False)
+    _kernels: dict[float, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.label_level <= self.control_level:
@@ -88,6 +92,19 @@ class ControlGrid:
             self._edge_plans = tuple(
                 ag.ScatterPlan(self.edges[:, k], self.n_controls) for k in (0, 1))
         return self._edge_plans
+
+    def kernel_stack(self, sigma: float) -> np.ndarray:
+        """K[e, l, l'] = exp(-arc(pos_dst(l), pos_src(l'))^2 / (2 sigma^2))."""
+        kernel = self._kernels.get(sigma)
+        if kernel is None:
+            pos_dst = self.label_positions[self.edges[:, 0]]    # (E, N_l, 3)
+            pos_src = self.label_positions[self.edges[:, 1]]
+            cos = np.einsum("elx,emx->elm", pos_dst, pos_src)
+            arc = np.arccos(np.clip(cos, -1.0, 1.0))
+            kernel = np.exp(-(arc ** 2) / (2.0 * sigma * sigma))
+            kernel.setflags(write=False)
+            self._kernels[sigma] = kernel
+        return kernel
 
 
 _label_set_cache: dict[tuple[int, int, int], ControlGrid] = {}

@@ -308,19 +308,24 @@ def locate_faces(mesh: Icosphere, targets: np.ndarray):
         raise ValueError(
             f"locate_faces: target {worst} has norm {norms[worst]:.9f}, expected unit")
 
+    # tables are gathered by np.take, which copies the same bytes as fancy
+    # indexing several times faster
     rows = np.arange(targets.shape[0])
     base = generate_icosphere(0).corner_inverse.reshape(-1, 3)
     leaf = _max_min_coordinate((targets @ base.T).reshape(-1, 20, 3))
     for level in range(1, mesh.level + 1):
-        side = np.einsum("tcx,tx->ct",
-                         generate_icosphere(level).split_normals[leaf], targets)
-        leaf = 4 * leaf + np.select(side > 0, [0, 1, 2], 3)
+        normals = np.take(generate_icosphere(level).split_normals, leaf, axis=0)
+        side = np.einsum("tcx,tx->ct", normals, targets) > 0
+        # the first corner child whose side holds the target, else the centre
+        leaf = 4 * leaf + np.where(side[0], 0, np.where(side[1], 1,
+                                                        np.where(side[2], 2, 3)))
 
-    corners = mesh.faces[leaf]                                # (T, 3)
-    dots = np.einsum("tkx,tx->tk", mesh.vertices[corners], targets)
+    corners = np.take(mesh.faces, leaf, axis=0)               # (T, 3)
+    dots = np.einsum("tkx,tx->tk", np.take(mesh.vertices, corners, axis=0),
+                     targets)
     seeds = corners[rows, np.argmax(dots, axis=1)]
-    candidates = mesh.incident_faces[seeds]                   # (T, 6)
-    inv = mesh.corner_inverse[candidates]                     # (T, 6, 3, 3)
+    candidates = np.take(mesh.incident_faces, seeds, axis=0)  # (T, 6)
+    inv = np.take(mesh.corner_inverse, candidates, axis=0)    # (T, 6, 3, 3)
     lam = np.einsum("tkij,tj->tki", inv, targets)             # (T, 6, 3)
     best = _max_min_coordinate(lam)
     return candidates[rows, best], lam[rows, best]
@@ -352,11 +357,12 @@ def barycentric_resample(values: np.ndarray, mesh: Icosphere,
             f"{mesh.n_vertices} vertices")
 
     face_idx, weights = barycentric_weights(mesh, targets)
-    corners = mesh.faces[face_idx]                            # (T, 3)
+    corners = np.take(mesh.faces, face_idx, axis=0)           # (T, 3)
     nearest = corners[np.arange(targets.shape[0]), np.argmax(weights, axis=1)]
-    snapped = np.sum(targets * mesh.vertices[nearest], axis=1) >= _SNAP_DOT
-    out = np.einsum("tk,tkc->tc", weights, values[corners])
-    out[snapped] = values[nearest[snapped]]
+    snapped = (np.sum(targets * np.take(mesh.vertices, nearest, axis=0), axis=1)
+               >= _SNAP_DOT)
+    out = np.einsum("tk,tkc->tc", weights, np.take(values, corners, axis=0))
+    out[snapped] = np.take(values, nearest[snapped], axis=0)
     return out
 
 

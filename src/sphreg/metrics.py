@@ -42,7 +42,10 @@ def pearson_cc(a, b) -> float:
     if ag.value_of(av).shape != ag.value_of(bv).shape:
         raise ValueError("signals must share shape")
     for name, v in (("first", av), ("second", bv)):
-        if np.std(ag.value_of(v)) == 0:
+        # exact: the std of a constant whose value is not representable,
+        # such as 0.1, reads a rounding error instead of zero
+        value = ag.value_of(v)
+        if value.min() == value.max():
             raise ValueError(
                 f"Pearson correlation undefined: {name} signal has zero variance")
     ca = ag.sub(av, ag.reduce_mean(av))

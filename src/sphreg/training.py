@@ -32,11 +32,12 @@ from .discrete_reg import (ControlGrid, DeformationProbabilities, UNetParams,
                            argmax_deformation, build_label_sets, init_unet,
                            predict_probabilities, soft_deformation, unet_forward)
 from .errors import FormatError, NumericError
-from .icosphere import SphericalSignal, generate_icosphere, vertex_count
+from .icosphere import (SphericalSignal, barycentric_resample,
+                        generate_icosphere, vertex_count)
 from .metrics import loss_reg, loss_sim, pearson_cc
 from .sht import random_bandlimited
-from .warp import (DeformationField, compose, densify_targets, warp_signal,
-                   warp_values)
+from .warp import (DeformationField, check_unit_targets, compose,
+                   densify_targets, warp_signal, warp_values)
 
 CASCADE_MODES = ("cascaded", "independent")
 
@@ -640,26 +641,35 @@ def align_search(moving: SphericalSignal, fixed: SphericalSignal,
     """Coarse SO(3) grid search for the rotation field maximizing Pearson CC.
 
     Rotations are sampled as golden-spiral axes times uniformly spaced
-    angles; CC is scored at mesh level 2 (or the input's, if coarser).
+    angles; CC is scored at mesh level 2 (or the input's, if coarser), and
+    the first rotation with the largest CC wins.  The candidates of one
+    axis are located and resampled in one batch: point location works row
+    by row, so each candidate's values are those it would get alone, and
+    one batch per axis keeps the locator's tables small.
     Returns (field at the input level, best cc)."""
     if moving.level != fixed.level:
         raise ValueError("signals must share a mesh level")
     level = min(2, moving.level)
     coarse_mesh = generate_icosphere(level)
     n_coarse = coarse_mesh.n_vertices
-    m_coarse = SphericalSignal(level, moving.values[:n_coarse].copy())
+    m_coarse = moving.values[:n_coarse]
     f_coarse = fixed.values[:n_coarse]
 
     mesh = generate_icosphere(moving.level)
+    angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
     best_cc = -np.inf
     best_rotation = np.eye(3)
     for axis in _golden_spiral_axes(n_axes):
-        for angle in np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False):
-            rotation = _axis_angle_matrix(axis, angle)
-            targets = coarse_mesh.vertices @ rotation.T
-            targets /= np.linalg.norm(targets, axis=1, keepdims=True)
-            warped = warp_signal(m_coarse, DeformationField(level, targets))
-            cc = float(ag.value_of(pearson_cc(f_coarse, warped.values)))
+        rotations = [_axis_angle_matrix(axis, angle) for angle in angles]
+        targets = np.concatenate([coarse_mesh.vertices @ rotation.T
+                                  for rotation in rotations])
+        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+        check_unit_targets(targets)
+        warped = barycentric_resample(m_coarse, coarse_mesh, targets)
+        if not np.all(np.isfinite(warped)):
+            raise ValueError("warped values must be finite")
+        for rotation, values in zip(rotations, np.split(warped, n_angles)):
+            cc = float(ag.value_of(pearson_cc(f_coarse, values)))
             if cc > best_cc:
                 best_cc = cc
                 best_rotation = rotation

@@ -64,13 +64,19 @@ class DeformationField:
             raise ValueError(
                 f"field at level {self.mesh_level} needs shape ({expected}, 3), "
                 f"got {self.targets.shape}")
-        if not np.all(np.isfinite(self.targets)):
-            raise ValueError("field targets must be finite")
-        norms = np.linalg.norm(self.targets, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_TOLERANCE):
-            bad = int(np.argmax(np.abs(norms - 1.0)))
-            raise ValueError(
-                f"field target {bad} has norm {norms[bad]:.12f}, expected unit")
+        check_unit_targets(self.targets)
+
+
+def check_unit_targets(targets: np.ndarray) -> None:
+    """Raise ValueError unless every (x, y, z) row of ``targets`` is finite
+    and of unit length within ``UNIT_TOLERANCE``."""
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("field targets must be finite")
+    norms = np.linalg.norm(targets, axis=1)
+    if np.any(np.abs(norms - 1.0) > UNIT_TOLERANCE):
+        bad = int(np.argmax(np.abs(norms - 1.0)))
+        raise ValueError(
+            f"field target {bad} has norm {norms[bad]:.12f}, expected unit")
 
 
 def identity_field(mesh_level: int) -> DeformationField:

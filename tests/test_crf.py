@@ -216,6 +216,26 @@ def test_refinement_on_real_control_grid():
     assert np.max(np.abs(refined.value.sum(axis=1) - 1.0)) < 1e-9
 
 
+def test_kernel_stack_built_once_per_grid_and_sigma(monkeypatch):
+    grid = ring_grid(5)
+    params = CrfParams(iterations=2, mu=np.ones((3, 3)) - np.eye(3),
+                       sigma=0.4, weight=1.0)
+    arccos, builds = np.arccos, []
+    monkeypatch.setattr(np, "arccos", lambda x: builds.append(1) or arccos(x))
+    crf_refine(random_q(5, 3, seed=12), grid, params)
+    kernel = grid.kernel_stack(0.4)
+    crf_refine(random_q(5, 3, seed=13), grid, params)
+    assert len(builds) == 1
+    assert grid.kernel_stack(0.4) is kernel
+    assert not kernel.flags.writeable
+
+    pos_dst = grid.label_positions[grid.edges[:, 0]]
+    pos_src = grid.label_positions[grid.edges[:, 1]]
+    cos = np.einsum("elx,emx->elm", pos_dst, pos_src)
+    arc = arccos(np.clip(cos, -1.0, 1.0))
+    np.testing.assert_array_equal(kernel, np.exp(-(arc ** 2) / (2.0 * 0.4 * 0.4)))
+
+
 def test_mu_gradient_flows_through_refinement():
     grid = ring_grid(4)
     Q = random_q(4, 3, seed=10)

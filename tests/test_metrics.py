@@ -58,9 +58,13 @@ def test_pearson_shift_and_scale_invariant():
 
 
 def test_pearson_rejects_zero_variance():
-    flat = SphericalSignal(1, np.full((42, 1), 2.0))
-    with pytest.raises(ValueError, match="zero variance"):
-        pearson_cc(flat, random_signal(1, 4))
+    # the std of 42 copies of 0.1 reads 2.8e-17, not zero
+    for value in (2.0, 0.1):
+        flat = SphericalSignal(1, np.full((42, 1), value))
+        with pytest.raises(ValueError, match="zero variance"):
+            pearson_cc(flat, random_signal(1, 4))
+        with pytest.raises(ValueError, match="second signal has zero variance"):
+            pearson_cc(random_signal(1, 4), flat)
 
 
 def test_pearson_rejects_level_mismatch():

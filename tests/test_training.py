@@ -22,8 +22,9 @@ from sphreg.training import (ModelParams, TrainConfig, align_search,
                              init_model, load_checkpoint, named_arrays,
                              register_pair, save_checkpoint, synth_dataset,
                              total_loss, train)
-from sphreg.training import _unwrap_parameters, _wrap_parameters
-from sphreg.warp import warp_signal
+from sphreg.training import (_axis_angle_matrix, _golden_spiral_axes,
+                             _unwrap_parameters, _wrap_parameters)
+from sphreg.warp import DeformationField, warp_signal
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -447,6 +448,54 @@ def test_align_search_recovers_global_rotation():
     post = float(pearson_cc(aligned.values, pair.fixed.values))
     assert post > pre + 0.05
     assert best_cc > pre
+
+
+def per_rotation_align(moving, fixed, n_axes, n_angles):
+    """Reference: each candidate rotation warped and scored on its own."""
+    level = min(2, moving.level)
+    coarse = generate_icosphere(level)
+    m_coarse = SphericalSignal(level, moving.values[:coarse.n_vertices].copy())
+    f_coarse = fixed.values[:coarse.n_vertices]
+    best_cc, best_rotation = -np.inf, np.eye(3)
+    for axis in _golden_spiral_axes(n_axes):
+        for angle in np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False):
+            rotation = _axis_angle_matrix(axis, angle)
+            targets = coarse.vertices @ rotation.T
+            targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+            warped = warp_signal(m_coarse, DeformationField(level, targets))
+            cc = float(ag.value_of(pearson_cc(f_coarse, warped.values)))
+            if cc > best_cc:
+                best_cc, best_rotation = cc, rotation
+    targets = generate_icosphere(moving.level).vertices @ best_rotation.T
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    return targets, best_cc
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("n_axes,n_angles", [(5, 3), (4, 1)])
+def test_align_search_matches_per_rotation_reference(level, n_axes, n_angles):
+    rng = np.random.default_rng(level)
+    mesh = generate_icosphere(level)
+    fixed = SphericalSignal(level, rng.standard_normal((mesh.n_vertices, 1)))
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rotation *= np.sign(np.linalg.det(rotation))
+    rotated = mesh.vertices @ rotation.T
+    rotated /= np.linalg.norm(rotated, axis=1, keepdims=True)
+    moving = warp_signal(fixed, DeformationField(level, rotated))
+    field, best_cc = align_search(moving, fixed, n_axes=n_axes,
+                                  n_angles=n_angles)
+    targets, expected_cc = per_rotation_align(moving, fixed, n_axes, n_angles)
+    np.testing.assert_array_equal(field.targets, targets)
+    assert best_cc == expected_cc
+
+
+def test_align_search_rejects_constant_moving_signal():
+    rng = np.random.default_rng(0)
+    fixed = SphericalSignal(2, rng.standard_normal((162, 1)))
+    for value in (1.0, 0.1):
+        with pytest.raises(ValueError, match="zero variance"):
+            align_search(SphericalSignal(2, np.full((162, 1), value)), fixed,
+                         n_axes=5, n_angles=3)
 
 
 def test_align_search_rejects_level_mismatch():

@@ -14,7 +14,12 @@ registration and the gradient check bitwise equal.  The object holds
 * ``grad_crf_off`` and ``grad_crf_on``: the two figures of acceptance check
   07's ``gradient_check``, as ``repr`` strings;
 * ``tape_nodes``: the autodiff nodes made by the first training cascade of
-  that ``train`` run.
+  that ``train`` run;
+* ``align`` and ``align_cc``: sha256 of the field targets that
+  ``align_search`` returns for a level-4 signal and its copy under a seeded
+  random rotation, and ``repr`` of its CC;
+* ``resample``: sha256 of a level-5 signal resampled at its vertices moved
+  by about 1e-3, so point location runs above level 3 as well.
 
 The node count wraps ``training.forward_cascade`` and ``Tensor.__init__``
 from outside, so the script runs unchanged on checkouts whose forward
@@ -32,7 +37,7 @@ import tempfile
 import numpy as np
 
 from sphreg import autodiff as ag
-from sphreg import fileio, training
+from sphreg import fileio, icosphere, sht, training
 
 
 def _sha256(path: str) -> str:
@@ -60,6 +65,29 @@ def _count_first_cascade(counts: list) -> None:
             ag.Tensor.__init__ = init
 
     training.forward_cascade = first_cascade
+
+
+def _field_ops(out: dict) -> None:
+    """Add the ``align``, ``align_cc`` and ``resample`` entries to ``out``."""
+    rng = np.random.default_rng(10)
+    mesh = icosphere.generate_icosphere(4)
+    fixed = sht.random_bandlimited(4, 8, 1, rng)
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rotation *= np.sign(np.linalg.det(rotation))
+    rotated = mesh.vertices @ rotation.T
+    rotated /= np.linalg.norm(rotated, axis=1, keepdims=True)
+    moving = icosphere.SphericalSignal(4, icosphere.barycentric_resample(
+        fixed.values, mesh, rotated))
+    field, cc = training.align_search(moving, fixed)
+    out["align"] = hashlib.sha256(field.targets.tobytes()).hexdigest()
+    out["align_cc"] = repr(float(cc))
+
+    mesh = icosphere.generate_icosphere(5)
+    signal = sht.random_bandlimited(5, 8, 1, rng)
+    moved = mesh.vertices + 1e-3 * rng.standard_normal(mesh.vertices.shape)
+    moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+    values = icosphere.barycentric_resample(signal.values, mesh, moved)
+    out["resample"] = hashlib.sha256(values.tobytes()).hexdigest()
 
 
 def main() -> int:
@@ -97,6 +125,7 @@ def main() -> int:
         rng=np.random.default_rng(70))))
     out["grad_crf_on"] = repr(float(training.gradient_check(
         check, pair, rng=np.random.default_rng(71))))
+    _field_ops(out)
     print(json.dumps(out, sort_keys=True))
     return 0
 
