@@ -3,8 +3,9 @@
 Subcommands cover the whole workflow: mesh generation, synthetic dataset
 creation, training, registration, evaluation, resampling, and rotational
 pre-alignment.  Every run writes a JSON manifest next to its primary output
-(command, resolved configuration, paths, seed, duration, version) so any
-result can be replayed from its manifest alone.
+(command, resolved configuration, paths, seed, duration, version, and the
+BLAS library, thread count and pin) so any result can be replayed from its
+manifest alone.
 
 Configuration precedence, highest first: explicit CLI flag, config file
 (``key=value`` lines), built-in default.
@@ -24,14 +25,14 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import BLAS, __version__
 from . import autodiff as ag
 from .errors import FormatError, NumericError
 from .fileio import (read_field, read_signal, write_field, write_mesh,
                      write_signal)
 from .icosphere import (SphericalSignal, barycentric_resample,
                         generate_icosphere)
-from .metrics import distortion_report, pearson_cc
+from .metrics import distortion_report, pearson_cc, require_variance
 from .training import (SyntheticPair, TrainConfig, align_search,
                        load_checkpoint, register_pair, save_checkpoint,
                        synth_dataset, train)
@@ -110,6 +111,7 @@ def _write_manifest(path: str, command: str, config: dict | None,
         "seed": seed,
         "duration_s": round(time.time() - started, 6),
         "version": __version__,
+        "blas": BLAS,
     }
     if phases is not None:
         manifest["phases"] = phases
@@ -240,6 +242,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(
             f"field level {field.mesh_level} does not match signals "
             f"({moving.level}, {fixed.level})")
+    # before warping: a warped constant reads rounding error as variance,
+    # since the interpolation weights do not sum to exactly 1
+    require_variance(moving.values, "moving")
     mesh = generate_icosphere(field.mesh_level)
     warped = warp_signal(moving, field)
     cc = float(ag.value_of(pearson_cc(fixed.values, warped.values)))

@@ -8,7 +8,10 @@ Distortion is measured per triangle from the 2x2 deformation gradient F
 between pre- and post-deformation edge vectors expressed in tangent-plane
 coordinates: singular values s1 >= s2 give areal distortion J = det F
 (signed; J <= 0 marks a fold) and shape anisotropy R = s1/s2.  Summary
-statistics are reported for |log2 J| and |log2 R|.
+statistics are reported for |log2 J| and |log2 R|.  The undeformed half
+(edge matrices and their determinants) depends only on the mesh, so it is
+built once per level and kept, frozen, in ``_undeformed_cache`` together
+with the mesh it belongs to; another mesh at that level rebuilds it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from .warp import DeformationField
 
 _STAT_KEYS = ("mean", "std", "max", "p95", "p98")
 
+# per mesh level: (mesh, edge matrices, determinants), the undeformed half
+# of ``distortion_report``
+_undeformed_cache: dict[int, tuple[Icosphere, np.ndarray, np.ndarray]] = {}
+
 
 def _as_column(signal, name: str):
     if isinstance(signal, SphericalSignal):
@@ -33,27 +40,49 @@ def _as_column(signal, name: str):
     return signal
 
 
-def pearson_cc(a, b) -> float:
-    """Pearson correlation across vertices (tensor-aware, scalar output)."""
+def require_variance(values: np.ndarray, name: str, rows: bool = False):
+    """Raise unless ``values`` (each row of it, if ``rows``) varies, so that
+    its Pearson correlation is defined.  The test is exact: the std of a
+    constant whose value is not representable, such as 0.1, reads a
+    rounding error instead of zero."""
+    axis = -1 if rows else None
+    constant = values.min(axis=axis) == values.max(axis=axis)
+    if np.any(constant):
+        where = f" in row {int(np.argmax(constant))}" if rows else ""
+        raise ValueError(f"Pearson correlation undefined: {name} signal "
+                         f"has zero variance{where}")
+
+
+def pearson_cc(a, b):
+    """Pearson correlation across vertices (tensor-aware, scalar output).
+
+    ``b`` may instead hold K candidates as the rows of a (K, N) array,
+    scored against an (N, 1) ``a``; the result is then the K correlations.
+    Each row's reductions run over its N contiguous values, so every
+    candidate gets the bits of a lone call."""
     if isinstance(a, SphericalSignal) and isinstance(b, SphericalSignal):
         if a.level != b.level:
             raise ValueError(f"level mismatch: {a.level} vs {b.level}")
     av, bv = _as_column(a, "a"), _as_column(b, "b")
-    if ag.value_of(av).shape != ag.value_of(bv).shape:
+    a_shape, b_shape = ag.value_of(av).shape, ag.value_of(bv).shape
+    rows = (isinstance(bv, np.ndarray) and bv.ndim == 2
+            and a_shape == (b_shape[1], 1))
+    if a_shape != b_shape and not rows:
         raise ValueError("signals must share shape")
-    for name, v in (("first", av), ("second", bv)):
-        # exact: the std of a constant whose value is not representable,
-        # such as 0.1, reads a rounding error instead of zero
-        value = ag.value_of(v)
-        if value.min() == value.max():
-            raise ValueError(
-                f"Pearson correlation undefined: {name} signal has zero variance")
-    ca = ag.sub(av, ag.reduce_mean(av))
-    cb = ag.sub(bv, ag.reduce_mean(bv))
-    num = ag.reduce_sum(ag.mul(ca, cb))
-    denom = ag.sqrt(ag.mul(ag.reduce_sum(ag.square(ca)),
-                           ag.reduce_sum(ag.square(cb))))
-    return ag.div(num, denom)
+    kw = {}
+    if rows:
+        kw = {"axis": -1, "keepdims": True}
+        av = ag.value_of(av).reshape(1, -1)
+        bv = np.ascontiguousarray(bv)
+    require_variance(ag.value_of(av), "first")
+    require_variance(ag.value_of(bv), "second", rows=rows)
+    ca = ag.sub(av, ag.reduce_mean(av, **kw))
+    cb = ag.sub(bv, ag.reduce_mean(bv, **kw))
+    num = ag.reduce_sum(ag.mul(ca, cb), **kw)
+    denom = ag.sqrt(ag.mul(ag.reduce_sum(ag.square(ca), **kw),
+                           ag.reduce_sum(ag.square(cb), **kw)))
+    cc = ag.div(num, denom)
+    return cc[:, 0] if rows else cc
 
 
 def mean_squared_difference(a, b):
@@ -144,9 +173,25 @@ def _stats(values: np.ndarray) -> dict:
     }
 
 
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (M, 3) arrays, with the bits of
+    ``np.sum(a * b, axis=1)``: that sum adds the three products in order
+    onto +0.0, and the trailing ``+ 0.0`` turns a -0.0 result into +0.0
+    as that start does.  About 4x faster than the reduction."""
+    p = a * b
+    return ((p[:, 0] + p[:, 1]) + p[:, 2]) + 0.0
+
+
+def _norm3(a: np.ndarray) -> np.ndarray:
+    """Row norms of an (M, 3) array, bitwise ``np.linalg.norm(a, axis=1)``
+    (squares are never -0.0, so no +0.0 is needed)."""
+    p = a * a
+    return np.sqrt((p[:, 0] + p[:, 1]) + p[:, 2])
+
+
 def _tangent_frame(edge1: np.ndarray, normal: np.ndarray):
-    t1 = edge1 - np.sum(edge1 * normal, axis=1, keepdims=True) * normal
-    norms = np.linalg.norm(t1, axis=1, keepdims=True)
+    t1 = edge1 - _dot3(edge1, normal)[:, None] * normal
+    norms = _norm3(t1)[:, None]
     # Collapsed triangles (hard label moves can land corners on one point)
     # have no preferred tangent; any orthonormal frame gives the same
     # singular values, so fall back to a seed vector not parallel to normal.
@@ -154,10 +199,9 @@ def _tangent_frame(edge1: np.ndarray, normal: np.ndarray):
     if bad.any():
         seed = np.tile([1.0, 0.0, 0.0], (int(bad.sum()), 1))
         seed[np.abs(normal[bad, 0]) > 0.9] = [0.0, 1.0, 0.0]
-        fallback = seed - np.sum(seed * normal[bad], axis=1,
-                                 keepdims=True) * normal[bad]
+        fallback = seed - _dot3(seed, normal[bad])[:, None] * normal[bad]
         t1[bad] = fallback
-        norms[bad] = np.linalg.norm(fallback, axis=1, keepdims=True)
+        norms[bad] = _norm3(fallback)[:, None]
     t1 = t1 / norms
     t2 = np.cross(normal, t1)
     return t1, t2
@@ -167,15 +211,15 @@ def _edge_matrix(corners: np.ndarray):
     """2x2 edge matrices in per-triangle tangent frames; right-handed with
     respect to the outward (centroid) direction, so folds flip det sign."""
     centroid = corners.mean(axis=1)
-    normal = centroid / np.linalg.norm(centroid, axis=1, keepdims=True)
+    normal = centroid / _norm3(centroid)[:, None]
     e1 = corners[:, 1] - corners[:, 0]
     e2 = corners[:, 2] - corners[:, 0]
     t1, t2 = _tangent_frame(e1, normal)
     mat = np.empty((len(corners), 2, 2))
-    mat[:, 0, 0] = np.sum(e1 * t1, axis=1)
-    mat[:, 1, 0] = np.sum(e1 * t2, axis=1)
-    mat[:, 0, 1] = np.sum(e2 * t1, axis=1)
-    mat[:, 1, 1] = np.sum(e2 * t2, axis=1)
+    mat[:, 0, 0] = _dot3(e1, t1)
+    mat[:, 1, 0] = _dot3(e1, t2)
+    mat[:, 0, 1] = _dot3(e2, t1)
+    mat[:, 1, 1] = _dot3(e2, t2)
     return mat
 
 
@@ -190,29 +234,40 @@ def singular_values_2x2(F: np.ndarray):
     return q + r, np.abs(q - r)
 
 
-def distortion_report(mesh: Icosphere, field: DeformationField) -> DistortionReport:
-    """Per-triangle J and R between the mesh and its deformed image."""
-    if field.mesh_level != mesh.level:
-        raise ValueError(
-            f"field level {field.mesh_level} does not match mesh level "
-            f"{mesh.level}")
-    corners = mesh.vertices[mesh.faces]
-    deformed = field.targets[mesh.faces]
-
-    before = _edge_matrix(corners)
+def _undeformed(mesh: Icosphere):
+    """The mesh's edge matrices and their determinants, built once per
+    level and frozen; a degenerate triangle raises."""
+    cached = _undeformed_cache.get(mesh.level)
+    if cached is not None and cached[0] is mesh:
+        return cached[1:]
+    before = _edge_matrix(mesh.vertices[mesh.faces])
     det_before = (before[:, 0, 0] * before[:, 1, 1]
                   - before[:, 0, 1] * before[:, 1, 0])
     degenerate = np.abs(det_before) < 1e-12
     if np.any(degenerate):
         raise ValueError(
             f"degenerate source triangle {int(np.argmax(degenerate))}")
+    before.setflags(write=False)
+    det_before.setflags(write=False)
+    _undeformed_cache[mesh.level] = (mesh, before, det_before)
+    return before, det_before
 
+
+def distortion_report(mesh: Icosphere, field: DeformationField) -> DistortionReport:
+    """Per-triangle J and R between the mesh and its deformed image."""
+    if field.mesh_level != mesh.level:
+        raise ValueError(
+            f"field level {field.mesh_level} does not match mesh level "
+            f"{mesh.level}")
+    before, det_before = _undeformed(mesh)
     J = np.ones(mesh.n_faces)
     R = np.ones(mesh.n_faces)
     # triangles whose corners did not move keep J = R = 1 exactly
-    moved = ~np.all(corners == deformed, axis=(1, 2))
+    still = np.all(field.targets == mesh.vertices, axis=1)
+    moved = ~np.all(still[mesh.faces], axis=1)
     if np.any(moved):
-        after = _edge_matrix(deformed[moved])
+        deformed = np.take(field.targets, mesh.faces[moved], axis=0)
+        after = _edge_matrix(deformed)
         b = before[moved]
         inv = np.empty_like(b)
         inv[:, 0, 0] = b[:, 1, 1]

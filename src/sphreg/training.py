@@ -630,12 +630,6 @@ def _golden_spiral_axes(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    x, y, z = axis
-    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
-
-
 def align_search(moving: SphericalSignal, fixed: SphericalSignal,
                  n_axes: int = 32, n_angles: int = 16):
     """Coarse SO(3) grid search for the rotation field maximizing Pearson CC.
@@ -643,10 +637,14 @@ def align_search(moving: SphericalSignal, fixed: SphericalSignal,
     Rotations are sampled as golden-spiral axes times uniformly spaced
     angles; CC is scored at mesh level 2 (or the input's, if coarser), and
     the first rotation with the largest CC wins.  The candidates of one
-    axis are located and resampled in one batch: point location works row
-    by row, so each candidate's values are those it would get alone, and
-    one batch per axis keeps the locator's tables small.
+    axis are located, resampled and scored in one batch: point location
+    and ``pearson_cc`` work row by row, so each candidate's values and CC
+    are those it would get alone, and one batch per axis keeps the
+    locator's tables small.
     Returns (field at the input level, best cc)."""
+    for name, count in (("n_axes", n_axes), ("n_angles", n_angles)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     if moving.level != fixed.level:
         raise ValueError("signals must share a mesh level")
     level = min(2, moving.level)
@@ -657,22 +655,30 @@ def align_search(moving: SphericalSignal, fixed: SphericalSignal,
 
     mesh = generate_icosphere(moving.level)
     angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    # Rodrigues' formula I + sin(a) K + (1 - cos(a)) K^2, with the scalar
+    # sin and cos calls of one rotation at a time (the array calls may
+    # round differently)
+    sines = np.array([np.sin(a) for a in angles])[:, None, None]
+    versines = np.array([1 - np.cos(a) for a in angles])[:, None, None]
     best_cc = -np.inf
     best_rotation = np.eye(3)
-    for axis in _golden_spiral_axes(n_axes):
-        rotations = [_axis_angle_matrix(axis, angle) for angle in angles]
-        targets = np.concatenate([coarse_mesh.vertices @ rotation.T
-                                  for rotation in rotations])
+    for x, y, z in _golden_spiral_axes(n_axes):
+        K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        rotations = np.eye(3) + sines * K + versines * (K @ K)
+        targets = (coarse_mesh.vertices
+                   @ rotations.transpose(0, 2, 1)).reshape(-1, 3)
         targets /= np.linalg.norm(targets, axis=1, keepdims=True)
         check_unit_targets(targets)
         warped = barycentric_resample(m_coarse, coarse_mesh, targets)
         if not np.all(np.isfinite(warped)):
             raise ValueError("warped values must be finite")
-        for rotation, values in zip(rotations, np.split(warped, n_angles)):
-            cc = float(ag.value_of(pearson_cc(f_coarse, values)))
-            if cc > best_cc:
-                best_cc = cc
-                best_rotation = rotation
+        # a candidate's (N, C) values as one row: reduced over its N * C
+        # contiguous values, as a lone call on the (N, C) block is
+        ccs = pearson_cc(f_coarse.reshape(-1, 1), warped.reshape(n_angles, -1))
+        best = int(np.argmax(ccs))
+        if ccs[best] > best_cc:
+            best_cc = float(ccs[best])
+            best_rotation = rotations[best]
     targets = mesh.vertices @ best_rotation.T
     targets /= np.linalg.norm(targets, axis=1, keepdims=True)
     return DeformationField(moving.level, targets), best_cc

@@ -12,10 +12,12 @@ import struct
 import numpy as np
 import pytest
 
+import sphreg
 from sphreg import cli, fileio
-from sphreg.icosphere import generate_icosphere
+from sphreg.icosphere import SphericalSignal, generate_icosphere
 from sphreg.metrics import pearson_cc
 from sphreg.training import TrainConfig, init_model, save_checkpoint
+from sphreg.warp import DeformationField, densify_targets
 
 TINY = ["--mesh-level", "2", "--bandwidth", "8", "--channels", "4",
         "--heads", "2", "--epochs", "1", "--batch-size", "2"]
@@ -62,6 +64,8 @@ def test_icosphere_writes_mesh_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "icosphere"
     assert manifest["outputs"]["mesh"] == str(out)
     assert "duration_s" in manifest and "version" in manifest
+    assert manifest["blas"] == sphreg.BLAS
+    assert set(manifest["blas"]) == {"library", "threads", "pin"}
 
 
 def test_icosphere_level6_vertex_count(tmp_path, capsys):
@@ -471,6 +475,45 @@ def test_align_improves_rotated_pair(tmp_path, capsys):
     aligned = float(printed.split("cc_aligned=")[1].split()[0])
     assert aligned > before
     assert fileio.read_field(out_field).mesh_level == fixed.level
+
+
+@pytest.mark.parametrize("flags,name", [(["--axes", 0], "n_axes"),
+                                        (["--axes", -3], "n_axes"),
+                                        (["--angles", 0], "n_angles")])
+def test_align_rejects_empty_search_grid(tmp_path, capsys, flags, name):
+    # --axes 0 searched nothing and wrote the identity with cc=-inf
+    rng = np.random.default_rng(0)
+    signal = tmp_path / "signal.sphs"
+    fileio.write_signal(signal, SphericalSignal(
+        2, rng.standard_normal((162, 1))))
+    out_field = tmp_path / "align.sphd"
+    assert run(["align", "--moving", signal, "--fixed", signal,
+                "--out-field", out_field, *flags]) == 2
+    assert name in capsys.readouterr().err
+    assert not out_field.exists()
+
+
+def test_eval_rejects_constant_moving_signal(tmp_path, capsys):
+    # warped through a smooth field, a constant 0.1 comes back with
+    # rounding-error variance, and eval printed a CC made of that error
+    level = 3
+    control = generate_icosphere(1).vertices
+    moves = control + 0.05 * np.random.default_rng(1).standard_normal(
+        control.shape)
+    moves /= np.linalg.norm(moves, axis=1, keepdims=True)
+    field = tmp_path / "field.sphd"
+    fileio.write_field(field, DeformationField(
+        level, densify_targets(moves, 1, level)))
+    n = generate_icosphere(level).n_vertices
+    moving, fixed = tmp_path / "moving.sphs", tmp_path / "fixed.sphs"
+    fileio.write_signal(moving, SphericalSignal(level, np.full((n, 1), 0.1)))
+    fileio.write_signal(fixed, SphericalSignal(
+        level, np.random.default_rng(2).standard_normal((n, 1))))
+    csv = tmp_path / "eval.csv"
+    assert run(["eval", "--field", field, "--moving", moving,
+                "--fixed", fixed, "--out-csv", csv]) == 2
+    assert "zero variance" in capsys.readouterr().err
+    assert not csv.exists()
 
 
 def test_version_flag(capsys):

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from sphreg import autodiff as ag
-from sphreg.icosphere import SphericalSignal, generate_icosphere
-from sphreg.metrics import (distortion_report, loss_reg, loss_sim,
-                            mean_squared_difference, pearson_cc,
+from sphreg import metrics
+from sphreg.icosphere import SphericalSignal, build_mesh, generate_icosphere
+from sphreg.metrics import (DistortionReport, distortion_report, loss_reg,
+                            loss_sim, mean_squared_difference, pearson_cc,
                             singular_values_2x2, smoothness_penalty)
-from sphreg.warp import DeformationField, identity_field
+from sphreg.sht import random_bandlimited
+from sphreg.warp import DeformationField, densify_targets, identity_field
 
 
 def random_signal(level: int, seed: int) -> SphericalSignal:
@@ -65,6 +67,34 @@ def test_pearson_rejects_zero_variance():
             pearson_cc(flat, random_signal(1, 4))
         with pytest.raises(ValueError, match="second signal has zero variance"):
             pearson_cc(random_signal(1, 4), flat)
+
+
+@pytest.mark.parametrize("n", [162, 642])
+def test_pearson_rows_equal_single_calls_bitwise(n):
+    # a (K, N) block scores each row as a lone (N, 1) call would, also
+    # when the block arrives as the transpose of an (N, K) one
+    rng = np.random.default_rng(n)
+    fixed = rng.standard_normal((n, 1))
+    block = rng.standard_normal((16 * n, 1)).reshape(16, n)
+    single = [pearson_cc(fixed, row.reshape(n, 1).copy()) for row in block]
+    for candidates in (block, np.asfortranarray(block), block.T.copy().T):
+        ccs = pearson_cc(fixed, candidates)
+        assert ccs.shape == (16,)
+        assert ccs.tobytes() == np.array(single).tobytes()
+
+
+def test_pearson_rows_reject_any_constant_row():
+    rng = np.random.default_rng(3)
+    fixed = rng.standard_normal((162, 1))
+    block = rng.standard_normal((5, 162))
+    block[3] = 0.1
+    with pytest.raises(ValueError, match="second signal has zero variance "
+                                         "in row 3"):
+        pearson_cc(fixed, block)
+    with pytest.raises(ValueError, match="first signal has zero variance$"):
+        pearson_cc(np.full((162, 1), 0.1), rng.standard_normal((5, 162)))
+    with pytest.raises(ValueError, match="share shape"):
+        pearson_cc(fixed, rng.standard_normal((5, 161)))
 
 
 def test_pearson_rejects_level_mismatch():
@@ -281,3 +311,145 @@ def test_report_row_is_flat_table():
     expected = {"folds"} | {f"{p}_{k}" for p in ("J", "R")
                             for k in ("mean", "std", "max", "p95", "p98")}
     assert set(row) == expected
+
+
+# ---------------------------------------------------------------------------
+# distortion against the uncached, reduction-based reference
+# ---------------------------------------------------------------------------
+
+def reference_tangent_frame(edge1, normal):
+    t1 = edge1 - np.sum(edge1 * normal, axis=1, keepdims=True) * normal
+    norms = np.linalg.norm(t1, axis=1, keepdims=True)
+    bad = norms[:, 0] < 1e-14
+    if bad.any():
+        seed = np.tile([1.0, 0.0, 0.0], (int(bad.sum()), 1))
+        seed[np.abs(normal[bad, 0]) > 0.9] = [0.0, 1.0, 0.0]
+        fallback = seed - np.sum(seed * normal[bad], axis=1,
+                                 keepdims=True) * normal[bad]
+        t1[bad] = fallback
+        norms[bad] = np.linalg.norm(fallback, axis=1, keepdims=True)
+    t1 = t1 / norms
+    return t1, np.cross(normal, t1)
+
+
+def reference_edge_matrix(corners):
+    centroid = corners.mean(axis=1)
+    normal = centroid / np.linalg.norm(centroid, axis=1, keepdims=True)
+    e1 = corners[:, 1] - corners[:, 0]
+    e2 = corners[:, 2] - corners[:, 0]
+    t1, t2 = reference_tangent_frame(e1, normal)
+    mat = np.empty((len(corners), 2, 2))
+    mat[:, 0, 0] = np.sum(e1 * t1, axis=1)
+    mat[:, 1, 0] = np.sum(e1 * t2, axis=1)
+    mat[:, 0, 1] = np.sum(e2 * t1, axis=1)
+    mat[:, 1, 1] = np.sum(e2 * t2, axis=1)
+    return mat
+
+
+def reference_distortion(mesh, field):
+    """``distortion_report`` as it was before its undeformed half was
+    cached and its dot products written out."""
+    corners = mesh.vertices[mesh.faces]
+    deformed = field.targets[mesh.faces]
+    before = reference_edge_matrix(corners)
+    det_before = (before[:, 0, 0] * before[:, 1, 1]
+                  - before[:, 0, 1] * before[:, 1, 0])
+    J = np.ones(mesh.n_faces)
+    R = np.ones(mesh.n_faces)
+    moved = ~np.all(corners == deformed, axis=(1, 2))
+    if np.any(moved):
+        after = reference_edge_matrix(deformed[moved])
+        b = before[moved]
+        inv = np.empty_like(b)
+        inv[:, 0, 0] = b[:, 1, 1]
+        inv[:, 1, 1] = b[:, 0, 0]
+        inv[:, 0, 1] = -b[:, 0, 1]
+        inv[:, 1, 0] = -b[:, 1, 0]
+        inv /= det_before[moved][:, None, None]
+        F = after @ inv
+        s1, s2 = singular_values_2x2(F)
+        J[moved] = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
+        with np.errstate(divide="ignore"):
+            R[moved] = np.where(s2 > 0, s1 / np.where(s2 > 0, s2, 1.0), np.inf)
+    with np.errstate(divide="ignore"):
+        log2j = np.abs(np.log2(np.abs(J[J != 0])))
+        finite_r = R[np.isfinite(R)]
+        log2r = np.abs(np.log2(finite_r[finite_r > 0]))
+    return DistortionReport(J=J, R=R, fold_count=int(np.sum(J <= 0)),
+                            log2J=metrics._stats(log2j),
+                            log2R=metrics._stats(log2r))
+
+
+def distortion_fields(level):
+    """Smooth, random, hard (corners snapped onto neighbours), folded and
+    collapsed fields; the collapsed ones take the tangent-frame fallback."""
+    mesh = generate_icosphere(level)
+    rng = np.random.default_rng(level)
+    control = generate_icosphere(1).vertices
+    shift = random_bandlimited(1, 2, 3, rng).values
+    shift *= 0.3 / np.sqrt((shift ** 2).sum(axis=1).mean())
+    moves = control + shift
+    moves /= np.linalg.norm(moves, axis=1, keepdims=True)
+    yield "smooth", densify_targets(moves, 1, level)
+    yield "random", random_field(level, 100 + level, 0.05).targets
+    hard = mesh.vertices.copy()
+    snapped = rng.choice(mesh.n_faces, size=mesh.n_faces // 10, replace=False)
+    hard[mesh.faces[snapped, 1]] = mesh.vertices[mesh.faces[snapped, 0]]
+    yield "hard", hard
+    folded = mesh.vertices.copy()
+    a, b = mesh.faces[0, :2]
+    folded[[a, b]] = folded[[b, a]]
+    yield "folded", folded
+    collapsed = mesh.vertices.copy()
+    for face in mesh.faces[:3]:
+        collapsed[face] = mesh.vertices[face[0]]     # all corners on one point
+    face = mesh.faces[-1]
+    collapsed[face[1]] = mesh.vertices[face[0]]      # first edge zero
+    yield "collapsed", collapsed
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_distortion_report_matches_reference_bitwise(level):
+    mesh = generate_icosphere(level)
+    metrics._undeformed_cache.pop(level, None)
+    for name, targets in distortion_fields(level):
+        field = DeformationField(level, targets)
+        expected = reference_distortion(mesh, field)
+        for call in ("cold", "cached"):
+            rep = distortion_report(mesh, field)
+            where = f"{name} field, {call} call"
+            assert rep.J.tobytes() == expected.J.tobytes(), where
+            assert rep.R.tobytes() == expected.R.tobytes(), where
+            assert rep.fold_count == expected.fold_count, where
+            assert repr(rep.row()) == repr(expected.row()), where
+        if name in ("hard", "folded", "collapsed"):
+            assert rep.fold_count > 0 or not np.all(np.isfinite(rep.R)), name
+    cached_mesh, before, det_before = metrics._undeformed_cache[level]
+    assert cached_mesh is mesh
+    assert not before.flags.writeable and not det_before.flags.writeable
+
+
+def test_distortion_report_of_another_mesh_at_a_cached_level():
+    # a mesh built apart from generate_icosphere, at a level whose shared
+    # mesh is cached, gets its own undeformed edge matrices
+    shared = generate_icosphere(2)
+    field = DeformationField(2, shared.vertices.copy())
+    distortion_report(shared, field)
+    moved = shared.vertices + 0.01 * np.random.default_rng(0).standard_normal(
+        shared.vertices.shape)
+    moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+    other = build_mesh(2, moved, shared.faces.copy())
+    for mesh in (other, shared, other):
+        rep = distortion_report(mesh, field)
+        expected = reference_distortion(mesh, field)
+        assert rep.J.tobytes() == expected.J.tobytes()
+        assert rep.R.tobytes() == expected.R.tobytes()
+
+
+def test_dot_products_keep_the_sign_of_zero_of_the_reduction():
+    # np.sum adds onto +0.0, so three -0.0 products sum to +0.0
+    a = np.array([[-0.0, 0.0, -0.0], [1.5, -2.0, 0.25], [0.0, 0.0, 0.0]])
+    b = np.array([[1.0, -1.0, 2.0], [0.5, 3.0, -8.0], [-1.0, -2.0, -3.0]])
+    expected = np.sum(a * b, axis=1)
+    assert metrics._dot3(a, b).tobytes() == expected.tobytes()
+    assert metrics._norm3(b).tobytes() == np.linalg.norm(b, axis=1).tobytes()

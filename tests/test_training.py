@@ -22,8 +22,8 @@ from sphreg.training import (ModelParams, TrainConfig, align_search,
                              init_model, load_checkpoint, named_arrays,
                              register_pair, save_checkpoint, synth_dataset,
                              total_loss, train)
-from sphreg.training import (_axis_angle_matrix, _golden_spiral_axes,
-                             _unwrap_parameters, _wrap_parameters)
+from sphreg.training import (_golden_spiral_axes, _unwrap_parameters,
+                             _wrap_parameters)
 from sphreg.warp import DeformationField, warp_signal
 
 
@@ -451,15 +451,18 @@ def test_align_search_recovers_global_rotation():
 
 
 def per_rotation_align(moving, fixed, n_axes, n_angles):
-    """Reference: each candidate rotation warped and scored on its own."""
+    """Reference: each candidate rotation built, warped and scored on its
+    own, the rotation by Rodrigues' formula for one axis and angle."""
     level = min(2, moving.level)
     coarse = generate_icosphere(level)
     m_coarse = SphericalSignal(level, moving.values[:coarse.n_vertices].copy())
     f_coarse = fixed.values[:coarse.n_vertices]
     best_cc, best_rotation = -np.inf, np.eye(3)
-    for axis in _golden_spiral_axes(n_axes):
+    for x, y, z in _golden_spiral_axes(n_axes):
+        K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
         for angle in np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False):
-            rotation = _axis_angle_matrix(axis, angle)
+            rotation = (np.eye(3) + np.sin(angle) * K
+                        + (1 - np.cos(angle)) * (K @ K))
             targets = coarse.vertices @ rotation.T
             targets /= np.linalg.norm(targets, axis=1, keepdims=True)
             warped = warp_signal(m_coarse, DeformationField(level, targets))
@@ -474,19 +477,22 @@ def per_rotation_align(moving, fixed, n_axes, n_angles):
 @pytest.mark.parametrize("level", [2, 3, 4])
 @pytest.mark.parametrize("n_axes,n_angles", [(5, 3), (4, 1)])
 def test_align_search_matches_per_rotation_reference(level, n_axes, n_angles):
-    rng = np.random.default_rng(level)
     mesh = generate_icosphere(level)
-    fixed = SphericalSignal(level, rng.standard_normal((mesh.n_vertices, 1)))
-    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    rotation *= np.sign(np.linalg.det(rotation))
-    rotated = mesh.vertices @ rotation.T
-    rotated /= np.linalg.norm(rotated, axis=1, keepdims=True)
-    moving = warp_signal(fixed, DeformationField(level, rotated))
-    field, best_cc = align_search(moving, fixed, n_axes=n_axes,
-                                  n_angles=n_angles)
-    targets, expected_cc = per_rotation_align(moving, fixed, n_axes, n_angles)
-    np.testing.assert_array_equal(field.targets, targets)
-    assert best_cc == expected_cc
+    for channels in (1, 2):
+        rng = np.random.default_rng(level)
+        fixed = SphericalSignal(level, rng.standard_normal((mesh.n_vertices,
+                                                            channels)))
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        rotation *= np.sign(np.linalg.det(rotation))
+        rotated = mesh.vertices @ rotation.T
+        rotated /= np.linalg.norm(rotated, axis=1, keepdims=True)
+        moving = warp_signal(fixed, DeformationField(level, rotated))
+        field, best_cc = align_search(moving, fixed, n_axes=n_axes,
+                                      n_angles=n_angles)
+        targets, expected_cc = per_rotation_align(moving, fixed, n_axes,
+                                                  n_angles)
+        np.testing.assert_array_equal(field.targets, targets)
+        assert best_cc == expected_cc, f"{channels} channels"
 
 
 def test_align_search_rejects_constant_moving_signal():
@@ -496,6 +502,19 @@ def test_align_search_rejects_constant_moving_signal():
         with pytest.raises(ValueError, match="zero variance"):
             align_search(SphericalSignal(2, np.full((162, 1), value)), fixed,
                          n_axes=5, n_angles=3)
+
+
+@pytest.mark.parametrize("n_axes,n_angles", [(0, 3), (-2, 3), (5, 0), (5, -1)])
+def test_align_search_rejects_empty_grid(n_axes, n_angles, monkeypatch):
+    # counts below one searched nothing and returned the identity at -inf
+    def no_work(*args, **kwargs):
+        raise AssertionError("align_search worked before checking counts")
+    monkeypatch.setattr("sphreg.training.generate_icosphere", no_work)
+    rng = np.random.default_rng(0)
+    signal = SphericalSignal(2, rng.standard_normal((162, 1)))
+    name = "n_axes" if n_axes < 1 else "n_angles"
+    with pytest.raises(ValueError, match=name):
+        align_search(signal, signal, n_axes=n_axes, n_angles=n_angles)
 
 
 def test_align_search_rejects_level_mismatch():

@@ -19,7 +19,15 @@ registration and the gradient check bitwise equal.  The object holds
   ``align_search`` returns for a level-4 signal and its copy under a seeded
   random rotation, and ``repr`` of its CC;
 * ``resample``: sha256 of a level-5 signal resampled at its vertices moved
-  by about 1e-3, so point location runs above level 3 as well.
+  by about 1e-3, so point location runs above level 3 as well;
+* ``eval``: for the pair-17 field above and for a smooth level-5 field
+  built as the benchmark's field-ops set-up builds its ``eval`` field,
+  sha256 of ``distortion_report``'s ``J`` and ``R`` and ``repr`` of its
+  ``row()``.
+
+A second line, on stderr, records the BLAS library, its thread count and
+the pin that ``import sphreg`` applied.  It is not part of the
+comparison: a checkout without the pin reports none.
 
 The node count wraps ``training.forward_cascade`` and ``Tensor.__init__``
 from outside, so the script runs unchanged on checkouts whose forward
@@ -36,8 +44,9 @@ import tempfile
 
 import numpy as np
 
+import sphreg
 from sphreg import autodiff as ag
-from sphreg import fileio, icosphere, sht, training
+from sphreg import fileio, icosphere, metrics, sht, training, warp
 
 
 def _sha256(path: str) -> str:
@@ -65,6 +74,24 @@ def _count_first_cascade(counts: list) -> None:
             ag.Tensor.__init__ = init
 
     training.forward_cascade = first_cascade
+
+
+def _distortion(field) -> dict:
+    mesh = icosphere.generate_icosphere(field.mesh_level)
+    report = metrics.distortion_report(mesh, field)
+    return {"J": hashlib.sha256(report.J.tobytes()).hexdigest(),
+            "R": hashlib.sha256(report.R.tobytes()).hexdigest(),
+            "row": repr(report.row())}
+
+
+def _smooth_field(level: int, rng) -> "warp.DeformationField":
+    """A fold-free field from smooth moves of the level-1 vertices."""
+    control = icosphere.generate_icosphere(1).vertices
+    shift = sht.random_bandlimited(1, 2, 3, rng).values
+    shift *= 0.3 / np.sqrt((shift ** 2).sum(axis=1).mean())
+    moves = control + shift
+    moves /= np.linalg.norm(moves, axis=1, keepdims=True)
+    return warp.DeformationField(level, warp.densify_targets(moves, 1, level))
 
 
 def _field_ops(out: dict) -> None:
@@ -115,6 +142,9 @@ def main() -> int:
         fileio.write_signal(warped_path, warped)
         out["field"] = _sha256(field_path)
         out["warped"] = _sha256(warped_path)
+    out["eval"] = {"pair17": _distortion(field),
+                   "smooth_l5": _distortion(
+                       _smooth_field(5, np.random.default_rng(11)))}
 
     # acceptance check 07, with its config, pair and samplers
     check = training.TrainConfig(mesh_level=2, bandwidth=8, channels=4,
@@ -127,6 +157,7 @@ def main() -> int:
         check, pair, rng=np.random.default_rng(71))))
     _field_ops(out)
     print(json.dumps(out, sort_keys=True))
+    print(json.dumps({"blas": getattr(sphreg, "BLAS", None)}), file=sys.stderr)
     return 0
 
 
