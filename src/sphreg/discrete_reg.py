@@ -15,7 +15,8 @@ batch-normalized linear head with one logit channel per label slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .sht import HarmonicBasis, build_basis
 from .shconv import BlockParams, init_block, shconv_block
 
 
-@dataclass
+@dataclass(eq=False)
 class ControlGrid:
     """Control points, their candidate label positions, and adjacency.
 
@@ -34,9 +35,10 @@ class ControlGrid:
     is always the control point's own position (the identity move).
     ``edges`` holds directed one-ring pairs (dst, src) of the control mesh;
     ``edge_plans`` are the frozen scatter plans of its two columns onto the
-    controls, built on first use.  ``kernel_stack(sigma)`` is the CRF's
-    frozen Gaussian kernel over those edges, built on first use per sigma.
-    Both assume ``edges`` and ``label_positions`` do not change.
+    controls.  ``kernel_stack(sigma)`` is the CRF's frozen Gaussian kernel
+    over those edges.  Grids compare and hash by identity, and both tables
+    are memoised per grid (and sigma), so they assume ``edges`` and
+    ``label_positions`` do not change.
     """
 
     control_level: int
@@ -45,10 +47,6 @@ class ControlGrid:
     label_positions: np.ndarray   # (N_c, N_l, 3)
     control_positions: np.ndarray  # (N_c, 3)
     edges: np.ndarray             # (E, 2) directed (dst, src)
-    _edge_plans: tuple[ag.ScatterPlan, ag.ScatterPlan] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _kernels: dict[float, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.label_level <= self.control_level:
@@ -86,28 +84,25 @@ class ControlGrid:
     def n_labels(self) -> int:
         return self.labels.shape[1]
 
-    @property
+    @cached_property
     def edge_plans(self) -> tuple[ag.ScatterPlan, ag.ScatterPlan]:
-        if self._edge_plans is None:
-            self._edge_plans = tuple(
-                ag.ScatterPlan(self.edges[:, k], self.n_controls) for k in (0, 1))
-        return self._edge_plans
+        return tuple(
+            ag.ScatterPlan(self.edges[:, k], self.n_controls) for k in (0, 1))
 
     def kernel_stack(self, sigma: float) -> np.ndarray:
         """K[e, l, l'] = exp(-arc(pos_dst(l), pos_src(l'))^2 / (2 sigma^2))."""
-        kernel = self._kernels.get(sigma)
-        if kernel is None:
-            pos_dst = self.label_positions[self.edges[:, 0]]    # (E, N_l, 3)
-            pos_src = self.label_positions[self.edges[:, 1]]
-            cos = np.einsum("elx,emx->elm", pos_dst, pos_src)
-            arc = np.arccos(np.clip(cos, -1.0, 1.0))
-            kernel = np.exp(-(arc ** 2) / (2.0 * sigma * sigma))
-            kernel.setflags(write=False)
-            self._kernels[sigma] = kernel
-        return kernel
+        return _kernel_stack(self, sigma)
 
 
-_label_set_cache: dict[tuple[int, int, int], ControlGrid] = {}
+@cache
+def _kernel_stack(grid: ControlGrid, sigma: float) -> np.ndarray:
+    pos_dst = grid.label_positions[grid.edges[:, 0]]    # (E, N_l, 3)
+    pos_src = grid.label_positions[grid.edges[:, 1]]
+    cos = np.einsum("elx,emx->elm", pos_dst, pos_src)
+    arc = np.arccos(np.clip(cos, -1.0, 1.0))
+    kernel = np.exp(-(arc ** 2) / (2.0 * sigma * sigma))
+    kernel.setflags(write=False)
+    return kernel
 
 
 def build_label_sets(control_level: int, label_level: int,
@@ -123,9 +118,6 @@ def build_label_sets(control_level: int, label_level: int,
     Grids are built once per (control_level, label_level, hops) and shared,
     with their arrays frozen as the meshes' are.
     """
-    key = (control_level, label_level, hops)
-    if key in _label_set_cache:
-        return _label_set_cache[key]
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
     control = generate_icosphere(control_level)
@@ -133,7 +125,11 @@ def build_label_sets(control_level: int, label_level: int,
     if label_level <= control_level:
         raise ValueError(
             f"label level {label_level} must exceed control level {control_level}")
+    return _label_sets(control, label, hops)
 
+
+@cache
+def _label_sets(control: Icosphere, label: Icosphere, hops: int) -> ControlGrid:
     ring, offsets = label.ring_src, label.ring_offsets
     neighbor_sets: list[np.ndarray] = []
     for c in range(control.n_vertices):
@@ -160,8 +156,8 @@ def build_label_sets(control_level: int, label_level: int,
         labels[c, 1:1 + len(ids)] = ids
         labels[c, 1 + len(ids):] = c
     grid = ControlGrid(
-        control_level=control_level,
-        label_level=label_level,
+        control_level=control.level,
+        label_level=label.level,
         labels=labels,
         label_positions=label.vertices[labels],
         control_positions=control.vertices,
@@ -169,7 +165,6 @@ def build_label_sets(control_level: int, label_level: int,
     )
     for array in (grid.labels, grid.label_positions, grid.edges):
         array.setflags(write=False)
-    _label_set_cache[key] = grid
     return grid
 
 

@@ -20,6 +20,7 @@ location descends.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -56,10 +57,7 @@ class _Reader:
             self.fail(f"bad magic {got!r}, expected {expected!r}")
 
     def u32(self, what: str) -> int:
-        start = self.offset
-        value = struct.unpack("<I", self.take(4))[0]
-        self.offset = start + 4
-        return value
+        return struct.unpack("<I", self.take(4))[0]
 
     def f64_array(self, count: int, what: str) -> np.ndarray:
         raw = self.take(8 * count)
@@ -206,7 +204,7 @@ def read_checkpoint(path):
         if rank > 8:
             raise FormatError(r.offset - 4, f"{r.path}: tensor {name} rank {rank}")
         dims = tuple(r.u32(f"dim") for _ in range(rank))
-        size = int(np.prod(dims)) if dims else 1
-        tensors[name] = r.f64_array(size, f"tensor {name}").reshape(dims)
+        tensors[name] = r.f64_array(math.prod(dims),
+                                    f"tensor {name}").reshape(dims)
     r.done()
     return config, tensors

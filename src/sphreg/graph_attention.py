@@ -10,6 +10,7 @@ maps (N, D) -> (N, D) with D divisible by the head count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -18,19 +19,14 @@ from .icosphere import Icosphere
 
 LEAKY_SLOPE = 0.2
 
-_half_plan_cache: dict[int, tuple[ag.ScatterPlan, ag.ScatterPlan]] = {}
 
-
+@cache
 def _half_plans(heads: int) -> tuple[ag.ScatterPlan, ag.ScatterPlan]:
     """Frozen plans of the even and odd rows of the ``(2 * heads, D_head)``
     attention vectors: each head's destination and source halves."""
-    plans = _half_plan_cache.get(heads)
-    if plans is None:
-        halves = np.arange(2 * heads).reshape(heads, 2).T.copy()
-        halves.setflags(write=False)
-        plans = _half_plan_cache[heads] = tuple(
-            ag.ScatterPlan(rows, 2 * heads) for rows in halves)
-    return plans
+    halves = np.arange(2 * heads).reshape(heads, 2).T.copy()
+    halves.setflags(write=False)
+    return tuple(ag.ScatterPlan(rows, 2 * heads) for rows in halves)
 
 
 @dataclass

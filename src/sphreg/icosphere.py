@@ -26,14 +26,13 @@ index on exact ties).  That is O(level) work and O(1) memory per target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import autodiff as ag
 
 MAX_LEVEL = 7
-
-_mesh_cache: dict[int, "Icosphere"] = {}
 
 
 def vertex_count(level: int) -> int:
@@ -48,20 +47,21 @@ def edge_count(level: int) -> int:
     return 30 * 4 ** level
 
 
-@dataclass
+@dataclass(eq=False)
 class Icosphere:
     """Triangulated unit sphere at one subdivision level.
 
     ``vertices`` are unit rows, ``faces`` index CCW as seen from outside.
     Every index set depends only on ``faces`` and is built once by
     ``build_mesh``; the arrays are frozen so cached meshes can be shared
-    freely.  The per-face solve matrices are built lazily.
+    freely.  Meshes hash by identity, so tables derived from one (such as
+    the per-face solve matrices) are memoised per mesh object.
 
     ``edges`` are the undirected edges as sorted (i, j) pairs in
     lexicographic order.  The directed one-ring is stored in CSR form:
     ``ring_dst`` ascending, ``ring_src`` ascending within each destination,
     and ``ring_offsets[v]:ring_offsets[v + 1]`` the slice of vertex v, of
-    which ``one_ring[v]`` is a view (the list is built on first use).
+    which ``one_ring[v]`` is a view.
     ``incident_faces[v]`` lists the faces around v in ascending order,
     padded to six with the first of them.
 
@@ -75,7 +75,7 @@ class Icosphere:
 
     ``scatter_plan(name)`` is the frozen autodiff scatter plan of a vertex
     index array such as ``neighbourhood``, ``ring_dst`` or ``ring_src``
-    onto the vertices, built on first use.
+    onto the vertices, built once per mesh and name.
     """
 
     level: int
@@ -88,11 +88,6 @@ class Icosphere:
     incident_faces: np.ndarray = field(repr=False)
     neighbourhood: np.ndarray = field(repr=False)
     face_neighbours: np.ndarray = field(repr=False)
-    _corner_inverse: np.ndarray | None = field(default=None, repr=False)
-    _split_normals: np.ndarray | None = field(default=None, repr=False)
-    _one_ring: list[np.ndarray] | None = field(default=None, repr=False)
-    _scatter_plans: dict[str, ag.ScatterPlan] = field(default_factory=dict,
-                                                     repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -102,29 +97,22 @@ class Icosphere:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
-    @property
+    @cached_property
     def one_ring(self) -> list[np.ndarray]:
         """Per vertex, the view of ``ring_src`` holding its neighbours."""
-        if self._one_ring is None:
-            self._one_ring = np.split(self.ring_src, self.ring_offsets[1:-1])
-        return self._one_ring
+        return np.split(self.ring_src, self.ring_offsets[1:-1])
 
     def scatter_plan(self, name: str) -> ag.ScatterPlan:
         """Plan of the vertex index array ``name`` onto the vertices."""
-        if name not in self._scatter_plans:
-            self._scatter_plans[name] = ag.ScatterPlan(getattr(self, name),
-                                                       self.n_vertices)
-        return self._scatter_plans[name]
+        return _scatter_plan(self, name)
 
-    @property
+    @cached_property
     def corner_inverse(self) -> np.ndarray:
         """Per-face inverse of the 3x3 corner-column matrix, shape (F, 3, 3)."""
-        if self._corner_inverse is None:
-            corners = self.vertices[self.faces]          # (F, corner, xyz)
-            self._corner_inverse = np.linalg.inv(corners.transpose(0, 2, 1))
-        return self._corner_inverse
+        corners = self.vertices[self.faces]              # (F, corner, xyz)
+        return np.linalg.inv(corners.transpose(0, 2, 1))
 
-    @property
+    @cached_property
     def split_normals(self) -> np.ndarray:
         """How each face one level up splits into this level's faces.
 
@@ -133,10 +121,8 @@ class Icosphere:
         shape (F / 4, 3, 3), holds per corner child c the normal of the
         great circle between it and the centre child, positive on the
         corner child's side.  Only meaningful above level 0."""
-        if self._split_normals is None:
-            centre = self.vertices[self.faces[3::4]]     # (F/4, corner, xyz)
-            self._split_normals = np.cross(centre, np.roll(centre, 1, axis=1))
-        return self._split_normals
+        centre = self.vertices[self.faces[3::4]]         # (F/4, corner, xyz)
+        return np.cross(centre, np.roll(centre, 1, axis=1))
 
     def mean_edge_arc(self) -> float:
         a = self.vertices[self.edges[:, 0]]
@@ -147,6 +133,11 @@ class Icosphere:
         a = self.vertices[self.edges[:, 0]]
         b = self.vertices[self.edges[:, 1]]
         return float(np.max(_arc_length(a, b)))
+
+
+@cache
+def _scatter_plan(mesh: Icosphere, name: str) -> ag.ScatterPlan:
+    return ag.ScatterPlan(getattr(mesh, name), mesh.n_vertices)
 
 
 def _arc_length(a, b):
@@ -259,16 +250,17 @@ def generate_icosphere(level: int) -> Icosphere:
         raise ValueError(f"level must be an integer, got {level!r}")
     if level < 0 or level > MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
-    if level in _mesh_cache:
-        return _mesh_cache[level]
+    return _icosphere(int(level))
+
+
+@cache
+def _icosphere(level: int) -> Icosphere:
     if level == 0:
         vertices, faces = _base_icosahedron()
     else:
-        parent = generate_icosphere(level - 1)
+        parent = _icosphere(level - 1)
         vertices, faces = _subdivide(parent.vertices, parent.faces)
-    mesh = build_mesh(level, vertices, faces)
-    _mesh_cache[level] = mesh
-    return mesh
+    return build_mesh(level, vertices, faces)
 
 
 # ---------------------------------------------------------------------------

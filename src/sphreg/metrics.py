@@ -10,13 +10,14 @@ coordinates: singular values s1 >= s2 give areal distortion J = det F
 (signed; J <= 0 marks a fold) and shape anisotropy R = s1/s2.  Summary
 statistics are reported for |log2 J| and |log2 R|.  The undeformed half
 (edge matrices and their determinants) depends only on the mesh, so it is
-built once per level and kept, frozen, in ``_undeformed_cache`` together
-with the mesh it belongs to; another mesh at that level rebuilds it.
+built once per mesh object and kept, frozen; another mesh at the same
+level gets its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -25,10 +26,6 @@ from .icosphere import Icosphere, SphericalSignal, generate_icosphere, vertex_co
 from .warp import DeformationField
 
 _STAT_KEYS = ("mean", "std", "max", "p95", "p98")
-
-# per mesh level: (mesh, edge matrices, determinants), the undeformed half
-# of ``distortion_report``
-_undeformed_cache: dict[int, tuple[Icosphere, np.ndarray, np.ndarray]] = {}
 
 
 def _as_column(signal, name: str):
@@ -116,11 +113,10 @@ def smoothness_penalty(targets, mesh_level: int):
     return ag.reduce_sum(scaled)
 
 
-def _field_parts(field, name: str):
+def _field_parts(field):
     if isinstance(field, DeformationField):
         return field.targets, field.mesh_level
-    targets, level = field
-    return targets, level
+    return field
 
 
 def loss_reg(field1, field2, lam1: float, lam2: float):
@@ -131,8 +127,8 @@ def loss_reg(field1, field2, lam1: float, lam2: float):
     """
     if lam1 < 0 or lam2 < 0:
         raise ValueError("regularization weights must be nonnegative")
-    t1, l1 = _field_parts(field1, "first")
-    t2, l2 = _field_parts(field2, "second")
+    t1, l1 = _field_parts(field1)
+    t2, l2 = _field_parts(field2)
     g1 = smoothness_penalty(t1, l1)
     g2 = smoothness_penalty(t2, l2)
     return ag.mul(0.5, ag.add(ag.mul(lam1, g1), ag.mul(lam2, g2)))
@@ -234,12 +230,10 @@ def singular_values_2x2(F: np.ndarray):
     return q + r, np.abs(q - r)
 
 
+@cache
 def _undeformed(mesh: Icosphere):
     """The mesh's edge matrices and their determinants, built once per
-    level and frozen; a degenerate triangle raises."""
-    cached = _undeformed_cache.get(mesh.level)
-    if cached is not None and cached[0] is mesh:
-        return cached[1:]
+    mesh and frozen; a degenerate triangle raises."""
     before = _edge_matrix(mesh.vertices[mesh.faces])
     det_before = (before[:, 0, 0] * before[:, 1, 1]
                   - before[:, 0, 1] * before[:, 1, 0])
@@ -249,7 +243,6 @@ def _undeformed(mesh: Icosphere):
             f"degenerate source triangle {int(np.argmax(degenerate))}")
     before.setflags(write=False)
     det_before.setflags(write=False)
-    _undeformed_cache[mesh.level] = (mesh, before, det_before)
     return before, det_before
 
 

@@ -29,6 +29,7 @@ per bandwidth, over the (l, o, i) product with the degree axis first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -50,17 +51,12 @@ def degree_of_index(L: int) -> np.ndarray:
     return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
 
 
-_degree_plan_cache: dict[int, ag.ScatterPlan] = {}
-
-
+@cache
 def _degree_plan(L: int) -> ag.ScatterPlan:
     """Frozen plan of ``degree_of_index(L)`` onto the degrees 0..L."""
-    plan = _degree_plan_cache.get(L)
-    if plan is None:
-        index = degree_of_index(L)
-        index.setflags(write=False)
-        plan = _degree_plan_cache[L] = ag.ScatterPlan(index, L + 1)
-    return plan
+    index = degree_of_index(L)
+    index.setflags(write=False)
+    return ag.ScatterPlan(index, L + 1)
 
 
 @dataclass

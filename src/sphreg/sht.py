@@ -19,14 +19,13 @@ the sampled basis (least squares); see the design notes in build_basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .icosphere import Icosphere, SphericalSignal, generate_icosphere, vertex_count
 
 MAX_DEGREE = 64
-
-_basis_cache: dict[tuple[int, int], "HarmonicBasis"] = {}
 
 
 def flat_index(l: int, m: int) -> int:
@@ -85,7 +84,7 @@ class HarmonicBasis:
 
 
 def build_basis(mesh: Icosphere, L: int) -> HarmonicBasis:
-    """Basis for ``mesh`` up to degree ``L`` (cached per (level, L)).
+    """Basis for ``mesh`` up to degree ``L`` (cached per (mesh, L)).
 
     Requires more samples than coefficients; at 2x oversampling or better the
     sampled columns are far from rank deficiency and the pseudo-inverse is a
@@ -93,22 +92,21 @@ def build_basis(mesh: Icosphere, L: int) -> HarmonicBasis:
     """
     if L < 0 or L > MAX_DEGREE:
         raise ValueError(f"bandwidth L={L} out of [0, {MAX_DEGREE}]")
-    key = (mesh.level, L)
-    cached = _basis_cache.get(key)
-    if cached is not None:
-        return cached
     n_coeffs = (L + 1) ** 2
     if mesh.n_vertices < n_coeffs:
         raise ValueError(
             f"level {mesh.level} has {mesh.n_vertices} vertices, fewer than "
             f"{n_coeffs} coefficients for L={L}; refine the mesh or lower L")
+    return _basis(mesh, int(L))
+
+
+@cache
+def _basis(mesh: Icosphere, L: int) -> HarmonicBasis:
     Y = _sample_basis(mesh.vertices, L)
     forward = np.linalg.pinv(Y)
     Y.setflags(write=False)
     forward.setflags(write=False)
-    basis = HarmonicBasis(mesh.level, L, Y, forward)
-    _basis_cache[key] = basis
-    return basis
+    return HarmonicBasis(mesh.level, L, Y, forward)
 
 
 @dataclass

@@ -101,10 +101,18 @@ class TrainConfig:
     def from_dict(cls, data: dict) -> "TrainConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config is not a JSON object: {data!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        # a float field takes an int too (JSON has one number type); bool is
+        # an int subclass, so only a bool field takes a bool
+        allowed = {"bool": bool, "int": int, "float": (int, float), "str": str}
+        for name, value in data.items():
+            if (not isinstance(value, allowed[types[name]])
+                    or isinstance(value, bool) != (types[name] == "bool")):
+                raise ValueError(f"config {name} must be {types[name]}, "
+                                 f"got {value!r}")
         return cls(**data)
 
 

@@ -30,6 +30,7 @@ autodiff tensor; mesh geometry and interpolation weights are constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -45,9 +46,6 @@ _WALK_TOLERANCE = 1e-12
 
 # largest |norm - 1| of a field target, in memory and on disk alike
 UNIT_TOLERANCE = 1e-9
-
-_densify_weights_cache: dict[tuple[int, int],
-                             tuple[ag.ScatterPlan, np.ndarray]] = {}
 
 
 @dataclass
@@ -110,14 +108,11 @@ def apply_rotation_vectors(rotvecs, points: np.ndarray):
     return ag.add(ag.add(radial, tangential), axial)
 
 
+@cache
 def _densify_weights(control_level: int, dst_level: int):
     """Barycentric corners and weights of every dst vertex over the control
     mesh: a frozen scatter plan of the (N, 3) corner ids onto the control
     vertices, and the (N, 3) weights; pure geometry, cached per level pair."""
-    key = (control_level, dst_level)
-    cached = _densify_weights_cache.get(key)
-    if cached is not None:
-        return cached
     control = generate_icosphere(control_level)
     dst = generate_icosphere(dst_level)
     faces, lam = locate_faces(control, dst.vertices)
@@ -129,9 +124,7 @@ def _densify_weights(control_level: int, dst_level: int):
     prefix = control.n_vertices
     weights[:prefix] = corners[:prefix] == np.arange(prefix)[:, None]
     corners.setflags(write=False)
-    result = (ag.ScatterPlan(corners, control.n_vertices), weights)
-    _densify_weights_cache[key] = result
-    return result
+    return ag.ScatterPlan(corners, control.n_vertices), weights
 
 
 def densify_targets(control_targets, control_level: int, dst_level: int):

@@ -366,6 +366,7 @@ def graph_off_run(desk_split):
         dataclasses.replace(config, use_graph_module=False), pairs, mesh)
 
 
+@pytest.mark.desk
 def test_08_desk_scale_registration(desk_split, cascaded_run):
     _, _, _, pre_cc = desk_split
     run = cascaded_run
@@ -378,6 +379,7 @@ def test_08_desk_scale_registration(desk_split, cascaded_run):
             f"{run['clean_frac']:.0%} (>=90%), {run['seconds']:.0f}s (<=1800s)")
 
 
+@pytest.mark.desk
 def test_09_ablation_directions(desk_split, cascaded_run, independent_run,
                                 graph_off_run):
     _, _, _, pre_cc = desk_split

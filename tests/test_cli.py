@@ -364,12 +364,14 @@ def test_checkpoint_tensor_name_not_utf8(tmp_path, capsys):
     assert f"byte {name_at}" in err and "not UTF-8" in err
 
 
-def test_checkpoint_config_value_of_wrong_type(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("epochs", "x"), ("bandwidth", 8.0),
+                                        ("use_crf", "no"), ("mesh_level", 2.0)])
+def test_checkpoint_config_value_of_wrong_type(tmp_path, capsys, key, value):
     ckpt = zero_head_checkpoint(tmp_path)
     raw = ckpt.read_bytes()
     (blob_len,) = struct.unpack_from("<I", raw, 8)
     config = json.loads(raw[12:12 + blob_len])
-    config["epochs"] = "x"
+    config[key] = value
     replace_config_blob(ckpt, json.dumps(config).encode())
     assert register_with(tmp_path, ckpt) == 3
     err = capsys.readouterr().err

@@ -70,7 +70,7 @@ def test_neighbours_ordered_nearest_first():
 def test_label_sets_are_built_once_and_frozen():
     first = build_label_sets(1, 3, hops=1)
     assert build_label_sets(1, 3, hops=1) is first
-    discrete_reg._label_set_cache.clear()
+    discrete_reg._label_sets.cache_clear()
     fresh = build_label_sets(1, 3, hops=1)
     assert fresh is not first
     for name in ("labels", "label_positions", "control_positions", "edges"):

@@ -174,3 +174,16 @@ def test_checkpoint_truncated_tensor(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(FormatError, match="truncated"):
         fileio.read_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**21,) * 3])
+def test_checkpoint_dims_whose_product_overflows_int64(tmp_path, dims):
+    # the element count is exact, so a huge tensor reads as truncated
+    # instead of wrapping to a size that fails the reshape
+    path = tmp_path / "model.sphk"
+    fileio.write_checkpoint(path, {}, {"t": np.zeros((1,) * len(dims))})
+    rank_at = 4 + 4 + 4 + 2 + 4 + 4 + 1
+    corrupt(path, rank_at + 4, struct.pack(f"<{len(dims)}I", *dims))
+    with pytest.raises(FormatError, match="truncated") as info:
+        fileio.read_checkpoint(path)
+    assert info.value.offset == rank_at + 4 + 4 * len(dims)

@@ -305,7 +305,7 @@ def test_one_ring_is_built_on_first_use():
     parent = icosphere.generate_icosphere(5)
     mesh = icosphere.build_mesh(6, *icosphere._subdivide(parent.vertices,
                                                          parent.faces))
-    assert mesh._one_ring is None
+    assert "one_ring" not in vars(mesh)
     rings = mesh.one_ring
     assert len(rings) == mesh.n_vertices
     for v, ring in enumerate(rings):

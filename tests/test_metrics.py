@@ -411,7 +411,7 @@ def distortion_fields(level):
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_distortion_report_matches_reference_bitwise(level):
     mesh = generate_icosphere(level)
-    metrics._undeformed_cache.pop(level, None)
+    metrics._undeformed.cache_clear()
     for name, targets in distortion_fields(level):
         field = DeformationField(level, targets)
         expected = reference_distortion(mesh, field)
@@ -424,8 +424,8 @@ def test_distortion_report_matches_reference_bitwise(level):
             assert repr(rep.row()) == repr(expected.row()), where
         if name in ("hard", "folded", "collapsed"):
             assert rep.fold_count > 0 or not np.all(np.isfinite(rep.R)), name
-    cached_mesh, before, det_before = metrics._undeformed_cache[level]
-    assert cached_mesh is mesh
+    assert metrics._undeformed.cache_info().misses == 1   # built once
+    before, det_before = metrics._undeformed(mesh)
     assert not before.flags.writeable and not det_before.flags.writeable
 
 

@@ -310,6 +310,7 @@ def test_crf_schedule_defaults_from_grid():
 # training loop
 # ---------------------------------------------------------------------------
 
+@pytest.mark.desk
 def test_training_reduces_loss_at_desk_scale():
     cfg = dataclasses.replace(TrainConfig(), epochs=10)
     dataset = synth_dataset(64, cfg, seed=cfg.seed)
