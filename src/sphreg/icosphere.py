@@ -18,9 +18,13 @@ tangent-plane linear functions to second order in the edge length.
 Point location descends that face tree: the base face with the largest
 minimum coordinate, then per level the child on the target's side of the
 great circles that cut the centre child from the corner children.  The
-leaf's corner nearest the target seeds the last step, which keeps the face
-around that corner with the largest minimum coordinate (the lowest face
-index on exact ties).  That is O(level) work and O(1) memory per target.
+leaf's corner nearest the target is the seed.  The leaf is the answer
+when its smallest coordinate exceeds ``_INSIDE`` (1e-10, far above the
+rounding error of a coordinate); only targets near an edge or a vertex
+search the faces around the seed for the largest minimum coordinate (the
+lowest face index on exact ties), and resampling reads a target on a
+vertex from the seed's row.  That is O(level) work and O(1) memory per
+target.
 """
 
 from __future__ import annotations
@@ -98,9 +102,9 @@ class Icosphere:
         return self.faces.shape[0]
 
     @cached_property
-    def one_ring(self) -> list[np.ndarray]:
+    def one_ring(self) -> tuple[np.ndarray, ...]:
         """Per vertex, the view of ``ring_src`` holding its neighbours."""
-        return np.split(self.ring_src, self.ring_offsets[1:-1])
+        return tuple(np.split(self.ring_src, self.ring_offsets[1:-1]))
 
     def scatter_plan(self, name: str) -> ag.ScatterPlan:
         """Plan of the vertex index array ``name`` onto the vertices."""
@@ -110,7 +114,9 @@ class Icosphere:
     def corner_inverse(self) -> np.ndarray:
         """Per-face inverse of the 3x3 corner-column matrix, shape (F, 3, 3)."""
         corners = self.vertices[self.faces]              # (F, corner, xyz)
-        return np.linalg.inv(corners.transpose(0, 2, 1))
+        inverse = np.linalg.inv(corners.transpose(0, 2, 1))
+        inverse.setflags(write=False)
+        return inverse
 
     @cached_property
     def split_normals(self) -> np.ndarray:
@@ -122,7 +128,9 @@ class Icosphere:
         great circle between it and the centre child, positive on the
         corner child's side.  Only meaningful above level 0."""
         centre = self.vertices[self.faces[3::4]]         # (F/4, corner, xyz)
-        return np.cross(centre, np.roll(centre, 1, axis=1))
+        normals = np.cross(centre, np.roll(centre, 1, axis=1))
+        normals.setflags(write=False)
+        return normals
 
     def mean_edge_arc(self) -> float:
         a = self.vertices[self.edges[:, 0]]
@@ -269,14 +277,67 @@ def _icosphere(level: int) -> Icosphere:
 
 _SNAP_DOT = 1.0 - 1e-12
 
+# Up to MAX_LEVEL a computed coordinate errs by at most about 4e-12 (largest
+# |corner_inverse| entry 143, condition number 303), so only the face that
+# holds a target with a computed minimum above this can be the max-min face.
+_INSIDE = 1e-10
 
-def _max_min_coordinate(lam):
-    """Per target, the candidate row of ``lam`` (T, K, 3) whose smallest
-    coordinate is largest; the first such row on exact ties."""
-    # np.minimum over the three slices, not lam.min(axis=2): a reduction
+
+def _min_coordinate(lam):
+    """Smallest of the three coordinates along the last axis of ``lam``."""
+    # np.minimum over the three slices, not lam.min(axis=-1): a reduction
     # over a length-3 axis runs ten times slower, for the same values
-    return np.argmax(np.minimum(np.minimum(lam[..., 0], lam[..., 1]),
-                                lam[..., 2]), axis=1)
+    return np.minimum(np.minimum(lam[..., 0], lam[..., 1]), lam[..., 2])
+
+
+def _descend(mesh: Icosphere, targets: np.ndarray):
+    """``targets`` as float64 rows, checked to be of unit length within 1e-8
+    (a NaN row is not), and per target the descent's leaf face and its
+    corner nearest the target, the seed."""
+    targets = np.asarray(targets, dtype=np.float64)
+    norms = np.linalg.norm(targets, axis=1)
+    if not np.all(np.abs(norms - 1.0) <= 1e-8):
+        worst = int(np.argmax(np.abs(norms - 1.0)))     # the first NaN, if any
+        raise ValueError(
+            f"target {worst} has norm {norms[worst]:.9f}, expected unit")
+    # tables are gathered by np.take, which copies the same bytes as fancy
+    # indexing several times faster
+    base = generate_icosphere(0).corner_inverse.reshape(-1, 3)
+    leaf = np.argmax(_min_coordinate((targets @ base.T).reshape(-1, 20, 3)),
+                     axis=1)
+    for level in range(1, mesh.level + 1):
+        normals = np.take(generate_icosphere(level).split_normals, leaf, axis=0)
+        side = np.einsum("tcx,tx->ct", normals, targets) > 0
+        # the first corner child whose side holds the target, else the centre
+        leaf = 4 * leaf + np.where(side[0], 0, np.where(side[1], 1,
+                                                        np.where(side[2], 2, 3)))
+    corners = np.take(mesh.faces, leaf, axis=0)               # (T, 3)
+    dots = np.einsum("tkx,tx->tk", np.take(mesh.vertices, corners, axis=0),
+                     targets)
+    return targets, leaf, corners[np.arange(len(leaf)), np.argmax(dots, axis=1)]
+
+
+def _around_seed(mesh: Icosphere, targets: np.ndarray, seeds: np.ndarray):
+    """Per target, the face around its seed with the largest minimum
+    coordinate (the lowest face index on exact ties) and its coordinates."""
+    candidates = np.take(mesh.incident_faces, seeds, axis=0)  # (T, 6)
+    inv = np.take(mesh.corner_inverse, candidates, axis=0)    # (T, 6, 3, 3)
+    lam = np.einsum("tkij,tj->tki", inv, targets)             # (T, 6, 3)
+    best = np.argmax(_min_coordinate(lam), axis=1)
+    rows = np.arange(len(seeds))
+    return candidates[rows, best], lam[rows, best]
+
+
+def _settle(mesh: Icosphere, targets: np.ndarray, leaf: np.ndarray,
+            seeds: np.ndarray):
+    """Faces and unnormalised coordinates: the leaf where its minimum
+    exceeds ``_INSIDE``, else ``_around_seed``.  Writes into ``leaf``."""
+    # the einsum of _around_seed on one candidate: the same bits per face
+    inv = np.take(mesh.corner_inverse, leaf[:, None], axis=0)  # (T, 1, 3, 3)
+    lam = np.einsum("tkij,tj->tki", inv, targets)[:, 0]
+    edge = np.flatnonzero(_min_coordinate(lam) <= _INSIDE)
+    leaf[edge], lam[edge] = _around_seed(mesh, targets[edge], seeds[edge])
+    return leaf, lam
 
 
 def locate_faces(mesh: Icosphere, targets: np.ndarray):
@@ -284,43 +345,17 @@ def locate_faces(mesh: Icosphere, targets: np.ndarray):
 
     The descent picks the base face with the largest minimum coordinate,
     then per level the child of the picked face on the target's side of
-    ``split_normals``.  The leaf's corner nearest the target seeds the last
-    step: the face around that corner with the largest minimum coordinate.
-    A target on an edge or at a vertex lies in several faces with (near)
-    zero minima; the rule keeps the largest as computed, and on exact ties
-    the lowest face index, since ``incident_faces`` lists faces in
-    ascending order.  ``mesh`` must come from ``generate_icosphere``: the
-    descent reads the coarser levels through it.
+    ``split_normals``; the leaf's corner nearest the target is the seed.
+    The leaf is the answer where its smallest coordinate exceeds
+    ``_INSIDE``: coordinates err by at most about 4e-12, so no other face
+    can then score higher.  Targets on or near an edge or a vertex take the
+    face around the seed with the largest minimum coordinate as computed,
+    and on exact ties the lowest face index, since ``incident_faces`` lists
+    faces in ascending order.  ``mesh`` must come from ``generate_icosphere``:
+    the descent reads the coarser levels through it.
     Returns (face_indices, lambdas) with lambdas unnormalised.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    norms = np.linalg.norm(targets, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        worst = int(np.argmax(np.abs(norms - 1.0)))
-        raise ValueError(
-            f"locate_faces: target {worst} has norm {norms[worst]:.9f}, expected unit")
-
-    # tables are gathered by np.take, which copies the same bytes as fancy
-    # indexing several times faster
-    rows = np.arange(targets.shape[0])
-    base = generate_icosphere(0).corner_inverse.reshape(-1, 3)
-    leaf = _max_min_coordinate((targets @ base.T).reshape(-1, 20, 3))
-    for level in range(1, mesh.level + 1):
-        normals = np.take(generate_icosphere(level).split_normals, leaf, axis=0)
-        side = np.einsum("tcx,tx->ct", normals, targets) > 0
-        # the first corner child whose side holds the target, else the centre
-        leaf = 4 * leaf + np.where(side[0], 0, np.where(side[1], 1,
-                                                        np.where(side[2], 2, 3)))
-
-    corners = np.take(mesh.faces, leaf, axis=0)               # (T, 3)
-    dots = np.einsum("tkx,tx->tk", np.take(mesh.vertices, corners, axis=0),
-                     targets)
-    seeds = corners[rows, np.argmax(dots, axis=1)]
-    candidates = np.take(mesh.incident_faces, seeds, axis=0)  # (T, 6)
-    inv = np.take(mesh.corner_inverse, candidates, axis=0)    # (T, 6, 3, 3)
-    lam = np.einsum("tkij,tj->tki", inv, targets)             # (T, 6, 3)
-    best = _max_min_coordinate(lam)
-    return candidates[rows, best], lam[rows, best]
+    return _settle(mesh, *_descend(mesh, targets))
 
 
 def barycentric_weights(mesh: Icosphere, targets: np.ndarray):
@@ -336,11 +371,11 @@ def barycentric_resample(values: np.ndarray, mesh: Icosphere,
 
     Targets that coincide with a mesh vertex (to ~1e-12 in dot product)
     return that vertex's row bitwise, so resampling a signal at its own
-    vertices is the identity.  Such a vertex is the corner of the located
-    face with the largest weight.
+    vertices is the identity.  Such a target lies only in faces around the
+    vertex, so the vertex is the descent's seed and the row skips
+    ``_settle``.
     """
     values = np.asarray(values, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
     if values.ndim == 1:
         return barycentric_resample(values[:, None], mesh, targets)[:, 0]
     if values.shape[0] != mesh.n_vertices:
@@ -348,13 +383,14 @@ def barycentric_resample(values: np.ndarray, mesh: Icosphere,
             f"barycentric_resample: {values.shape[0]} rows for mesh with "
             f"{mesh.n_vertices} vertices")
 
-    face_idx, weights = barycentric_weights(mesh, targets)
-    corners = np.take(mesh.faces, face_idx, axis=0)           # (T, 3)
-    nearest = corners[np.arange(targets.shape[0]), np.argmax(weights, axis=1)]
-    snapped = (np.sum(targets * np.take(mesh.vertices, nearest, axis=0), axis=1)
-               >= _SNAP_DOT)
-    out = np.einsum("tk,tkc->tc", weights, np.take(values, corners, axis=0))
-    out[snapped] = np.take(values, nearest[snapped], axis=0)
+    targets, leaf, seeds = _descend(mesh, targets)
+    out = np.take(values, seeds, axis=0)
+    rest = np.flatnonzero(np.sum(targets * np.take(mesh.vertices, seeds, axis=0),
+                                 axis=1) < _SNAP_DOT)
+    face_idx, lam = _settle(mesh, targets[rest], leaf[rest], seeds[rest])
+    corners = np.take(mesh.faces, face_idx, axis=0)           # (R, 3)
+    out[rest] = np.einsum("tk,tkc->tc", lam / lam.sum(axis=1, keepdims=True),
+                          np.take(values, corners, axis=0))
     return out
 
 

@@ -124,6 +124,7 @@ def _densify_weights(control_level: int, dst_level: int):
     prefix = control.n_vertices
     weights[:prefix] = corners[:prefix] == np.arange(prefix)[:, None]
     corners.setflags(write=False)
+    weights.setflags(write=False)
     return ag.ScatterPlan(corners, control.n_vertices), weights
 
 

@@ -117,8 +117,8 @@ def test_signal_validation():
 
 
 def test_resample_searches_nearest_vertices_once(monkeypatch):
-    # the nearest-vertex seed of each target comes out of one locate_faces
-    # call, and snapping reads the located face's corners
+    # the nearest-vertex seed of each target comes out of one descent, and
+    # snapping reads the seed's row
     mesh = generate_icosphere(3)
     rng = np.random.default_rng(3)
     values = rng.standard_normal((mesh.n_vertices, 2))
@@ -128,13 +128,13 @@ def test_resample_searches_nearest_vertices_once(monkeypatch):
     expected_faces, expected_weights = barycentric_weights(mesh, targets)
 
     calls = []
-    locate = icosphere.locate_faces
+    descend = icosphere._descend
 
-    def counting_locate(*args, **kwargs):
+    def counting_descend(*args, **kwargs):
         calls.append(len(args[1]))
-        return locate(*args, **kwargs)
+        return descend(*args, **kwargs)
 
-    monkeypatch.setattr(icosphere, "locate_faces", counting_locate)
+    monkeypatch.setattr(icosphere, "_descend", counting_descend)
     out = barycentric_resample(values, mesh, targets)
     assert calls == [len(targets)]
     corner_vals = values[mesh.faces[expected_faces]]
@@ -142,6 +142,159 @@ def test_resample_searches_nearest_vertices_once(monkeypatch):
         out[50:], np.einsum("tk,tkc->tc", expected_weights, corner_vals)[50:])
     vertex_of = np.argmax(targets[:50] @ mesh.vertices.T, axis=1)
     np.testing.assert_array_equal(out[:50], values[vertex_of])
+
+
+def parent_locate_faces(mesh, targets):
+    """Reference: the locator before the leaf settle, which ran the max-min
+    search around the seed for every target."""
+    targets = np.asarray(targets, dtype=np.float64)
+    rows = np.arange(targets.shape[0])
+    base = generate_icosphere(0).corner_inverse.reshape(-1, 3)
+    lam = (targets @ base.T).reshape(-1, 20, 3)
+    leaf = np.argmax(np.minimum(np.minimum(lam[..., 0], lam[..., 1]),
+                                lam[..., 2]), axis=1)
+    for level in range(1, mesh.level + 1):
+        normals = np.take(generate_icosphere(level).split_normals, leaf, axis=0)
+        side = np.einsum("tcx,tx->ct", normals, targets) > 0
+        leaf = 4 * leaf + np.where(side[0], 0, np.where(side[1], 1,
+                                                        np.where(side[2], 2, 3)))
+    corners = np.take(mesh.faces, leaf, axis=0)
+    dots = np.einsum("tkx,tx->tk", np.take(mesh.vertices, corners, axis=0),
+                     targets)
+    seeds = corners[rows, np.argmax(dots, axis=1)]
+    candidates = np.take(mesh.incident_faces, seeds, axis=0)
+    inv = np.take(mesh.corner_inverse, candidates, axis=0)
+    lam = np.einsum("tkij,tj->tki", inv, targets)
+    best = np.argmax(np.minimum(np.minimum(lam[..., 0], lam[..., 1]),
+                                lam[..., 2]), axis=1)
+    return candidates[rows, best], lam[rows, best]
+
+
+def parent_barycentric_resample(values, mesh, targets):
+    """Reference: interpolate every target, then snap the rows whose
+    highest-weight corner lies within ``_SNAP_DOT`` of it."""
+    face_idx, lam = parent_locate_faces(mesh, targets)
+    weights = lam / lam.sum(axis=1, keepdims=True)
+    corners = np.take(mesh.faces, face_idx, axis=0)
+    nearest = corners[np.arange(targets.shape[0]), np.argmax(weights, axis=1)]
+    snapped = (np.sum(targets * np.take(mesh.vertices, nearest, axis=0), axis=1)
+               >= icosphere._SNAP_DOT)
+    out = np.einsum("tk,tkc->tc", weights, np.take(values, corners, axis=0))
+    out[snapped] = np.take(values, nearest[snapped], axis=0)
+    return out
+
+
+def _unit(points):
+    return points / np.linalg.norm(points, axis=1, keepdims=True)
+
+
+def _settle_cases(mesh, rng):
+    """Own and coarser vertices (every target snaps), edge midpoints (the
+    next level's new vertices), random and rotated points, midpoints
+    jittered by 1e-6 to 1e-15, and points whose coordinate of one corner is
+    0.5 or 2 times ``_INSIDE`` either side of the opposite edge."""
+    cases = {"own": mesh.vertices,
+             "coarser": mesh.vertices[:generate_icosphere(
+                 max(mesh.level - 1, 0)).n_vertices]}
+    # the same sum and division as _subdivide, so the bits of the next level
+    edges = mesh.edges
+    cases["midpoints"] = _unit(mesh.vertices[edges[:, 0]]
+                               + mesh.vertices[edges[:, 1]])
+    cases["random"] = _unit(rng.standard_normal((2000, 3)))
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    cases["rotated"] = _unit(cases["midpoints"] @ rotation.T)
+    for scale in (1e-6, 1e-9, 1e-13, 1e-15):
+        cases[f"jitter{scale:g}"] = _unit(
+            cases["midpoints"]
+            + scale * rng.standard_normal(cases["midpoints"].shape))
+    faces = rng.integers(mesh.n_faces, size=1000)
+    corners = np.take(mesh.vertices, np.take(mesh.faces, faces, axis=0), axis=0)
+    along = rng.uniform(0.05, 0.95, size=1000)
+    on_edge = (along[:, None] * corners[:, 1]
+               + (1 - along[:, None]) * corners[:, 2])
+    for factor in (0.5, 2.0, -0.5, -2.0):
+        # lam = (m |e|, along, 1 - along) puts corner 0's gnomonic
+        # coordinate of the normalised point at about m
+        margin = factor * icosphere._INSIDE * np.linalg.norm(on_edge, axis=1)
+        cases[f"margin{factor:g}"] = _unit(on_edge + margin[:, None] * corners[:, 0])
+    return cases
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
+def test_settle_matches_parent_locator_bitwise(level):
+    mesh = generate_icosphere(level)
+    rng = np.random.default_rng(100 + level)
+    values = rng.standard_normal((mesh.n_vertices, 3))
+    for name, targets in _settle_cases(mesh, rng).items():
+        if level == 6:
+            # the reference gathers six (3, 3) inverses per target
+            targets = targets[rng.choice(len(targets), min(len(targets), 3000),
+                                         replace=False)]
+        faces, lam = locate_faces(mesh, targets)
+        expected_faces, expected_lam = parent_locate_faces(mesh, targets)
+        np.testing.assert_array_equal(faces, expected_faces, err_msg=name)
+        np.testing.assert_array_equal(lam, expected_lam, err_msg=name)
+        np.testing.assert_array_equal(
+            barycentric_resample(values, mesh, targets),
+            parent_barycentric_resample(values, mesh, targets), err_msg=name)
+
+
+def test_search_around_seed_runs_only_near_edges(monkeypatch):
+    mesh = generate_icosphere(4)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((mesh.n_vertices, 2))
+    random = _unit(rng.standard_normal((5000, 3)))
+
+    rows = []                   # per call, the rows that reach the search
+    search = icosphere._around_seed
+
+    def counting_search(mesh, targets, seeds):
+        rows.append(len(seeds))
+        return search(mesh, targets, seeds)
+
+    monkeypatch.setattr(icosphere, "_around_seed", counting_search)
+    locate_faces(mesh, random)
+    barycentric_resample(values, mesh, random)
+    assert sum(rows) <= len(random) // 1000
+
+    # a vertex is on the edge of every face around it, so the locator
+    # searches every row; resampling snaps them all from the seed first
+    rows.clear()
+    locate_faces(mesh, mesh.vertices)
+    assert rows == [mesh.n_vertices]
+    rows.clear()
+    barycentric_resample(values, mesh, mesh.vertices)
+    assert sum(rows) == 0
+
+    # one corner's coordinate at 0.5 x _INSIDE is searched, at 2 x is not
+    cases = _settle_cases(mesh, rng)
+    for name, searched in (("margin0.5", 1000), ("margin2", 0)):
+        rows.clear()
+        locate_faces(mesh, cases[name])
+        assert rows == [searched], name
+
+
+@pytest.mark.parametrize("bad_row", [0, 2])
+def test_non_finite_targets_are_rejected(bad_row):
+    mesh = generate_icosphere(2)
+    targets = mesh.vertices[:3].copy()
+    targets[bad_row] = np.nan
+    values = np.zeros(mesh.n_vertices)
+    for call in (lambda: locate_faces(mesh, targets),
+                 lambda: barycentric_resample(values, mesh, targets)):
+        with pytest.raises(ValueError, match=f"target {bad_row} has norm nan"):
+            call()
+
+
+def test_memoised_locator_tables_are_frozen():
+    # one cached table serves every caller; the writes store the same
+    # values, so a writable table fails the test without corrupting it
+    mesh = generate_icosphere(2)
+    for table in (mesh.corner_inverse, mesh.split_normals, mesh.one_ring[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
+    with pytest.raises(TypeError):
+        mesh.one_ring[0] = mesh.one_ring[0]
 
 
 def _oracle_locate(mesh, targets, rows_per_block=256):

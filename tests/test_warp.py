@@ -149,6 +149,13 @@ def test_densify_weights_match_prefix_loop(control_level, dst_level):
     np.testing.assert_array_equal(weights, expected)
 
 
+def test_densify_weights_are_frozen():
+    # one cached array serves every caller; the write stores the same values
+    _, weights = warp._densify_weights(1, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = weights[0]
+
+
 def test_densify_common_rotation_error_scales_with_angle():
     fine = generate_icosphere(3)
     control = generate_icosphere(1)

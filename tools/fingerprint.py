@@ -20,6 +20,10 @@ registration and the gradient check bitwise equal.  The object holds
   random rotation, and ``repr`` of its CC;
 * ``resample``: sha256 of a level-5 signal resampled at its vertices moved
   by about 1e-3, so point location runs above level 3 as well;
+* ``resample_down`` and ``resample_up``: sha256 of two-channel signals
+  resampled from level 6 at the level-4 vertices, where every target is a
+  source vertex and snaps, and from level 4 at the level-6 vertices, where
+  the level-4 prefix snaps and the rest interpolates;
 * ``eval``: for the pair-17 field above and for a smooth level-5 field
   built as the benchmark's field-ops set-up builds its ``eval`` field,
   sha256 of ``distortion_report``'s ``J`` and ``R`` and ``repr`` of its
@@ -95,7 +99,7 @@ def _smooth_field(level: int, rng) -> "warp.DeformationField":
 
 
 def _field_ops(out: dict) -> None:
-    """Add the ``align``, ``align_cc`` and ``resample`` entries to ``out``."""
+    """Add the ``align``, ``align_cc`` and ``resample*`` entries to ``out``."""
     rng = np.random.default_rng(10)
     mesh = icosphere.generate_icosphere(4)
     fixed = sht.random_bandlimited(4, 8, 1, rng)
@@ -115,6 +119,13 @@ def _field_ops(out: dict) -> None:
     moved /= np.linalg.norm(moved, axis=1, keepdims=True)
     values = icosphere.barycentric_resample(signal.values, mesh, moved)
     out["resample"] = hashlib.sha256(values.tobytes()).hexdigest()
+
+    for key, src, dst in (("resample_down", 6, 4), ("resample_up", 4, 6)):
+        signal = sht.random_bandlimited(src, 8, 2, rng)
+        values = icosphere.barycentric_resample(
+            signal.values, icosphere.generate_icosphere(src),
+            icosphere.generate_icosphere(dst).vertices)
+        out[key] = hashlib.sha256(values.tobytes()).hexdigest()
 
 
 def main() -> int:
