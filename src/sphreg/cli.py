@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -304,7 +305,13 @@ def cmd_align(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: repeated in-process ``main``
+    calls skip rebuilding its seven subparsers and their arguments, and
+    ``parse_args`` returns a new namespace each call.  Each subcommand's
+    handler is bound when the parser is built, so patching a ``cmd_*``
+    function after the first ``main`` call has no effect."""
     parser = argparse.ArgumentParser(
         prog="sphreg",
         description="Spherical mesh registration pipeline",

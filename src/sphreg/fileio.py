@@ -26,7 +26,8 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .icosphere import MAX_LEVEL, Icosphere, SphericalSignal, vertex_count
+from .icosphere import (MAX_LEVEL, Icosphere, SphericalSignal, _norm3,
+                        vertex_count)
 
 _VERSION = 1
 # the SPHK config blob follows magic, version and its u32 length
@@ -149,7 +150,7 @@ def read_field(path):
     at = r.offset
     targets = r.f64_array(3 * n, "targets").reshape(n, 3)
     r.done()
-    norms = np.linalg.norm(targets, axis=1)
+    norms = _norm3(targets)
     if np.any(np.abs(norms - 1.0) > UNIT_TOLERANCE):
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise FormatError(at + 24 * bad,

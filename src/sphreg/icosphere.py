@@ -283,6 +283,39 @@ _SNAP_DOT = 1.0 - 1e-12
 _INSIDE = 1e-10
 
 
+def _sum3(a):
+    """Sums over a length-3 axis 1, bitwise ``a.sum(axis=1)``, which adds
+    the terms in order onto +0.0: the trailing ``+ 0.0`` turns -0.0 into
+    +0.0 as that start does.  Column arithmetic beats the reduction 2-5x."""
+    return ((a[:, 0] + a[:, 1]) + a[:, 2]) + 0.0
+
+
+def _dot3(a, b):
+    """Row-wise dot products of (M, 3) arrays, bitwise np.sum(a * b, axis=1)."""
+    return _sum3(a * b)
+
+
+def _norm3(a):
+    """Row norms of an (M, 3) array, bitwise np.linalg.norm(a, axis=1)."""
+    p = a * a                                   # never -0.0: no + 0.0
+    return np.sqrt((p[:, 0] + p[:, 1]) + p[:, 2])
+
+
+def _cross3(a, b):
+    """Row-wise cross products of (M, 3) arrays, bitwise np.cross(a, b)."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=1)
+
+
+def _argmax3(a):
+    """Per row of an (M, 3) array without NaN, the column that
+    ``np.argmax(a, axis=1)`` picks, the first of the largest."""
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    # boolean arithmetic: np.where with scalar branches runs 3x slower
+    return ~((a0 >= a1) & (a0 >= a2)) * (2 - (a1 >= a2))
+
+
 def _min_coordinate(lam):
     """Smallest of the three coordinates along the last axis of ``lam``."""
     # np.minimum over the three slices, not lam.min(axis=-1): a reduction
@@ -295,7 +328,7 @@ def _descend(mesh: Icosphere, targets: np.ndarray):
     (a NaN row is not), and per target the descent's leaf face and its
     corner nearest the target, the seed."""
     targets = np.asarray(targets, dtype=np.float64)
-    norms = np.linalg.norm(targets, axis=1)
+    norms = _norm3(targets)
     if not np.all(np.abs(norms - 1.0) <= 1e-8):
         worst = int(np.argmax(np.abs(norms - 1.0)))     # the first NaN, if any
         raise ValueError(
@@ -307,14 +340,15 @@ def _descend(mesh: Icosphere, targets: np.ndarray):
                      axis=1)
     for level in range(1, mesh.level + 1):
         normals = np.take(generate_icosphere(level).split_normals, leaf, axis=0)
-        side = np.einsum("tcx,tx->ct", normals, targets) > 0
-        # the first corner child whose side holds the target, else the centre
-        leaf = 4 * leaf + np.where(side[0], 0, np.where(side[1], 1,
-                                                        np.where(side[2], 2, 3)))
+        s0, s1, s2 = np.einsum("tcx,tx->ct", normals, targets) > 0
+        # the first corner child k whose side holds the target, else the
+        # centre (k = 3): 3 minus how many of s0, s0|s1, s0|s1|s2 hold
+        leaf = 4 * leaf + 3 - (s0 | s1 | s2) - (s0 | s1) - s0
     corners = np.take(mesh.faces, leaf, axis=0)               # (T, 3)
     dots = np.einsum("tkx,tx->tk", np.take(mesh.vertices, corners, axis=0),
                      targets)
-    return targets, leaf, corners[np.arange(len(leaf)), np.argmax(dots, axis=1)]
+    return targets, leaf, np.take(corners,
+                                  3 * np.arange(len(leaf)) + _argmax3(dots))
 
 
 def _around_seed(mesh: Icosphere, targets: np.ndarray, seeds: np.ndarray):
@@ -361,8 +395,7 @@ def locate_faces(mesh: Icosphere, targets: np.ndarray):
 def barycentric_weights(mesh: Icosphere, targets: np.ndarray):
     """Containing faces plus weights normalised to sum to one."""
     face_idx, lam = locate_faces(mesh, targets)
-    weights = lam / lam.sum(axis=1, keepdims=True)
-    return face_idx, weights
+    return face_idx, lam / _sum3(lam)[:, None]
 
 
 def barycentric_resample(values: np.ndarray, mesh: Icosphere,
@@ -385,11 +418,11 @@ def barycentric_resample(values: np.ndarray, mesh: Icosphere,
 
     targets, leaf, seeds = _descend(mesh, targets)
     out = np.take(values, seeds, axis=0)
-    rest = np.flatnonzero(np.sum(targets * np.take(mesh.vertices, seeds, axis=0),
-                                 axis=1) < _SNAP_DOT)
+    rest = np.flatnonzero(
+        _dot3(targets, np.take(mesh.vertices, seeds, axis=0)) < _SNAP_DOT)
     face_idx, lam = _settle(mesh, targets[rest], leaf[rest], seeds[rest])
     corners = np.take(mesh.faces, face_idx, axis=0)           # (R, 3)
-    out[rest] = np.einsum("tk,tkc->tc", lam / lam.sum(axis=1, keepdims=True),
+    out[rest] = np.einsum("tk,tkc->tc", lam / _sum3(lam)[:, None],
                           np.take(values, corners, axis=0))
     return out
 

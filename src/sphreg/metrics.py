@@ -9,9 +9,10 @@ between pre- and post-deformation edge vectors expressed in tangent-plane
 coordinates: singular values s1 >= s2 give areal distortion J = det F
 (signed; J <= 0 marks a fold) and shape anisotropy R = s1/s2.  Summary
 statistics are reported for |log2 J| and |log2 R|.  The undeformed half
-(edge matrices and their determinants) depends only on the mesh, so it is
+(the inverses of the edge matrices) depends only on the mesh, so it is
 built once per mesh object and kept, frozen; another mesh at the same
-level gets its own.
+level gets its own.  Sums, dot products, norms and cross products of
+length-3 rows are ``icosphere``'s column arithmetic, bitwise NumPy's.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from functools import cache
 import numpy as np
 
 from . import autodiff as ag
-from .icosphere import Icosphere, SphericalSignal, generate_icosphere, vertex_count
+from .icosphere import (Icosphere, SphericalSignal, _cross3, _dot3, _norm3,
+                        _sum3, generate_icosphere, vertex_count)
 from .warp import DeformationField
 
 _STAT_KEYS = ("mean", "std", "max", "p95", "p98")
@@ -160,29 +162,9 @@ class DistortionReport:
 def _stats(values: np.ndarray) -> dict:
     if len(values) == 0:
         return {key: float("nan") for key in _STAT_KEYS}
-    return {
-        "mean": float(values.mean()),
-        "std": float(values.std()),
-        "max": float(values.max()),
-        "p95": float(np.percentile(values, 95)),
-        "p98": float(np.percentile(values, 98)),
-    }
-
-
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (M, 3) arrays, with the bits of
-    ``np.sum(a * b, axis=1)``: that sum adds the three products in order
-    onto +0.0, and the trailing ``+ 0.0`` turns a -0.0 result into +0.0
-    as that start does.  About 4x faster than the reduction."""
-    p = a * b
-    return ((p[:, 0] + p[:, 1]) + p[:, 2]) + 0.0
-
-
-def _norm3(a: np.ndarray) -> np.ndarray:
-    """Row norms of an (M, 3) array, bitwise ``np.linalg.norm(a, axis=1)``
-    (squares are never -0.0, so no +0.0 is needed)."""
-    p = a * a
-    return np.sqrt((p[:, 0] + p[:, 1]) + p[:, 2])
+    p95, p98 = np.percentile(values, [95, 98])
+    return {"mean": float(values.mean()), "std": float(values.std()),
+            "max": float(values.max()), "p95": float(p95), "p98": float(p98)}
 
 
 def _tangent_frame(edge1: np.ndarray, normal: np.ndarray):
@@ -199,14 +181,13 @@ def _tangent_frame(edge1: np.ndarray, normal: np.ndarray):
         t1[bad] = fallback
         norms[bad] = _norm3(fallback)[:, None]
     t1 = t1 / norms
-    t2 = np.cross(normal, t1)
-    return t1, t2
+    return t1, _cross3(normal, t1)
 
 
 def _edge_matrix(corners: np.ndarray):
     """2x2 edge matrices in per-triangle tangent frames; right-handed with
     respect to the outward (centroid) direction, so folds flip det sign."""
-    centroid = corners.mean(axis=1)
+    centroid = _sum3(corners) / 3.0          # bitwise corners.mean(axis=1)
     normal = centroid / _norm3(centroid)[:, None]
     e1 = corners[:, 1] - corners[:, 0]
     e2 = corners[:, 2] - corners[:, 0]
@@ -232,8 +213,9 @@ def singular_values_2x2(F: np.ndarray):
 
 @cache
 def _undeformed(mesh: Icosphere):
-    """The mesh's edge matrices and their determinants, built once per
-    mesh and frozen; a degenerate triangle raises."""
+    """The inverses of the mesh's edge matrices, (F, 2, 2): each adjugate
+    entry divided by the determinant.  Built once per mesh and frozen; a
+    degenerate triangle raises."""
     before = _edge_matrix(mesh.vertices[mesh.faces])
     det_before = (before[:, 0, 0] * before[:, 1, 1]
                   - before[:, 0, 1] * before[:, 1, 0])
@@ -241,9 +223,11 @@ def _undeformed(mesh: Icosphere):
     if np.any(degenerate):
         raise ValueError(
             f"degenerate source triangle {int(np.argmax(degenerate))}")
-    before.setflags(write=False)
-    det_before.setflags(write=False)
-    return before, det_before
+    adjugate = np.stack([before[:, 1, 1], -before[:, 0, 1],
+                         -before[:, 1, 0], before[:, 0, 0]], axis=1)
+    inverse = (adjugate / det_before[:, None]).reshape(-1, 2, 2)
+    inverse.setflags(write=False)
+    return inverse
 
 
 def distortion_report(mesh: Icosphere, field: DeformationField) -> DistortionReport:
@@ -252,23 +236,16 @@ def distortion_report(mesh: Icosphere, field: DeformationField) -> DistortionRep
         raise ValueError(
             f"field level {field.mesh_level} does not match mesh level "
             f"{mesh.level}")
-    before, det_before = _undeformed(mesh)
+    inverse = _undeformed(mesh)
     J = np.ones(mesh.n_faces)
     R = np.ones(mesh.n_faces)
     # triangles whose corners did not move keep J = R = 1 exactly
-    still = np.all(field.targets == mesh.vertices, axis=1)
-    moved = ~np.all(still[mesh.faces], axis=1)
+    same = field.targets == mesh.vertices
+    still = np.take(same[:, 0] & same[:, 1] & same[:, 2], mesh.faces)
+    moved = ~(still[:, 0] & still[:, 1] & still[:, 2])
     if np.any(moved):
         deformed = np.take(field.targets, mesh.faces[moved], axis=0)
-        after = _edge_matrix(deformed)
-        b = before[moved]
-        inv = np.empty_like(b)
-        inv[:, 0, 0] = b[:, 1, 1]
-        inv[:, 1, 1] = b[:, 0, 0]
-        inv[:, 0, 1] = -b[:, 0, 1]
-        inv[:, 1, 0] = -b[:, 1, 0]
-        inv /= det_before[moved][:, None, None]
-        F = after @ inv
+        F = _edge_matrix(deformed) @ inverse[moved]
         s1, s2 = singular_values_2x2(F)
         J[moved] = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
         with np.errstate(divide="ignore"):

@@ -32,7 +32,7 @@ from .discrete_reg import (ControlGrid, DeformationProbabilities, UNetParams,
                            argmax_deformation, build_label_sets, init_unet,
                            predict_probabilities, soft_deformation, unet_forward)
 from .errors import FormatError, NumericError
-from .icosphere import (SphericalSignal, barycentric_resample,
+from .icosphere import (SphericalSignal, _norm3, barycentric_resample,
                         generate_icosphere, vertex_count)
 from .metrics import loss_reg, loss_sim, pearson_cc
 from .sht import random_bandlimited
@@ -645,10 +645,10 @@ def align_search(moving: SphericalSignal, fixed: SphericalSignal,
     Rotations are sampled as golden-spiral axes times uniformly spaced
     angles; CC is scored at mesh level 2 (or the input's, if coarser), and
     the first rotation with the largest CC wins.  The candidates of one
-    axis are located, resampled and scored in one batch: point location
-    and ``pearson_cc`` work row by row, so each candidate's values and CC
-    are those it would get alone, and one batch per axis keeps the
-    locator's tables small.
+    axis are located and resampled in one batch, which keeps the locator's
+    arrays small, and one ``pearson_cc`` call scores the candidates of all
+    axes: point location and ``pearson_cc`` work row by row, so each
+    candidate's values and CC are those it would get alone.
     Returns (field at the input level, best cc)."""
     for name, count in (("n_axes", n_axes), ("n_angles", n_angles)):
         if count < 1:
@@ -668,25 +668,24 @@ def align_search(moving: SphericalSignal, fixed: SphericalSignal,
     # round differently)
     sines = np.array([np.sin(a) for a in angles])[:, None, None]
     versines = np.array([1 - np.cos(a) for a in angles])[:, None, None]
-    best_cc = -np.inf
-    best_rotation = np.eye(3)
-    for x, y, z in _golden_spiral_axes(n_axes):
+    rotations = np.empty((n_axes, n_angles, 3, 3))
+    warped = np.empty((n_axes, n_angles * n_coarse, m_coarse.shape[1]))
+    for axis, (x, y, z) in enumerate(_golden_spiral_axes(n_axes)):
         K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-        rotations = np.eye(3) + sines * K + versines * (K @ K)
+        rotations[axis] = np.eye(3) + sines * K + versines * (K @ K)
         targets = (coarse_mesh.vertices
-                   @ rotations.transpose(0, 2, 1)).reshape(-1, 3)
-        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+                   @ rotations[axis].transpose(0, 2, 1)).reshape(-1, 3)
+        targets /= _norm3(targets)[:, None]
         check_unit_targets(targets)
-        warped = barycentric_resample(m_coarse, coarse_mesh, targets)
-        if not np.all(np.isfinite(warped)):
-            raise ValueError("warped values must be finite")
-        # a candidate's (N, C) values as one row: reduced over its N * C
-        # contiguous values, as a lone call on the (N, C) block is
-        ccs = pearson_cc(f_coarse.reshape(-1, 1), warped.reshape(n_angles, -1))
-        best = int(np.argmax(ccs))
-        if ccs[best] > best_cc:
-            best_cc = float(ccs[best])
-            best_rotation = rotations[best]
-    targets = mesh.vertices @ best_rotation.T
-    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
-    return DeformationField(moving.level, targets), best_cc
+        warped[axis] = barycentric_resample(m_coarse, coarse_mesh, targets)
+    if not np.all(np.isfinite(warped)):
+        raise ValueError("warped values must be finite")
+    # a candidate's (N, C) values as one row: reduced over its N * C
+    # contiguous values, as a lone call on the (N, C) block is; the first
+    # largest CC is the candidate a strict > over the rows in order keeps
+    ccs = pearson_cc(f_coarse.reshape(-1, 1),
+                     warped.reshape(n_axes * n_angles, -1))
+    best = int(np.argmax(ccs))
+    targets = mesh.vertices @ rotations.reshape(-1, 3, 3)[best].T
+    targets /= _norm3(targets)[:, None]
+    return DeformationField(moving.level, targets), float(ccs[best])

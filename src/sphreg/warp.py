@@ -36,8 +36,9 @@ import numpy as np
 
 from . import autodiff as ag
 from .errors import NumericError
-from .icosphere import (Icosphere, SphericalSignal, barycentric_resample,
-                        generate_icosphere, locate_faces, vertex_count)
+from .icosphere import (Icosphere, SphericalSignal, _norm3,
+                        barycentric_resample, generate_icosphere, locate_faces,
+                        vertex_count)
 
 # a walk stops in a face where no gnomonic coordinate is below -tolerance:
 # a vertex on a deformed edge may compute a tiny negative coordinate in
@@ -70,7 +71,7 @@ def check_unit_targets(targets: np.ndarray) -> None:
     and of unit length within ``UNIT_TOLERANCE``."""
     if not np.all(np.isfinite(targets)):
         raise ValueError("field targets must be finite")
-    norms = np.linalg.norm(targets, axis=1)
+    norms = _norm3(targets)
     if np.any(np.abs(norms - 1.0) > UNIT_TOLERANCE):
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise ValueError(

@@ -6,6 +6,7 @@ argparse usage failures surface as SystemExit(2), everything else maps to
 the documented return codes (0 ok, 2 usage, 3 format, 4 numeric).
 """
 
+import argparse
 import json
 import struct
 
@@ -93,6 +94,32 @@ def test_every_subcommand_has_help():
         with pytest.raises(SystemExit) as excinfo:
             run([name, "--help"])
         assert excinfo.value.code == 0
+
+
+def test_parser_is_built_once_and_namespaces_are_independent(tmp_path,
+                                                              monkeypatch):
+    namespaces = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def recording_parse(self, *args, **kwargs):
+        namespaces.append(parse(self, *args, **kwargs))
+        return namespaces[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse)
+    signal = tmp_path / "s.sphs"
+    fileio.write_signal(signal, SphericalSignal(0, np.arange(12.0)))
+    cli._build_parser.cache_clear()
+    mesh = ["icosphere", "--level", 0, "--out", tmp_path / "m.sphm"]
+    assert run(mesh) == 0
+    assert run(["resample", "--input", signal, "--level", 1,
+                "--out", tmp_path / "r.sphs"]) == 0
+    assert run(mesh) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    first, second, third = namespaces
+    assert first is not third and vars(first) == vars(third)
+    assert set(vars(first)) == {"command", "level", "out", "func"}
+    assert set(vars(second)) == {"command", "input", "level", "out", "func"}
+    assert (first.func, second.func) == (cli.cmd_icosphere, cli.cmd_resample)
 
 
 def test_usage_error_exit_code_on_bad_value(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Mesh construction, topology counts, and barycentric interpolation."""
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -237,6 +238,36 @@ def test_settle_matches_parent_locator_bitwise(level):
         np.testing.assert_array_equal(
             barycentric_resample(values, mesh, targets),
             parent_barycentric_resample(values, mesh, targets), err_msg=name)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
+def test_descend_seed_is_the_first_nearest_leaf_corner(level):
+    mesh = generate_icosphere(level)
+    rng = np.random.default_rng(300 + level)
+    cases = {"own": mesh.vertices,
+             "midpoints": _unit(mesh.vertices[mesh.edges[:, 0]]
+                                + mesh.vertices[mesh.edges[:, 1]]),
+             "centroids": _unit(mesh.vertices[mesh.faces].sum(axis=1)),
+             "random": _unit(rng.standard_normal((2000, 3)))}
+    for name, targets in cases.items():
+        if level == 6:
+            targets = targets[rng.choice(len(targets), min(len(targets), 3000),
+                                         replace=False)]
+        targets, leaf, seeds = icosphere._descend(mesh, targets)
+        corners = mesh.faces[leaf]
+        dots = np.einsum("tkx,tx->tk", mesh.vertices[corners], targets)
+        np.testing.assert_array_equal(
+            seeds, corners[np.arange(len(leaf)), np.argmax(dots, axis=1)],
+            err_msg=name)
+
+
+def test_argmax3_takes_the_first_of_exact_ties():
+    # every order and tie of three values, and signed zeros, which compare
+    # equal
+    rows = np.array(list(itertools.product([-1.0, 0.0, 2.0], repeat=3)))
+    rows = np.concatenate([rows, [[-0.0, 0.0, -0.0], [0.0, -0.0, -1.0]]])
+    np.testing.assert_array_equal(icosphere._argmax3(rows),
+                                  np.argmax(rows, axis=1))
 
 
 def test_search_around_seed_runs_only_near_edges(monkeypatch):

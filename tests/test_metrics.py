@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sphreg import autodiff as ag
-from sphreg import metrics
+from sphreg import icosphere, metrics
 from sphreg.icosphere import SphericalSignal, build_mesh, generate_icosphere
 from sphreg.metrics import (DistortionReport, distortion_report, loss_reg,
                             loss_sim, mean_squared_difference, pearson_cc,
@@ -376,8 +376,17 @@ def reference_distortion(mesh, field):
         finite_r = R[np.isfinite(R)]
         log2r = np.abs(np.log2(finite_r[finite_r > 0]))
     return DistortionReport(J=J, R=R, fold_count=int(np.sum(J <= 0)),
-                            log2J=metrics._stats(log2j),
-                            log2R=metrics._stats(log2r))
+                            log2J=reference_stats(log2j),
+                            log2R=reference_stats(log2r))
+
+
+def reference_stats(values):
+    if len(values) == 0:
+        return {key: float("nan") for key in metrics._STAT_KEYS}
+    return {"mean": float(values.mean()), "std": float(values.std()),
+            "max": float(values.max()),
+            "p95": float(np.percentile(values, 95)),
+            "p98": float(np.percentile(values, 98))}
 
 
 def distortion_fields(level):
@@ -425,8 +434,9 @@ def test_distortion_report_matches_reference_bitwise(level):
         if name in ("hard", "folded", "collapsed"):
             assert rep.fold_count > 0 or not np.all(np.isfinite(rep.R)), name
     assert metrics._undeformed.cache_info().misses == 1   # built once
-    before, det_before = metrics._undeformed(mesh)
-    assert not before.flags.writeable and not det_before.flags.writeable
+    inverse = metrics._undeformed(mesh)
+    assert inverse.shape == (mesh.n_faces, 2, 2)
+    assert not inverse.flags.writeable
 
 
 def test_distortion_report_of_another_mesh_at_a_cached_level():
@@ -447,9 +457,21 @@ def test_distortion_report_of_another_mesh_at_a_cached_level():
 
 
 def test_dot_products_keep_the_sign_of_zero_of_the_reduction():
-    # np.sum adds onto +0.0, so three -0.0 products sum to +0.0
-    a = np.array([[-0.0, 0.0, -0.0], [1.5, -2.0, 0.25], [0.0, 0.0, 0.0]])
-    b = np.array([[1.0, -1.0, 2.0], [0.5, 3.0, -8.0], [-1.0, -2.0, -3.0]])
-    expected = np.sum(a * b, axis=1)
-    assert metrics._dot3(a, b).tobytes() == expected.tobytes()
-    assert metrics._norm3(b).tobytes() == np.linalg.norm(b, axis=1).tobytes()
+    # np.sum adds onto +0.0, so three -0.0 products sum to +0.0; the rows
+    # mix every sign of zero with random values
+    rng = np.random.default_rng(5)
+    zeros = np.array([-0.0, 0.0])
+    signed = zeros[np.stack(np.meshgrid(*[[0, 1]] * 3)).reshape(3, -1).T]
+    a = np.concatenate([signed, signed, [[1.5, -2.0, 0.25]],
+                        rng.standard_normal((64, 3))])
+    b = np.concatenate([signed, -signed[::-1], [[0.5, 3.0, -8.0]],
+                        rng.standard_normal((64, 3))])
+    b[-8:, 1] = -0.0
+    assert icosphere._sum3(a).tobytes() == a.sum(axis=1).tobytes()
+    assert (icosphere._dot3(a, b).tobytes()
+            == np.sum(a * b, axis=1).tobytes())
+    assert icosphere._norm3(b).tobytes() == np.linalg.norm(b, axis=1).tobytes()
+    assert icosphere._cross3(a, b).tobytes() == np.cross(a, b).tobytes()
+    corners = np.stack([a, b, a[::-1]], axis=1)          # (M, corner, xyz)
+    assert ((icosphere._sum3(corners) / 3.0).tobytes()
+            == corners.mean(axis=1).tobytes())

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sphreg import autodiff as ag
+from sphreg import training
 from sphreg.crf import mean_edge_arc
 from sphreg.icosphere import SphericalSignal, generate_icosphere
 from sphreg.metrics import distortion_report, pearson_cc
@@ -476,8 +477,17 @@ def per_rotation_align(moving, fixed, n_axes, n_angles):
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
-@pytest.mark.parametrize("n_axes,n_angles", [(5, 3), (4, 1)])
-def test_align_search_matches_per_rotation_reference(level, n_axes, n_angles):
+@pytest.mark.parametrize("n_axes,n_angles", [(5, 3), (4, 1), (1, 1), (3, 4)])
+def test_align_search_matches_per_rotation_reference(level, n_axes, n_angles,
+                                                     monkeypatch):
+    calls = []
+    score = training.pearson_cc
+
+    def counting_cc(*args):
+        calls.append(args[1].shape)
+        return score(*args)
+
+    monkeypatch.setattr(training, "pearson_cc", counting_cc)
     mesh = generate_icosphere(level)
     for channels in (1, 2):
         rng = np.random.default_rng(level)
@@ -488,8 +498,11 @@ def test_align_search_matches_per_rotation_reference(level, n_axes, n_angles):
         rotated = mesh.vertices @ rotation.T
         rotated /= np.linalg.norm(rotated, axis=1, keepdims=True)
         moving = warp_signal(fixed, DeformationField(level, rotated))
+        calls.clear()
         field, best_cc = align_search(moving, fixed, n_axes=n_axes,
                                       n_angles=n_angles)
+        # one call scores every candidate
+        assert calls == [(n_axes * n_angles, 162 * channels)]
         targets, expected_cc = per_rotation_align(moving, fixed, n_axes,
                                                   n_angles)
         np.testing.assert_array_equal(field.targets, targets)

@@ -24,6 +24,9 @@ registration and the gradient check bitwise equal.  The object holds
   resampled from level 6 at the level-4 vertices, where every target is a
   source vertex and snaps, and from level 4 at the level-6 vertices, where
   the level-4 prefix snaps and the rest interpolates;
+* ``locate``: sha256 of the faces and unnormalised coordinates that
+  ``locate_faces`` returns at level 6 for random targets, the vertices
+  jittered by about 1e-9 and the edge midpoints (the level-7 vertices);
 * ``eval``: for the pair-17 field above and for a smooth level-5 field
   built as the benchmark's field-ops set-up builds its ``eval`` field,
   sha256 of ``distortion_report``'s ``J`` and ``R`` and ``repr`` of its
@@ -128,6 +131,22 @@ def _field_ops(out: dict) -> None:
         out[key] = hashlib.sha256(values.tobytes()).hexdigest()
 
 
+def _locate(out: dict) -> None:
+    """Add the ``locate`` entry to ``out``."""
+    rng = np.random.default_rng(12)
+    mesh = icosphere.generate_icosphere(6)
+    jittered = mesh.vertices + 1e-9 * rng.standard_normal(mesh.vertices.shape)
+    midpoints = (mesh.vertices[mesh.edges[:, 0]]
+                 + mesh.vertices[mesh.edges[:, 1]])
+    digest = hashlib.sha256()
+    for targets in (rng.standard_normal((20000, 3)), jittered, midpoints):
+        targets = targets / np.linalg.norm(targets, axis=1, keepdims=True)
+        faces, lam = icosphere.locate_faces(mesh, targets)
+        digest.update(faces.astype("<i8").tobytes())
+        digest.update(lam.tobytes())
+    out["locate"] = digest.hexdigest()
+
+
 def main() -> int:
     config = training.TrainConfig(epochs=2)
     pairs = training.synth_dataset(20, config, 1)
@@ -167,6 +186,7 @@ def main() -> int:
     out["grad_crf_on"] = repr(float(training.gradient_check(
         check, pair, rng=np.random.default_rng(71))))
     _field_ops(out)
+    _locate(out)
     print(json.dumps(out, sort_keys=True))
     print(json.dumps({"blas": getattr(sphreg, "BLAS", None)}), file=sys.stderr)
     return 0
