@@ -10,12 +10,12 @@ bare ndarray comes back), so the same forward code serves both training
 
 The op set is only what the model records: elementwise arithmetic and
 activations, matmul/einsum contractions, reductions, concatenation, row
-gather/scatter, the row-wise ``cross`` product, and a few smooth rotation
-helpers (``sinc_sq``, ``cosc_sq``, ``arc_over_sin``) whose series branches
-keep derivatives finite at zero rotation.  Everything else in the package is
-composed from these, except the zonal convolution and batch norm of
-``shconv``, which, like ``cross``, record one node each through ``record``
-and ``accumulate`` with a hand-written backward.
+gather/scatter, the row-wise ``cross`` product, and two smooth rotation
+helpers (``sinc_sq``, ``cosc_sq``) whose series branches keep derivatives
+finite at zero rotation.  Everything else in the package is composed from
+these, except the zonal convolution and batch norm of ``shconv`` and
+``warp.minimal_rotation_vectors``, which, like ``cross``, record one node
+each through ``record`` and ``accumulate`` with a hand-written backward.
 
 Every scatter-add (the backward of ``take_rows``, the forward of
 ``segment_sum``) goes through a ``ScatterPlan``: an inverse table that adds
@@ -37,7 +37,7 @@ __all__ = [
     "reduce_sum", "reduce_mean", "concat", "reshape",
     "take_rows", "slice_rows",
     "segment_sum", "softmax_rows", "row_normalize",
-    "sinc_sq", "cosc_sq", "arc_over_sin", "cross",
+    "sinc_sq", "cosc_sq", "cross",
 ]
 
 
@@ -319,38 +319,6 @@ def _cosc_sq_deriv(t):
 def cosc_sq(t):
     """(1 - cos(sqrt(t))) / t, smooth through t = 0."""
     return _unary(t, _cosc_sq_value, lambda v, o: _cosc_sq_deriv(v))
-
-
-def _arc_over_sin_value(c):
-    u = 1.0 - c
-    small = u <= 1e-9
-    cc = np.clip(c, -1.0 + 1e-12, 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.arccos(cc) / np.sqrt(np.maximum(1.0 - cc * cc, 1e-300))
-    series = 1.0 + u / 3.0 + 2.0 * u * u / 15.0
-    return np.where(small, series, direct)
-
-
-def _arc_over_sin_deriv(c, g_value):
-    # c*g - 1 cancels to O(u); switch to the series well before roundoff
-    # in the direct form becomes visible.
-    u = 1.0 - c
-    small = u <= 1e-6
-    cc = np.clip(c, -1.0 + 1e-12, 1.0)
-    denom = np.where(small, 1.0, 1.0 - cc * cc)
-    direct = (cc * g_value - 1.0) / denom
-    series = -1.0 / 3.0 - 4.0 * u / 15.0
-    return np.where(small, series, direct)
-
-
-def arc_over_sin(c):
-    """arccos(c) / sqrt(1 - c^2): scales a cross product into a rotation vector.
-
-    Only valid for c > -1 (no antipodal rotations); inputs are clipped a hair
-    inside the domain, which is harmless for the small deformations used here.
-    """
-    return _unary(c, _arc_over_sin_value,
-                  lambda v, o: _arc_over_sin_deriv(v, o))
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,57 @@ def identity_field(mesh_level: int) -> DeformationField:
 # rotation-vector helpers (tensor-aware)
 # ---------------------------------------------------------------------------
 
+def _arc_over_sin(c):
+    """arccos(c) / sqrt(1 - c^2), the factor that scales p x d into a
+    rotation vector, with a series branch near c = 1.
+
+    Only valid for c > -1 (no antipodal rotations); inputs are clipped a hair
+    inside the domain, which is harmless for the small deformations used here.
+    """
+    u = 1.0 - c
+    small = u <= 1e-9
+    cc = np.clip(c, -1.0 + 1e-12, 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direct = np.arccos(cc) / np.sqrt(np.maximum(1.0 - cc * cc, 1e-300))
+    series = 1.0 + u / 3.0 + 2.0 * u * u / 15.0
+    return np.where(small, series, direct)
+
+
+def _arc_over_sin_deriv(c, value):
+    """d/dc of ``_arc_over_sin`` given its ``value`` at c.  c*g - 1 cancels
+    to O(u); switch to the series well before roundoff in the direct form
+    becomes visible."""
+    u = 1.0 - c
+    small = u <= 1e-6
+    cc = np.clip(c, -1.0 + 1e-12, 1.0)
+    denom = np.where(small, 1.0, 1.0 - cc * cc)
+    direct = (cc * value - 1.0) / denom
+    series = -1.0 / 3.0 - 4.0 * u / 15.0
+    return np.where(small, series, direct)
+
+
 def minimal_rotation_vectors(origins: np.ndarray, targets):
     """Rotation vector of the smallest rotation carrying each origin to its
-    target: r = (p x d) * arccos(p . d) / |p x d|, finite at zero rotation."""
-    cos = ag.reduce_sum(ag.mul(origins, targets), axis=1, keepdims=True)
-    return ag.mul(ag.cross(origins, targets), ag.arc_over_sin(cos))
+    target: r = (p x d) * arccos(p . d) / |p x d|, finite at zero rotation.
+
+    One tape node.  The forward makes the numpy calls of the chain
+    ``mul(cross(p, d), arc_over_sin(reduce_sum(mul(p, d))))`` and the
+    backward replays that chain's backward: each intermediate gradient
+    starts from +0.0 (``+ 0.0``), and the cross-product path reaches
+    ``targets`` before the dot-product path, so gradients are bitwise
+    those of the chain."""
+    d = ag.value_of(targets)
+    cos = (origins * d).sum(axis=1, keepdims=True)
+    crossed = np.cross(origins, d)
+    scale = _arc_over_sin(cos)
+
+    def backward(g):
+        ag.accumulate(targets, np.cross(g * scale + 0.0, origins))
+        g_scale = (g * crossed).sum(axis=1, keepdims=True) + 0.0
+        g_cos = g_scale * _arc_over_sin_deriv(cos, scale) + 0.0
+        ag.accumulate(targets, g_cos * origins)
+
+    return ag.record(crossed * scale, (targets,), backward)
 
 
 def apply_rotation_vectors(rotvecs, points: np.ndarray):

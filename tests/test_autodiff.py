@@ -77,7 +77,6 @@ PLAIN_CASES = {
     "row_normalize": (ag.row_normalize, (_X,)),
     "sinc_sq": (ag.sinc_sq, (_X,)),
     "cosc_sq": (ag.cosc_sq, (_X,)),
-    "arc_over_sin": (ag.arc_over_sin, (_X - 1.0,)),
     "cross": (ag.cross, (_X, _Y)),
 }
 
@@ -239,18 +238,6 @@ def test_smooth_kernel_gradients():
     x = np.array([[1e-5, 1e-3], [0.3, 2.0]])
     check(ag.sinc_sq, x, step=1e-7, tol=2e-5)
     check(ag.cosc_sq, x, step=1e-7, tol=2e-5)
-    c = np.array([[-0.5, 0.0], [0.4, 0.9]])
-    check(ag.arc_over_sin, c, step=1e-7, tol=2e-5)
-
-
-def test_arc_over_sin_matches_definition():
-    c = np.array([-0.9, -0.2, 0.0, 0.3, 0.999])
-    expected = np.arccos(c) / np.sqrt(1 - c * c)
-    np.testing.assert_allclose(ag.value_of(ag.arc_over_sin(c)), expected,
-                               rtol=1e-10)
-    # limit c -> 1 is 1
-    near = ag.value_of(ag.arc_over_sin(np.array([1 - 1e-14])))
-    np.testing.assert_allclose(near, 1.0, atol=1e-6)
 
 
 def test_gradient_accumulates_over_reused_node():

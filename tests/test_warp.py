@@ -13,6 +13,7 @@ pin that scaling instead of assuming exactness.
 import numpy as np
 import pytest
 
+from sphreg import autodiff as ag
 from sphreg import warp
 from sphreg.icosphere import (SphericalSignal, barycentric_resample,
                               generate_icosphere, locate_faces, vertex_count)
@@ -79,6 +80,104 @@ def test_minimal_rotation_carries_origin_to_target():
     rotvecs = np.asarray(minimal_rotation_vectors(origins, targets))
     moved = np.asarray(apply_rotation_vectors(rotvecs, origins))
     assert np.max(np.linalg.norm(moved - targets, axis=1)) < 1e-12
+
+
+def _targets_at_cosines(cosines):
+    """Origins at the north pole and unit targets d with p . d = cosines."""
+    angles = np.arccos(cosines)
+    origins = np.tile([0.0, 0.0, 1.0], (len(cosines), 1))
+    targets = np.stack([np.sin(angles), np.zeros_like(angles), cosines], axis=1)
+    return origins, targets, angles
+
+
+def test_minimal_rotation_matches_definition():
+    c = np.array([-0.9, -0.2, 0.0, 0.3, 0.999])
+    expected = np.arccos(c) / np.sqrt(1 - c * c)
+    np.testing.assert_allclose(warp._arc_over_sin(c), expected, rtol=1e-10)
+    origins, targets, angles = _targets_at_cosines(c)
+    rotvecs = minimal_rotation_vectors(origins, targets)
+    np.testing.assert_allclose(rotvecs[:, 1], angles, rtol=1e-10)
+    assert np.all(rotvecs[:, [0, 2]] == 0.0)
+    # the series branch: the limit c -> 1 is 1, and a rotation of about
+    # 1.4e-7 rad keeps its length
+    near = warp._arc_over_sin(np.array([1 - 1e-14]))
+    np.testing.assert_allclose(near, 1.0, atol=1e-6)
+    origins, targets, angles = _targets_at_cosines(np.array([1 - 1e-14]))
+    np.testing.assert_allclose(
+        minimal_rotation_vectors(origins, targets)[:, 1], angles, rtol=1e-6)
+
+
+def test_minimal_rotation_gradient_matches_finite_differences():
+    origins, targets, _ = _targets_at_cosines(np.array([-0.5, 0.0, 0.4, 0.9]))
+    weights = np.random.default_rng(3).standard_normal(targets.shape)
+
+    def loss(d):
+        return float(np.sum(minimal_rotation_vectors(origins, d) * weights))
+
+    tensor = ag.Tensor(targets.copy())
+    ag.reduce_sum(ag.mul(minimal_rotation_vectors(origins, tensor),
+                         weights)).backward()
+    step = 1e-7
+    numeric = np.zeros_like(targets)
+    for index in np.ndindex(targets.shape):
+        plus, minus = targets.copy(), targets.copy()
+        plus[index] += step
+        minus[index] -= step
+        numeric[index] = (loss(plus) - loss(minus)) / (2 * step)
+    err = np.abs(tensor.grad - numeric) / np.maximum(np.abs(numeric), 1e-3)
+    assert err.max() < 2e-5
+
+
+def test_minimal_rotation_records_one_node(tape_counter):
+    origins = generate_icosphere(1).vertices
+    targets = ag.Tensor(origins.copy())
+    tape_counter["nodes"] = 0
+    out = minimal_rotation_vectors(origins, targets)
+    assert tape_counter["nodes"] == 1
+    assert out.parents == (targets,)
+
+
+def _chain_arc_over_sin(c):
+    value = ag.value_of(c)
+    out = warp._arc_over_sin(value)
+
+    def backward(g):
+        ag.accumulate(c, g * warp._arc_over_sin_deriv(value, out))
+
+    return ag.record(out, (c,), backward)
+
+
+def chain_minimal_rotation_vectors(origins, targets):
+    """The composite chain that the node replaces, as the bitwise oracle."""
+    cos = ag.reduce_sum(ag.mul(origins, targets), axis=1, keepdims=True)
+    return ag.mul(ag.cross(origins, targets), _chain_arc_over_sin(cos))
+
+
+@pytest.mark.parametrize("order", [1, -1])
+@pytest.mark.parametrize("amplitude", [0.0, 1e-9, 0.05, 0.2])
+def test_minimal_rotation_node_matches_composite_chain_bitwise(amplitude,
+                                                               order):
+    # the targets feed a second consumer as well, as the control targets
+    # feed the smoothness penalty in training, and ``order`` decides whose
+    # gradient reaches them first; zero moves give zero gradients, where
+    # only the sign of zero can differ
+    rng = np.random.default_rng(17)
+    origins = generate_icosphere(1).vertices
+    moves = origins + amplitude * rng.standard_normal(origins.shape)
+    moves[::7] = origins[::7]
+    weights = rng.standard_normal((2,) + origins.shape)
+    results = []
+    for rotation in (minimal_rotation_vectors, chain_minimal_rotation_vectors):
+        leaf = ag.Tensor(moves.copy())
+        targets = ag.row_normalize(leaf)
+        rotvecs = rotation(origins, targets)
+        terms = [ag.reduce_sum(ag.mul(rotvecs, weights[0])),
+                 ag.reduce_sum(ag.mul(ag.square(targets), weights[1]))]
+        ag.add(*terms[::order]).backward()
+        plain = rotation(origins, ag.value_of(targets))
+        assert plain.tobytes() == rotvecs.value.tobytes()
+        results.append((rotvecs.value.tobytes(), leaf.grad.tobytes()))
+    assert results[0] == results[1]
 
 
 def test_apply_rotation_vectors_matches_rodrigues_oracle():
