@@ -15,6 +15,9 @@ registration and the gradient check bitwise equal.  The object holds
   07's ``gradient_check``, as ``repr`` strings;
 * ``tape_nodes``: the autodiff nodes made by the first training cascade of
   that ``train`` run;
+* ``graph_off``: sha256 of the named arrays (names and bytes, in name
+  order) and the history rows of the same training with
+  ``use_graph_module=False``, so the checkpoint header does not enter it;
 * ``align`` and ``align_cc``: sha256 of the field targets that
   ``align_search`` returns for a level-4 signal and its copy under a seeded
   random rotation, and ``repr`` of its CC;
@@ -147,6 +150,18 @@ def _locate(out: dict) -> None:
     out["locate"] = digest.hexdigest()
 
 
+def _graph_off(pairs) -> str:
+    """The ``graph_off`` entry: a 2-epoch training without the graph module."""
+    config = training.TrainConfig(epochs=2, use_graph_module=False)
+    model, history = training.train(config, pairs[:16], val_dataset=pairs[16:])
+    digest = hashlib.sha256()
+    for name, array in sorted(training.named_arrays(model).items()):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(repr(history).encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     config = training.TrainConfig(epochs=2)
     pairs = training.synth_dataset(20, config, 1)
@@ -172,6 +187,7 @@ def main() -> int:
         fileio.write_signal(warped_path, warped)
         out["field"] = _sha256(field_path)
         out["warped"] = _sha256(warped_path)
+    out["graph_off"] = _graph_off(pairs)
     out["eval"] = {"pair17": _distortion(field),
                    "smooth_l5": _distortion(
                        _smooth_field(5, np.random.default_rng(11)))}
