@@ -10,7 +10,10 @@ resulting row-stochastic matrix Q drives either a hard argmax deformation
 Architecture: three zonal-convolution encoder blocks with spectral pooling
 (bandwidths L, L/2, L/4, channels C, 2C, 4C), a two-layer graph-attention
 bottleneck, and a mirrored decoder with concatenated skips, ending in a
-batch-normalized linear head with one logit channel per label slot.
+batch-normalized linear head with one logit channel per label slot.  The
+bottleneck attends on the coarsest icosphere with a vertex per degree-L/4
+coefficient (level 1 at L = 16) and lifts its output back to the mesh by
+one frozen matrix (``graph_attention.lift_matrix``).
 """
 
 from __future__ import annotations
@@ -272,7 +275,7 @@ def unet_forward(moving, fixed, params: UNetParams, mesh_level: int,
                       b_quarter, training)
 
     bottleneck = f3 if params.graph is None else \
-        graph_enhanced_module(f3, mesh, params.graph)
+        graph_enhanced_module(f3, mesh, params.graph, L // 4)
 
     d1 = shconv_block(ag.concat([bottleneck, f3], axis=1), params.dec1,
                       b_quarter, training)

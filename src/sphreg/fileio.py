@@ -8,9 +8,13 @@ violation, which the CLI surfaces verbatim.
           f64 vertex triples, u32 face triples
     SPHS  magic, version=1, u32 level, u32 channels, f64 values row-major
     SPHD  magic, version=1, u32 level, f64 target triples
-    SPHK  magic, version=1, u32 config length + UTF-8 JSON config,
+    SPHK  magic, version=2, u32 config length + UTF-8 JSON config,
           u32 tensor count, then per tensor: u32 name length + UTF-8 name,
           u32 rank, u32 dims, f64 data
+
+SPHK version 1 has the same layout, but its graph-module weights were
+trained to attend on the full mesh, not on the coarse mesh of the
+bottleneck's band; ``read_checkpoint`` refuses it and asks for retraining.
 
 SPHM is written for other tools and has no reader: every mesh the package
 uses is generated from its level, with the face hierarchy that point
@@ -30,6 +34,7 @@ from .icosphere import (MAX_LEVEL, Icosphere, SphericalSignal, _norm3,
                         vertex_count)
 
 _VERSION = 1
+_CHECKPOINT_VERSION = 2
 # the SPHK config blob follows magic, version and its u32 length
 CHECKPOINT_CONFIG_OFFSET = 12
 
@@ -74,10 +79,10 @@ class _Reader:
             self.fail(f"{len(self.data) - self.offset} trailing bytes")
 
 
-def _check_version(reader: _Reader):
+def _check_version(reader: _Reader, expected: int = _VERSION):
     at = reader.offset
     version = reader.u32("version")
-    if version != _VERSION:
+    if version != expected:
         raise FormatError(at, f"{reader.path}: unsupported version {version}")
 
 
@@ -167,7 +172,7 @@ def write_checkpoint(path, config_dict: dict, tensors: dict):
     blob = json.dumps(config_dict, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(b"SPHK")
-        f.write(struct.pack("<I", _VERSION))
+        f.write(struct.pack("<I", _CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
         f.write(struct.pack("<I", len(tensors)))
@@ -185,7 +190,10 @@ def read_checkpoint(path):
     with open(path, "rb") as f:
         r = _Reader(f.read(), str(path))
     r.magic(b"SPHK")
-    _check_version(r)
+    if r.data[4:8] == struct.pack("<I", 1):
+        r.fail("version 1 checkpoint: its graph module was trained on the "
+               "full mesh and does not fit this model; train the model again")
+    _check_version(r, _CHECKPOINT_VERSION)
     blob_len = r.u32("config length")
     try:
         config = json.loads(r.take(blob_len).decode("utf-8"))

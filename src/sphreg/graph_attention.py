@@ -5,6 +5,13 @@ edge logits are LeakyReLU(a . [f'_dst || f'_src]) with slope 0.2, softmax is
 taken over each destination's neighbourhood (one ring plus self), and the
 attended neighbour features are summed.  Heads are concatenated, so a layer
 maps (N, D) -> (N, D) with D divisible by the head count.
+
+The U-Net's bottleneck features are band-limited to a degree ``band``, so
+the graph module attends on the coarsest icosphere that holds that band,
+``coarse_level(band)``, whose vertices are the first rows of every finer
+level (prefix property), and lifts its output back to the full mesh by one
+frozen matrix: the coarse mesh's least-squares analysis followed by the
+full mesh's synthesis.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from functools import cache
 import numpy as np
 
 from . import autodiff as ag
-from .icosphere import Icosphere
+from .icosphere import Icosphere, generate_icosphere, vertex_count
+from .sht import build_basis
 
 LEAKY_SLOPE = 0.2
 
@@ -97,8 +105,10 @@ def gat_forward(features, mesh: Icosphere, layer: GatLayer):
 @dataclass
 class GraphModuleParams:
     """Residual bottleneck: two stacked attention layers with an ELU in
-    between, whose output is added to the module input,
-    ``f + layer2(elu(layer1(f)))``."""
+    between, run on the first V_c rows of the module input (the vertices
+    of the coarse mesh), whose output is lifted back to the full mesh and
+    added to the input, ``f + lift @ layer2(elu(layer1(f[:V_c])))``.  The
+    weight shapes do not depend on the mesh."""
 
     layer1: GatLayer
     layer2: GatLayer
@@ -109,6 +119,34 @@ def init_graph_module(d_in: int, heads: int, rng) -> GraphModuleParams:
                              init_gat_layer(d_in, heads, rng))
 
 
-def graph_enhanced_module(features, mesh: Icosphere, params: GraphModuleParams):
-    hidden = ag.elu(gat_forward(features, mesh, params.layer1))
-    return ag.add(features, gat_forward(hidden, mesh, params.layer2))
+def coarse_level(band: int) -> int:
+    """The coarsest icosphere level with at least (band + 1)^2 vertices,
+    one per harmonic coefficient up to degree ``band``."""
+    level = 0
+    while vertex_count(level) < (band + 1) ** 2:
+        level += 1
+    return level
+
+
+@cache
+def lift_matrix(mesh_level: int, band: int) -> np.ndarray:
+    """Frozen (V, V_c) map from values on the coarse mesh of ``band`` to the
+    level-``mesh_level`` mesh: degree-``band`` analysis on the coarse mesh,
+    then synthesis on the full one.  It reproduces a signal band-limited to
+    ``band`` from its first V_c rows.  Built once per (level, band)."""
+    coarse = build_basis(generate_icosphere(coarse_level(band)), band)
+    lift = build_basis(generate_icosphere(mesh_level), band).Y @ coarse.forward
+    lift.setflags(write=False)
+    return lift
+
+
+def graph_enhanced_module(features, mesh: Icosphere, params: GraphModuleParams,
+                          band: int):
+    """``f + lift @ layer2(elu(layer1(f[:V_c])))`` for (V, D) features on
+    ``mesh`` that are band-limited to degree ``band``; attention runs on
+    the coarse mesh ``coarse_level(band)``."""
+    coarse = generate_icosphere(coarse_level(band))
+    prefix = ag.slice_rows(features, 0, coarse.n_vertices)
+    hidden = ag.elu(gat_forward(prefix, coarse, params.layer1))
+    attended = gat_forward(hidden, coarse, params.layer2)
+    return ag.add(features, ag.matmul(lift_matrix(mesh.level, band), attended))

@@ -391,6 +391,16 @@ def test_checkpoint_tensor_name_not_utf8(tmp_path, capsys):
     assert f"byte {name_at}" in err and "not UTF-8" in err
 
 
+def test_version_1_checkpoint_exits_3(tmp_path, capsys):
+    # version-1 graph weights were trained on the full mesh
+    ckpt = zero_head_checkpoint(tmp_path)
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    assert register_with(tmp_path, ckpt) == 3
+    err = capsys.readouterr().err
+    assert "byte 4" in err and "train the model again" in err
+
+
 @pytest.mark.parametrize("key, value", [("epochs", "x"), ("bandwidth", 8.0),
                                         ("use_crf", "no"), ("mesh_level", 2.0)])
 def test_checkpoint_config_value_of_wrong_type(tmp_path, capsys, key, value):

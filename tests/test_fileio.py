@@ -129,6 +129,19 @@ def test_field_rejects_non_unit_target(tmp_path):
 # SPHK checkpoint
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("version, message", [
+    (1, "version 1 checkpoint: .*train the model again"),
+    (3, "unsupported version 3")])
+def test_checkpoint_version(tmp_path, version, message):
+    # SPHK is at version 2; the other formats stay at 1
+    path = tmp_path / "model.sphk"
+    fileio.write_checkpoint(path, {}, {"w": np.zeros(2)})
+    assert path.read_bytes()[4:8] == struct.pack("<I", 2)
+    corrupt(path, 4, struct.pack("<I", version))
+    with pytest.raises(FormatError, match=f"byte 4: .*{message}"):
+        fileio.read_checkpoint(path)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     tensors = {

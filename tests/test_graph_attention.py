@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import sphreg.autodiff as ag
-from sphreg.graph_attention import (GatLayer, LEAKY_SLOPE, gat_forward,
+from sphreg.graph_attention import (GatLayer, GraphModuleParams, LEAKY_SLOPE,
+                                    coarse_level, gat_forward,
                                     graph_enhanced_module, init_gat_layer,
-                                    init_graph_module)
-from sphreg.icosphere import generate_icosphere
+                                    init_graph_module, lift_matrix)
+from sphreg.icosphere import generate_icosphere, vertex_count
+from sphreg.sht import build_basis
 
 
 def oracle_gat(features: np.ndarray, mesh, layer: GatLayer):
@@ -144,8 +146,8 @@ def test_module_preserves_shape_and_is_deterministic():
     rng = np.random.default_rng(19)
     params = init_graph_module(8, 4, rng)
     features = rng.standard_normal((mesh.n_vertices, 8))
-    first = ag.value_of(graph_enhanced_module(features, mesh, params))
-    second = ag.value_of(graph_enhanced_module(features, mesh, params))
+    first = ag.value_of(graph_enhanced_module(features, mesh, params, 2))
+    second = ag.value_of(graph_enhanced_module(features, mesh, params, 2))
     assert first.shape == features.shape
     np.testing.assert_array_equal(first, second)
 
@@ -157,8 +159,85 @@ def test_module_is_residual_around_second_layer():
     params = init_graph_module(8, 4, rng)
     params.layer2.W = np.zeros_like(params.layer2.W)
     features = rng.standard_normal((mesh.n_vertices, 8))
-    out = ag.value_of(graph_enhanced_module(features, mesh, params))
+    out = ag.value_of(graph_enhanced_module(features, mesh, params, 2))
     np.testing.assert_array_equal(out, features)
+
+
+# ---------------------------------------------------------------------------
+# the module on the coarse mesh of its band
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("L, level", [(8, 0), (16, 1), (32, 2)])
+def test_coarse_level_is_the_coarsest_that_holds_the_band(L, level):
+    band = L // 4
+    assert coarse_level(band) == level
+    assert vertex_count(level) >= (band + 1) ** 2
+    assert level == 0 or vertex_count(level - 1) < (band + 1) ** 2
+
+
+def test_lift_reproduces_band_limited_signals_from_the_coarse_rows():
+    # every degree <= 4 harmonic sampled at level 3, and so every signal
+    # band-limited to L/4 at the default L = 16, is its lift from the first
+    # 42 rows (the level-1 vertices)
+    lift = lift_matrix(3, 4)
+    assert lift.shape == (642, 42)
+    harmonics = build_basis(generate_icosphere(3), 4).Y
+    assert np.max(np.abs(lift @ harmonics[:42] - harmonics)) < 1e-12
+    assert not lift.flags.writeable
+    assert lift_matrix(3, 4) is lift
+
+
+def test_module_attends_on_the_coarse_prefix_and_lifts_back():
+    mesh = generate_icosphere(3)
+    rng = np.random.default_rng(31)
+    params = init_graph_module(8, 2, rng)
+    features = rng.standard_normal((mesh.n_vertices, 8))
+    coarse = generate_icosphere(1)
+    hidden = ag.elu(gat_forward(features[:42], coarse, params.layer1))
+    attended = gat_forward(hidden, coarse, params.layer2)
+    expected = features + lift_matrix(3, 4) @ attended
+    produced = graph_enhanced_module(features, mesh, params, 4)
+    assert produced.tobytes() == expected.tobytes()
+    # rows past the coarse prefix pass through the residual only
+    moved = features.copy()
+    moved[42:] += 1.0
+    shifted = graph_enhanced_module(moved, mesh, params, 4)
+    assert shifted.tobytes() == (moved + lift_matrix(3, 4) @ attended).tobytes()
+
+
+def test_module_gradients_match_finite_differences_at_default_bandwidth():
+    # the default model's module: level-3 features of width 4C = 32, four
+    # heads, band L/4 = 4, so attention runs on level 1
+    mesh = generate_icosphere(3)
+    rng = np.random.default_rng(37)
+    params = init_graph_module(32, 4, rng)
+    features = rng.standard_normal((mesh.n_vertices, 32))
+    weights = rng.standard_normal((mesh.n_vertices, 32))
+    leaves = {(layer, name): np.asarray(getattr(getattr(params, layer), name))
+              for layer in ("layer1", "layer2") for name in ("W", "a")}
+
+    def module(values):
+        layers = {layer: GatLayer(W=values[(layer, "W")],
+                                  a=values[(layer, "a")])
+                  for layer in ("layer1", "layer2")}
+        return graph_enhanced_module(features, mesh,
+                                     GraphModuleParams(**layers), 4)
+
+    tensors = {key: ag.parameter(value) for key, value in leaves.items()}
+    ag.reduce_sum(ag.mul(module(tensors), weights)).backward()
+    step = 1e-6
+    for key, base in leaves.items():
+        for k in rng.choice(base.size, size=5, replace=False):
+            index = np.unravel_index(k, base.shape)
+            plus, minus = dict(leaves), dict(leaves)
+            plus[key], minus[key] = base.copy(), base.copy()
+            plus[key][index] += step
+            minus[key][index] -= step
+            fd = (np.sum(module(plus) * weights)
+                  - np.sum(module(minus) * weights)) / (2 * step)
+            analytic = tensors[key].grad[index]
+            assert abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-6) \
+                < 1e-5, (key, index, fd, analytic)
 
 
 def test_gradients_match_finite_differences():
