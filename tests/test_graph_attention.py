@@ -202,7 +202,8 @@ def test_module_attends_on_the_coarse_prefix_and_lifts_back():
     moved = features.copy()
     moved[42:] += 1.0
     shifted = graph_enhanced_module(moved, mesh, params, 4)
-    assert shifted.tobytes() == (moved + lift_matrix(3, 4) @ attended).tobytes()
+    expected = moved + lift_matrix(3, 4) @ attended
+    assert shifted.tobytes() == expected.tobytes()
 
 
 def test_module_gradients_match_finite_differences_at_default_bandwidth():

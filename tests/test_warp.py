@@ -86,7 +86,8 @@ def _targets_at_cosines(cosines):
     """Origins at the north pole and unit targets d with p . d = cosines."""
     angles = np.arccos(cosines)
     origins = np.tile([0.0, 0.0, 1.0], (len(cosines), 1))
-    targets = np.stack([np.sin(angles), np.zeros_like(angles), cosines], axis=1)
+    targets = np.stack([np.sin(angles), np.zeros_like(angles), cosines],
+                       axis=1)
     return origins, targets, angles
 
 
