@@ -121,7 +121,15 @@ def init_graph_module(d_in: int, heads: int, rng) -> GraphModuleParams:
 
 def coarse_level(band: int) -> int:
     """The coarsest icosphere level with at least (band + 1)^2 vertices,
-    one per harmonic coefficient up to degree ``band``."""
+    one per harmonic coefficient up to degree ``band``.
+
+    This can leave far less than ``build_basis``'s 2x oversampling (36
+    coefficients on 42 vertices at band 5, 144 on 162 at band 11), but the
+    icosphere's vertices sample the sphere evenly enough that the coarse
+    analysis stays well conditioned: for every band from 1 to 16 (coarse
+    level 0 to 3) the sampled basis has a condition number below 1.7 and
+    ``lift_matrix`` reproduces band-limited signals to 1e-12 with a
+    2-norm within 1.5x of sqrt(V / V_c) (checked in the tests)."""
     level = 0
     while vertex_count(level) < (band + 1) ** 2:
         level += 1

@@ -175,16 +175,27 @@ def test_coarse_level_is_the_coarsest_that_holds_the_band(L, level):
     assert level == 0 or vertex_count(level - 1) < (band + 1) ** 2
 
 
-def test_lift_reproduces_band_limited_signals_from_the_coarse_rows():
-    # every degree <= 4 harmonic sampled at level 3, and so every signal
-    # band-limited to L/4 at the default L = 16, is its lift from the first
-    # 42 rows (the level-1 vertices)
-    lift = lift_matrix(3, 4)
-    assert lift.shape == (642, 42)
-    harmonics = build_basis(generate_icosphere(3), 4).Y
-    assert np.max(np.abs(lift @ harmonics[:42] - harmonics)) < 1e-12
+@pytest.mark.parametrize("band", range(1, 17))
+def test_lift_reproduces_band_limited_signals_from_the_coarse_rows(band):
+    # every degree <= band harmonic sampled at level 3, and so every signal
+    # band-limited to L/4 (L = 4 * band), is its lift from the first V_c
+    # rows; bands 1-16 are every band whose coarse level is at most 3,
+    # and they include the least oversampled ones (36 coefficients on the
+    # 42 level-1 vertices at band 5, 144 on 162 at band 11)
+    n_coarse = vertex_count(coarse_level(band))
+    lift = lift_matrix(3, band)
+    assert lift.shape == (642, n_coarse)
+    harmonics = build_basis(generate_icosphere(3), band).Y
+    assert np.max(np.abs(lift @ harmonics[:n_coarse] - harmonics)) < 1e-12
+    sampled = build_basis(generate_icosphere(coarse_level(band)), band).Y
+    singular = np.linalg.svd(sampled, compute_uv=False)
+    assert singular[0] / singular[-1] < 1.7      # worst: 1.61 at band 11
+    # with both samplings perfectly conditioned the lift's 2-norm would be
+    # sqrt(V / V_c); the coarse analysis may inflate it by at most half
+    # (the worst band, 11, reads 1.31)
+    assert np.linalg.norm(lift, 2) < 1.5 * np.sqrt(642 / n_coarse)
     assert not lift.flags.writeable
-    assert lift_matrix(3, 4) is lift
+    assert lift_matrix(3, band) is lift
 
 
 def test_module_attends_on_the_coarse_prefix_and_lifts_back():

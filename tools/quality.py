@@ -1,14 +1,12 @@
 """Print sphreg's multi-seed quality table: desk trainings at five seed rows.
 
     PYTHONPATH=<checkout>/src OPENBLAS_NUM_THREADS=1 python tools/quality.py
-    PYTHONPATH=<checkout>/src python tools/quality.py --rows 0/0,1/1
 
-(``--rows`` picks rows, so two processes can share the five; all five
-take about 25 minutes on one core of a 2-vCPU machine.)
+(The five rows take about 25 minutes on one core of a 2-vCPU machine.)
 
 Acceptance checks 08 and 09 train at one seed.  This script repeats their
-three desk-scale runs at each data/init seed row (by default 0/0, 1/1, 2/2,
-0/1 and 0/2; a row ``d/i`` draws ``synth_dataset(80, config, d)`` and trains
+three desk-scale runs at each data/init seed row (0/0, 1/1, 2/2, 0/1 and
+0/2; a row ``d/i`` draws ``synth_dataset(80, config, d)`` and trains
 from ``TrainConfig(seed=i)``):
 
 * ``cascaded``: the default ``TrainConfig``;
@@ -27,7 +25,6 @@ gain over the rows.  Only public functions of ``sphreg`` are used, so the
 script runs unchanged on older checkouts.
 """
 
-import argparse
 import dataclasses
 import sys
 import time
@@ -42,7 +39,7 @@ from sphreg.training import (TrainConfig, build_grids, register_pair,
 
 TRAIN_N = 64
 HELD_OUT = 16
-ROWS = ("0/0", "1/1", "2/2", "0/1", "0/2")
+ROWS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2))
 SETTINGS = {
     "cascaded": {},
     "independent": {"cascade_mode": "independent"},
@@ -97,19 +94,11 @@ FORMATS = {"pre-CC": ".4f", "CC": ".4f", "gain": "+.4f",
            "id-share 1": ".3f", "id-share 2": ".3f"}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", default=",".join(ROWS),
-                        help="comma-separated data/init seed rows "
-                             "(default %(default)s)")
-    args = parser.parse_args(argv)
-    rows = [tuple(int(s) for s in row.split("/"))
-            for row in args.rows.split(",")]
-
+def main() -> int:
     print("| " + " | ".join(COLUMNS) + " |")
     print("|" + " --- |" * len(COLUMNS))
     results = {name: [] for name in SETTINGS}
-    for data_seed, init_seed in rows:
+    for data_seed, init_seed in ROWS:
         base = TrainConfig(seed=init_seed)
         pairs = synth_dataset(TRAIN_N + HELD_OUT, base, seed=data_seed)
         for name, overrides in SETTINGS.items():
