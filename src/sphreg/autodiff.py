@@ -13,9 +13,10 @@ activations, matmul/einsum contractions, reductions, concatenation, row
 gather/scatter, the row-wise ``cross`` product, and two smooth rotation
 helpers (``sinc_sq``, ``cosc_sq``) whose series branches keep derivatives
 finite at zero rotation.  Everything else in the package is composed from
-these, except the zonal convolution and batch norm of ``shconv`` and
-``warp.minimal_rotation_vectors``, which, like ``cross``, record one node
-each through ``record`` and ``accumulate`` with a hand-written backward.
+these, except the zonal convolution (stacked NumPy ``matmul`` products)
+and batch norm of ``shconv`` and ``warp.minimal_rotation_vectors``, which,
+like ``cross``, record one node each through ``record`` and ``accumulate``
+with a hand-written backward.
 
 Every scatter-add (the backward of ``take_rows``, the forward of
 ``segment_sum``) goes through a ``ScatterPlan``: an inverse table that adds

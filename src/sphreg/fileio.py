@@ -144,7 +144,7 @@ def write_field(path, field):
 
 
 def read_field(path):
-    from .warp import UNIT_TOLERANCE, DeformationField
+    from .warp import DeformationField
     with open(path, "rb") as f:
         r = _Reader(f.read(), str(path))
     r.magic(b"SPHD")
@@ -155,12 +155,13 @@ def read_field(path):
     at = r.offset
     targets = r.f64_array(3 * n, "targets").reshape(n, 3)
     r.done()
-    norms = _norm3(targets)
-    if np.any(np.abs(norms - 1.0) > UNIT_TOLERANCE):
-        bad = int(np.argmax(np.abs(norms - 1.0)))
+    try:
+        # the field checks unit length; finite (n, 3) targets fail only that
+        return DeformationField(level, targets)
+    except ValueError:
+        bad = int(np.argmax(np.abs(_norm3(targets) - 1.0)))
         raise FormatError(at + 24 * bad,
-                          f"{r.path}: target {bad} is not unit norm")
-    return DeformationField(level, targets)
+                          f"{r.path}: target {bad} is not unit norm") from None
 
 
 # ---------------------------------------------------------------------------

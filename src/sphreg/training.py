@@ -58,8 +58,8 @@ class TrainConfig:
     lambda2: float = 0.02
     learning_rate: float = 0.01
     epochs: int = 15
-    # 480 Adam steps over 15 epochs of 64 desk pairs, enough for held-out CC
-    # to level off; batch 8 (120 steps) stops while it is still rising
+    # 480 Adam steps over 15 epochs of 64 desk pairs (batch 8 gives 120);
+    # held-out CC still rises at epoch 15: 0.8074, 0.8141, 0.8184 at seed 0
     batch_size: int = 2
     seed: int = 0
     use_graph_module: bool = True

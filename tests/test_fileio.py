@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from sphreg import fileio
+from sphreg import fileio, warp
 from sphreg.errors import FormatError
 from sphreg.icosphere import SphericalSignal, generate_icosphere
 from sphreg.warp import DeformationField
@@ -123,6 +123,22 @@ def test_field_rejects_non_unit_target(tmp_path):
     with pytest.raises(FormatError, match=f"byte {12 + 24 * 7}: "
                                           ".*target 7 is not unit norm"):
         fileio.read_field(path)
+
+
+def test_field_read_takes_one_norm_pass(tmp_path, monkeypatch):
+    # the reader leaves the unit-length check to DeformationField, so a good
+    # field's target norms are computed once on the read path
+    path = tmp_path / "field.sphd"
+    field = DeformationField(2, generate_icosphere(2).vertices)
+    fileio.write_field(path, field)
+    passes = []
+    for module in (fileio, warp):
+        def counting(a, norm3=module._norm3):
+            passes.append(len(a))
+            return norm3(a)
+        monkeypatch.setattr(module, "_norm3", counting)
+    fileio.read_field(path)
+    assert passes == [162]
 
 
 # ---------------------------------------------------------------------------

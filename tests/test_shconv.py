@@ -9,8 +9,8 @@ from sphreg import autodiff as ag
 from sphreg.icosphere import generate_icosphere
 from sphreg.sht import build_basis, random_bandlimited
 from sphreg.shconv import (BlockParams, ZonalFilter, batch_norm,
-                           degree_of_index, degree_scale, init_block,
-                           init_zonal_filter, shconv_block, zonal_convolve)
+                           degree_scale, init_block, init_zonal_filter,
+                           pad_table, shconv_block, zonal_convolve)
 
 
 def oracle_convolve(values, filt, basis):
@@ -37,16 +37,33 @@ def oracle_convolve(values, filt, basis):
     return out
 
 
-def test_matches_dense_oracle():
-    # the flat degree table that spreads per-degree gains over (l, m) slots
+def test_pad_table_holds_every_index_once():
+    # row l of the table lists the flat indices l^2 .. l^2 + 2l of degree l;
+    # every other slot points at the zero row appended below the coefficients
+    rng = np.random.default_rng(16)
     for L in range(17):
-        expected = np.empty((L + 1) ** 2, dtype=np.int64)
+        n_lm = (L + 1) ** 2
+        table = pad_table(L)
+        assert table.shape == (L + 1, 2 * L + 1)
+        used = table[table < n_lm]
+        np.testing.assert_array_equal(np.sort(used), np.arange(n_lm))
+        padding = np.arange(2 * L + 1)[None, :] > 2 * np.arange(L + 1)[:, None]
+        assert (table[padding] == n_lm).all()
         for l in range(L + 1):
-            expected[l * l:(l + 1) * (l + 1)] = l
-        got = degree_of_index(L)
-        np.testing.assert_array_equal(got, expected)
-        assert got.dtype == np.int64
+            np.testing.assert_array_equal(table[l, :2 * l + 1],
+                                          l * l + np.arange(2 * l + 1))
+        coeffs = np.concatenate([rng.standard_normal((n_lm, 3)),
+                                 np.zeros((1, 3))])
+        padded = coeffs[table]
+        assert (padded[padding] == 0.0).all()
+        assert (padded[~padding] != 0.0).all()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert pad_table(L) is table
 
+
+def test_matches_dense_oracle():
     mesh = generate_icosphere(2)
     basis = build_basis(mesh, 8)
     rng = np.random.default_rng(0)
@@ -164,8 +181,50 @@ def test_gradients_flow_through_block():
 
 
 # ---------------------------------------------------------------------------
-# the fused block against the chain of elementary ops it replaced
+# the fused block against plain-NumPy and elementary-op references
 # ---------------------------------------------------------------------------
+
+def reference_zonal_convolve(values, filt, basis):
+    """The zonal convolution in plain NumPy as one recorded op: a loop of
+    2-D ``@`` over the degrees, each on its padded (2L+1)-row slice.  The
+    fused node must match it bitwise, forward and backward."""
+    L = filt.L_in
+    n_lm = (L + 1) ** 2
+    v, h, alpha = (ag.value_of(x) for x in (values, filt.h, filt.alpha))
+    analysis, synthesis = basis.forward[:n_lm], basis.Y[:, :n_lm]
+    table = pad_table(L)
+    kept = np.flatnonzero(table.ravel() < n_lm)
+
+    def pad(rows):
+        return np.concatenate([rows, np.zeros((1, rows.shape[1]))])[table]
+
+    def per_degree(stack, mix):
+        out = np.stack([stack[l] @ mix[l] for l in range(L + 1)])
+        return out.reshape(-1, out.shape[2])[kept]
+
+    scale = degree_scale(L)[None, None, :]
+    gains = ((h - alpha[:, :, None] / scale) * scale).transpose(2, 1, 0).copy()
+    padded = pad(analysis @ v)
+    out = synthesis @ per_degree(padded, gains) + v @ alpha.T
+
+    def backward(g):
+        g_padded = pad(synthesis.T @ g)
+        g_gains = np.stack([padded[l].T @ g_padded[l] for l in range(L + 1)])
+        g_bracket = g_gains.transpose(2, 1, 0).copy() * scale
+        # each input takes its contributions in the fused node's order
+        if ag.is_tensor(filt.h):
+            ag.accumulate(filt.h, g_bracket)
+        if ag.is_tensor(filt.alpha):
+            ag.accumulate(filt.alpha, (-g_bracket / scale).sum(axis=2))
+        if ag.is_tensor(values):
+            g_coeffs = per_degree(g_padded, gains.transpose(0, 2, 1))
+            ag.accumulate(values, analysis.T @ g_coeffs)
+            ag.accumulate(values, g @ alpha)
+        if ag.is_tensor(filt.alpha):
+            ag.accumulate(filt.alpha, g.T @ v)
+
+    return ag.record(out, (values, filt.h, filt.alpha), backward)
+
 
 def take_degrees(gains, degrees):
     """The per-degree gain gather as one recorded op whose backward is
@@ -181,14 +240,17 @@ def take_degrees(gains, degrees):
 
 
 def composite_zonal_convolve(values, filt, basis):
-    """The zonal convolution as eleven elementary autodiff ops."""
+    """The zonal convolution as eleven elementary autodiff ops, with the
+    degree mixing and the residual as einsum contractions."""
     n_lm = (filt.L_in + 1) ** 2
     coeffs = ag.slice_rows(ag.matmul(basis.forward, values), 0, n_lm)
     scale = degree_scale(filt.L_in)[None, None, :]
     alpha_col = ag.reshape(filt.alpha, (filt.c_out, filt.c_in, 1))
     bracket = ag.sub(filt.h, ag.div(alpha_col, scale))
     gains = ag.mul(bracket, scale)
-    gains_lm = take_degrees(gains, degree_of_index(filt.L_in))
+    l = np.arange(filt.L_in + 1)
+    degrees = np.repeat(l, 2 * l + 1)
+    gains_lm = take_degrees(gains, degrees)
     spectral = ag.matmul(basis.Y[:, :n_lm],
                          ag.einsum2("oil,li->lo", gains_lm, coeffs))
     residual = ag.einsum2("ni,oi->no", values, filt.alpha)
@@ -213,7 +275,8 @@ def composite_batch_norm(values, params, training):
 
 
 def composite_block(values, params, basis, training):
-    out = composite_zonal_convolve(values, params.filt, basis)
+    """The plain-NumPy conv, then batch norm and ReLU as elementary ops."""
+    out = reference_zonal_convolve(values, params.filt, basis)
     out = composite_batch_norm(out, params, training)
     return ag.relu(out) if params.relu else out
 
@@ -272,6 +335,66 @@ def test_fused_block_is_bitwise_the_composite(shape):
     for name in ("h", "alpha", "bn_gamma", "bn_beta"):
         assert fused[4][name] == composite[4][name], name
     assert fused[5] == composite[5]                      # inference forward
+
+
+def _conv_case(shape):
+    """A level-3 basis, a seeded filter, input values and output weights."""
+    c_out, c_in, L, _ = shape
+    basis = build_basis(generate_icosphere(3), L)
+    rng = np.random.default_rng(c_out * 100 + c_in + 1)
+    filt = init_zonal_filter(c_out, c_in, L, rng)
+    x = rng.standard_normal((basis.Y.shape[0], c_in))
+    weights = rng.standard_normal((basis.Y.shape[0], c_out))
+    return basis, filt, x, weights
+
+
+def _conv_and_grads(conv, basis, filt, x, weights):
+    """A conv's output and the gradients of sum(out * weights) into the
+    input, ``h`` and ``alpha``."""
+    leaves = [ag.Tensor(x.copy()), ag.Tensor(np.array(filt.h)),
+              ag.Tensor(np.array(filt.alpha))]
+    out = conv(leaves[0], ZonalFilter(h=leaves[1], alpha=leaves[2]), basis)
+    ag.reduce_sum(ag.mul(out, weights)).backward()
+    return [out.value] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("shape", UNET_BLOCKS,
+                         ids=[f"{i}to{o}L{L}" for o, i, L, _ in UNET_BLOCKS])
+def test_fused_conv_is_near_the_einsum_chain(shape):
+    # the per-degree products add in another order than the einsum chain,
+    # so the two agree only to rounding: 1e-14 of each array's largest value
+    case = _conv_case(shape)
+    fused = _conv_and_grads(zonal_convolve, *case)
+    chain = _conv_and_grads(composite_zonal_convolve, *case)
+    for name, a, b in zip(("out", "values", "h", "alpha"), fused, chain):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
+
+
+@pytest.mark.parametrize("shape", UNET_BLOCKS,
+                         ids=[f"{i}to{o}L{L}" for o, i, L, _ in UNET_BLOCKS])
+def test_conv_gradients_match_finite_differences(shape):
+    # the conv is linear in the input and in (h, alpha), so central
+    # differences leave only rounding
+    basis, filt, x, weights = _conv_case(shape)
+    _, *grads = _conv_and_grads(zonal_convolve, basis, filt, x, weights)
+    arrays = {"values": x, "h": filt.h, "alpha": filt.alpha}
+
+    def loss(values, h, alpha):
+        out = zonal_convolve(values, ZonalFilter(h=h, alpha=alpha), basis)
+        return (out * weights).sum()
+
+    rng = np.random.default_rng(17)
+    eps = 1e-6
+    for (name, array), grad in zip(arrays.items(), grads):
+        for _ in range(3):
+            at = tuple(int(rng.integers(n)) for n in array.shape)
+            sides = []
+            for step in (eps, -eps):
+                moved = dict(arrays, **{name: array.copy()})
+                moved[name][at] += step
+                sides.append(loss(**moved))
+            numeric = (sides[0] - sides[1]) / (2 * eps)
+            assert abs(numeric - grad[at]) < 1e-5 * abs(grad[at]), (name, at)
 
 
 def test_taped_block_records_three_nodes(tape_counter):

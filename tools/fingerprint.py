@@ -30,6 +30,10 @@ registration and the gradient check bitwise equal.  The object holds
 * ``locate``: sha256 of the faces and unnormalised coordinates that
   ``locate_faces`` returns at level 6 for random targets, the vertices
   jittered by about 1e-9 and the edge midpoints (the level-7 vertices);
+* ``zonal``: sha256 of the outputs of ``zonal_convolve`` and the gradients
+  of a random weighting of them into its input, ``h`` and ``alpha``, on
+  seeded random inputs at the default U-Net's seven block shapes on the
+  level-3 mesh, so the convolution's rounding shows apart from training;
 * ``eval``: for the pair-17 field above and for a smooth level-5 field
   built as the benchmark's field-ops set-up builds its ``eval`` field,
   sha256 of ``distortion_report``'s ``J`` and ``R`` and ``repr`` of its
@@ -56,7 +60,7 @@ import numpy as np
 
 import sphreg
 from sphreg import autodiff as ag
-from sphreg import fileio, icosphere, metrics, sht, training, warp
+from sphreg import fileio, icosphere, metrics, shconv, sht, training, warp
 
 
 def _sha256(path: str) -> str:
@@ -150,6 +154,30 @@ def _locate(out: dict) -> None:
     out["locate"] = digest.hexdigest()
 
 
+# (c_out, c_in, filter bandwidth) of the default U-Net's seven blocks
+_UNET_BLOCKS = ((8, 2, 16), (16, 8, 8), (32, 16, 4), (32, 64, 4),
+                (16, 48, 8), (8, 24, 16), (7, 8, 16))
+
+
+def _zonal(out: dict) -> None:
+    """Add the ``zonal`` entry to ``out``."""
+    rng = np.random.default_rng(13)
+    mesh = icosphere.generate_icosphere(3)
+    digest = hashlib.sha256()
+    for c_out, c_in, L in _UNET_BLOCKS:
+        filt = shconv.init_zonal_filter(c_out, c_in, L, rng)
+        leaves = [ag.Tensor(rng.standard_normal((mesh.n_vertices, c_in))),
+                  ag.Tensor(filt.h), ag.Tensor(filt.alpha)]
+        conv = shconv.zonal_convolve(
+            leaves[0], shconv.ZonalFilter(h=leaves[1], alpha=leaves[2]),
+            sht.build_basis(mesh, L))
+        weights = rng.standard_normal((mesh.n_vertices, c_out))
+        ag.reduce_sum(ag.mul(conv, weights)).backward()
+        for array in [conv.value] + [leaf.grad for leaf in leaves]:
+            digest.update(array.tobytes())
+    out["zonal"] = digest.hexdigest()
+
+
 def _graph_off(pairs) -> str:
     """The ``graph_off`` entry: a 2-epoch training without the graph module."""
     config = training.TrainConfig(epochs=2, use_graph_module=False)
@@ -203,6 +231,7 @@ def main() -> int:
         check, pair, rng=np.random.default_rng(71))))
     _field_ops(out)
     _locate(out)
+    _zonal(out)
     print(json.dumps(out, sort_keys=True))
     print(json.dumps({"blas": getattr(sphreg, "BLAS", None)}), file=sys.stderr)
     return 0
