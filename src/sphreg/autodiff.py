@@ -19,19 +19,21 @@ like ``cross``, record one node each through ``record`` and ``accumulate``
 with a hand-written backward.
 
 Every scatter-add (the backward of ``take_rows``, the forward of
-``segment_sum``) goes through a ``ScatterPlan``: an inverse table that adds
-each target's contributions in the order ``np.add.at`` would, starting from
-+0.0, so results are bitwise those of ``np.add.at``.  Both ops take only a
-plan; index sets fixed per mesh are given as plans their owners build once.
+``segment_sum``) is one ``np.bincount`` over row-major slots, which adds
+each target's contributions in index order starting from +0.0, the order
+of ``np.add.at``, so results are bitwise those of ``np.add.at``.  Both ops
+take plain index arrays, so callers pass the tables they already own.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = [
     "Tensor", "parameter", "value_of", "is_tensor",
-    "record", "accumulate", "ScatterPlan",
+    "record", "accumulate",
     "add", "sub", "mul", "div", "matmul", "einsum2",
     "exp", "log", "sqrt", "square", "absolute",
     "relu", "leaky_relu", "elu",
@@ -326,53 +328,15 @@ def cosc_sq(t):
 # ordered scatter
 # ---------------------------------------------------------------------------
 
-class ScatterPlan:
-    """Inverse table of an index array over ``n_targets`` targets.
-
-    ``table[j, t]`` is the flat position of the j-th occurrence of target t
-    in ``indices``, positions ascending.  ``scatter`` adds to +0.0, per
-    target, the entry at each of its positions in that order, which is the
-    order of ``np.add.at``, so its sums are bitwise those of ``np.add.at``.
-    A target hit fewer than ``len(table)`` times pads its column with
-    position 0; ``pads`` holds the (slot, target) pairs of that padding,
-    whose entries read as zero.  The plan's own arrays are frozen, so a plan
-    of a fixed index set is built once and shared; ``indices`` must not
-    change after the plan is built.
-    """
-
-    __slots__ = ("indices", "n_targets", "table", "pads")
-
-    def __init__(self, indices, n_targets: int):
-        self.indices = np.asarray(indices)
-        self.n_targets = n_targets
-        flat = self.indices.reshape(-1)
-        flat = np.where(flat < 0, flat + n_targets, flat)
-        counts = np.bincount(flat, minlength=n_targets)
-        order = np.argsort(flat, kind="stable")
-        occurrence = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts,
-                                                      counts)
-        self.table = np.zeros((counts.max(initial=0), n_targets), dtype=np.int64)
-        self.table[occurrence, flat[order]] = order
-        self.pads = np.nonzero(np.arange(len(self.table))[:, None] >= counts)
-        for array in (self.table, *self.pads):
-            array.setflags(write=False)
-
-    def scatter(self, values) -> np.ndarray:
-        """Sum the entries of ``values`` into their targets.
-
-        The leading ``indices.ndim`` axes of ``values`` run over ``indices``;
-        the result has one leading axis of length ``n_targets`` in their
-        place and is C-contiguous."""
-        k = self.indices.ndim
-        entries = np.take(values.reshape((-1,) + values.shape[k:]), self.table,
-                          axis=0)
-        entries[self.pads] = 0.0
-        # one in-place add per slot: a sum over the slot axis would add
-        # pairwise when each slot holds a single number
-        out = np.zeros(entries.shape[1:])
-        for slot in entries:
-            out += slot
-        return out
+def _scatter(values, indices, n: int) -> np.ndarray:
+    """Sum the entries of ``values``, whose leading ``indices.ndim`` axes run
+    over ``indices``, into ``n`` rows; bitwise ``np.add.at`` into zeros."""
+    trailing = values.shape[indices.ndim:]
+    width = math.prod(trailing)
+    slots = (indices.reshape(-1, 1) * width + np.arange(width)).ravel()
+    sums = np.bincount(slots, weights=values.reshape(-1), minlength=n * width)
+    # with no slots at all, bincount returns integer zeros
+    return sums.astype(np.float64, copy=False).reshape((n,) + trailing)
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +384,16 @@ def concat(parts, axis=0):
     return record(np.concatenate(values, axis=axis), tuple(parts), backward)
 
 
-def take_rows(x, plan: ScatterPlan):
-    """Gather the rows ``plan.indices`` of ``x``; repeated rows accumulate
-    on backward through the plan."""
+def take_rows(x, indices):
+    """Gather the rows ``indices`` of ``x``; repeated rows accumulate on
+    backward."""
     v = value_of(x)
-    if plan.n_targets != v.shape[0]:
-        raise ValueError(f"scatter plan covers {plan.n_targets} targets, "
-                         f"x has {v.shape[0]} rows")
+    indices = np.asarray(indices)
 
     def backward(g):
-        accumulate(x, plan.scatter(g))
+        accumulate(x, _scatter(g, indices, v.shape[0]))
 
-    return record(np.take(v, plan.indices, axis=0), (x,), backward)
+    return record(np.take(v, indices, axis=0), (x,), backward)
 
 
 def slice_rows(x, start, stop):
@@ -445,13 +407,14 @@ def slice_rows(x, start, stop):
     return record(v[start:stop], (x,), backward)
 
 
-def segment_sum(x, plan: ScatterPlan):
-    """out[s] = sum of the x rows whose segment id (``plan.indices``) is s,
-    added in row order, for s below ``plan.n_targets``."""
-    out = plan.scatter(value_of(x))
+def segment_sum(x, segments, n_segments: int):
+    """out[s] = sum of the x rows whose segment id is s, added in row order,
+    for s below ``n_segments``."""
+    segments = np.asarray(segments)
+    out = _scatter(value_of(x), segments, n_segments)
 
     def backward(g):
-        accumulate(x, np.take(g, plan.indices, axis=0))
+        accumulate(x, np.take(g, segments, axis=0))
 
     return record(out, (x,), backward)
 

@@ -80,7 +80,7 @@ def crf_energy(assignment, Q: DeformationProbabilities, grid: ControlGrid,
     unary = -np.log(q[np.arange(grid.n_controls), assignment] + UNARY_FLOOR).sum()
     if len(grid.edges) == 0:
         return float(unary)
-    dst, src = grid.edges[:, 0], grid.edges[:, 1]
+    dst, src = grid.edges.T
     l_dst, l_src = assignment[dst], assignment[src]
     p_dst = grid.label_positions[dst, l_dst]
     p_src = grid.label_positions[src, l_src]
@@ -104,11 +104,11 @@ def crf_refine(Q: DeformationProbabilities, grid: ControlGrid,
         return Q
     kernel = grid.kernel_stack(params.sigma)
     coupled = ag.mul(kernel, params.mu)                 # (E, N_l, N_l)
-    dst, src = grid.edge_plans
+    dst, src = grid.edges.T
     anchor = ag.log(ag.add(Q.Q, UNARY_FLOOR))
     q = Q.Q
     for _ in range(params.iterations):
         per_edge = ag.einsum2("elm,em->el", coupled, ag.take_rows(q, src))
-        message = ag.segment_sum(per_edge, dst)
+        message = ag.segment_sum(per_edge, dst, grid.n_controls)
         q = ag.softmax_rows(ag.sub(anchor, ag.mul(params.weight, message)))
     return DeformationProbabilities(q)

@@ -19,7 +19,7 @@ one frozen matrix (``graph_attention.lift_matrix``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -36,12 +36,11 @@ class ControlGrid:
 
     ``labels[c]`` indexes label-level vertices; ``label_positions[c, 0]``
     is always the control point's own position (the identity move).
-    ``edges`` holds directed one-ring pairs (dst, src) of the control mesh;
-    ``edge_plans`` are the frozen scatter plans of its two columns onto the
-    controls.  ``kernel_stack(sigma)`` is the CRF's frozen Gaussian kernel
-    over those edges.  Grids compare and hash by identity, and both tables
-    are memoised per grid (and sigma), so they assume ``edges`` and
-    ``label_positions`` do not change.
+    ``edges`` holds directed one-ring pairs (dst, src) of the control mesh.
+    ``kernel_stack(sigma)`` is the CRF's frozen Gaussian kernel over those
+    edges.  Grids compare and hash by identity, and the kernel is memoised
+    per grid and sigma, so it assumes ``edges`` and ``label_positions`` do
+    not change.
     """
 
     control_level: int
@@ -86,11 +85,6 @@ class ControlGrid:
     @property
     def n_labels(self) -> int:
         return self.labels.shape[1]
-
-    @cached_property
-    def edge_plans(self) -> tuple[ag.ScatterPlan, ag.ScatterPlan]:
-        return tuple(
-            ag.ScatterPlan(self.edges[:, k], self.n_controls) for k in (0, 1))
 
     def kernel_stack(self, sigma: float) -> np.ndarray:
         """K[e, l, l'] = exp(-arc(pos_dst(l), pos_src(l'))^2 / (2 sigma^2))."""

@@ -28,15 +28,6 @@ from .sht import build_basis
 LEAKY_SLOPE = 0.2
 
 
-@cache
-def _half_plans(heads: int) -> tuple[ag.ScatterPlan, ag.ScatterPlan]:
-    """Frozen plans of the even and odd rows of the ``(2 * heads, D_head)``
-    attention vectors: each head's destination and source halves."""
-    halves = np.arange(2 * heads).reshape(heads, 2).T.copy()
-    halves.setflags(write=False)
-    return tuple(ag.ScatterPlan(rows, 2 * heads) for rows in halves)
-
-
 @dataclass
 class GatLayer:
     """Projection and attention weights for all heads of one layer."""
@@ -78,14 +69,15 @@ def gat_forward(features, mesh: Icosphere, layer: GatLayer):
     if d_in != layer.d_in:
         raise ValueError(f"layer expects width {layer.d_in}, got {d_in}")
     heads, d_head = layer.heads, layer.d_head
-    table = mesh.scatter_plan("neighbourhood")                  # (N, 7)
+    table = mesh.neighbourhood                                  # (N, 7)
     padding = np.arange(mesh.neighbourhood.shape[1]) > np.diff(mesh.ring_offsets)[:, None]
 
     projected = ag.einsum2("nd,hkd->nhk", features, layer.W)    # (N, H, D_head)
+    # each head's destination and source halves are the even and odd rows
     a = ag.reshape(layer.a, (2 * heads, d_head))
-    dst_half, src_half = _half_plans(heads)
-    score_dst = ag.einsum2("nhk,hk->nh", projected, ag.take_rows(a, dst_half))
-    score_src = ag.einsum2("nhk,hk->nh", projected, ag.take_rows(a, src_half))
+    rows = np.arange(2 * heads)
+    score_dst = ag.einsum2("nhk,hk->nh", projected, ag.take_rows(a, rows[0::2]))
+    score_src = ag.einsum2("nhk,hk->nh", projected, ag.take_rows(a, rows[1::2]))
     logits = ag.leaky_relu(
         ag.add(ag.reshape(score_dst, (n, 1, heads)), ag.take_rows(score_src, table)),
         LEAKY_SLOPE)                                            # (N, 7, H)

@@ -34,8 +34,6 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from . import autodiff as ag
-
 MAX_LEVEL = 7
 
 
@@ -76,10 +74,6 @@ class Icosphere:
     then ``one_ring[v]``.  The twelve degree-5 vertices pad their last slot
     with v, so slot k of row v is padding exactly when k exceeds the degree
     ``ring_offsets[v + 1] - ring_offsets[v]``.
-
-    ``scatter_plan(name)`` is the frozen autodiff scatter plan of a vertex
-    index array such as ``neighbourhood``, ``ring_dst`` or ``ring_src``
-    onto the vertices, built once per mesh and name.
     """
 
     level: int
@@ -105,10 +99,6 @@ class Icosphere:
     def one_ring(self) -> tuple[np.ndarray, ...]:
         """Per vertex, the view of ``ring_src`` holding its neighbours."""
         return tuple(np.split(self.ring_src, self.ring_offsets[1:-1]))
-
-    def scatter_plan(self, name: str) -> ag.ScatterPlan:
-        """Plan of the vertex index array ``name`` onto the vertices."""
-        return _scatter_plan(self, name)
 
     @cached_property
     def corner_inverse(self) -> np.ndarray:
@@ -141,11 +131,6 @@ class Icosphere:
         a = self.vertices[self.edges[:, 0]]
         b = self.vertices[self.edges[:, 1]]
         return float(np.max(_arc_length(a, b)))
-
-
-@cache
-def _scatter_plan(mesh: Icosphere, name: str) -> ag.ScatterPlan:
-    return ag.ScatterPlan(getattr(mesh, name), mesh.n_vertices)
 
 
 def _arc_length(a, b):

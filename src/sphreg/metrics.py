@@ -108,9 +108,9 @@ def smoothness_penalty(targets, mesh_level: int):
             f"targets must be ({mesh.n_vertices}, 3) at level {mesh_level}, "
             f"got {value.shape}")
     disp = ag.sub(targets, mesh.vertices)
-    dst, src = mesh.scatter_plan("ring_dst"), mesh.scatter_plan("ring_src")
     degree = np.diff(mesh.ring_offsets).astype(np.float64)
-    diffs = ag.absolute(ag.sub(ag.take_rows(disp, dst), ag.take_rows(disp, src)))
+    diffs = ag.absolute(ag.sub(ag.take_rows(disp, mesh.ring_dst),
+                               ag.take_rows(disp, mesh.ring_src)))
     scaled = ag.mul(diffs, (1.0 / degree[mesh.ring_dst])[:, None])
     return ag.reduce_sum(scaled)
 

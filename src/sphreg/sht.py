@@ -19,7 +19,7 @@ the sampled basis (least squares); see the design notes in build_basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -76,11 +76,18 @@ class HarmonicBasis:
     mesh_level: int
     L: int
     Y: np.ndarray          # (N, (L+1)^2)
-    forward: np.ndarray    # ((L+1)^2, N), pseudo-inverse of Y
 
     @property
     def n_coeffs(self) -> int:
         return (self.L + 1) ** 2
+
+    @cached_property
+    def forward(self) -> np.ndarray:
+        """((L+1)^2, N) pseudo-inverse of ``Y``, frozen; built on first use,
+        since synthesis alone never needs it."""
+        forward = np.linalg.pinv(self.Y)
+        forward.setflags(write=False)
+        return forward
 
 
 def build_basis(mesh: Icosphere, L: int) -> HarmonicBasis:
@@ -103,10 +110,8 @@ def build_basis(mesh: Icosphere, L: int) -> HarmonicBasis:
 @cache
 def _basis(mesh: Icosphere, L: int) -> HarmonicBasis:
     Y = _sample_basis(mesh.vertices, L)
-    forward = np.linalg.pinv(Y)
     Y.setflags(write=False)
-    forward.setflags(write=False)
-    return HarmonicBasis(mesh.level, L, Y, forward)
+    return HarmonicBasis(mesh.level, L, Y)
 
 
 @dataclass

@@ -158,8 +158,8 @@ def apply_rotation_vectors(rotvecs, points: np.ndarray):
 @cache
 def _densify_weights(control_level: int, dst_level: int):
     """Barycentric corners and weights of every dst vertex over the control
-    mesh: a frozen scatter plan of the (N, 3) corner ids onto the control
-    vertices, and the (N, 3) weights; pure geometry, cached per level pair."""
+    mesh: the frozen (N, 3) control-vertex corner ids and (N, 3) weights;
+    pure geometry, cached per level pair."""
     control = generate_icosphere(control_level)
     dst = generate_icosphere(dst_level)
     faces, lam = locate_faces(control, dst.vertices)
@@ -172,7 +172,7 @@ def _densify_weights(control_level: int, dst_level: int):
     weights[:prefix] = corners[:prefix] == np.arange(prefix)[:, None]
     corners.setflags(write=False)
     weights.setflags(write=False)
-    return ag.ScatterPlan(corners, control.n_vertices), weights
+    return corners, weights
 
 
 def densify_targets(control_targets, control_level: int, dst_level: int):
@@ -218,8 +218,7 @@ def warp_values(values, targets, src_mesh: Icosphere):
     inverse = src_mesh.corner_inverse[faces]                    # (T, 3, 3)
     lam = ag.einsum2("tij,tj->ti", inverse, targets)
     weights = ag.div(lam, ag.reduce_sum(lam, axis=1, keepdims=True))
-    corner_plan = ag.ScatterPlan(corner_ids.ravel(), src_mesh.n_vertices)
-    corner_vals = ag.reshape(ag.take_rows(values, corner_plan),
+    corner_vals = ag.reshape(ag.take_rows(values, corner_ids.ravel()),
                              (target_values.shape[0], 3, -1))
     return ag.einsum2("tk,tkc->tc", weights, corner_vals)
 

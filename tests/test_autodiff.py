@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from sphreg import autodiff as ag
+from sphreg import warp
+from sphreg.discrete_reg import build_label_sets
+from sphreg.icosphere import generate_icosphere
 from sphreg.training import TrainConfig, register_pair, synth_dataset, train
 
 
@@ -45,9 +48,7 @@ def test_plain_arrays_pass_through():
 _RNG = np.random.default_rng(12)
 _X = 0.5 + _RNG.random((4, 3))     # positive rows of norm > 0.5
 _Y = 0.5 + _RNG.random((4, 3))
-_IDX = np.array([3, 0, 0, 2])
-_ROWS = ag.ScatterPlan(_IDX, 4)         # a gather of _X's rows
-_SEGMENTS = ag.ScatterPlan(_IDX, 5)     # _X's rows into five segments
+_IDX = np.array([3, 0, 0, 2])          # _X's rows, or their five segments
 
 # one call per public op on float operands; every operand is wrapped as a
 # Tensor in the recorded call and passed as a plain array in the other
@@ -70,9 +71,9 @@ PLAIN_CASES = {
     "reduce_mean": (lambda x: ag.reduce_mean(x, axis=0, keepdims=True), (_X,)),
     "concat": (lambda a, b: ag.concat([a, b], axis=1), (_X, _Y)),
     "reshape": (lambda x: ag.reshape(x, (3, 4)), (_X,)),
-    "take_rows": (lambda x: ag.take_rows(x, _ROWS), (_X,)),
+    "take_rows": (lambda x: ag.take_rows(x, _IDX), (_X,)),
     "slice_rows": (lambda x: ag.slice_rows(x, 1, 3), (_X,)),
-    "segment_sum": (lambda x: ag.segment_sum(x, _SEGMENTS), (_X,)),
+    "segment_sum": (lambda x: ag.segment_sum(x, _IDX, 5), (_X,)),
     "softmax_rows": (ag.softmax_rows, (_X,)),
     "row_normalize": (ag.row_normalize, (_X,)),
     "sinc_sq": (ag.sinc_sq, (_X,)),
@@ -82,7 +83,7 @@ PLAIN_CASES = {
 
 
 HELPERS = {"Tensor", "parameter", "value_of", "is_tensor", "record",
-           "accumulate", "ScatterPlan"}
+           "accumulate"}
 
 
 def test_plain_cases_cover_every_public_op():
@@ -173,9 +174,9 @@ def test_reduce_ops_gradient():
 def test_take_rows_and_segment_sum_gradient():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 3))
-    idx = ag.ScatterPlan(np.array([0, 0, 2, 5, 3]), 6)
-    seg = ag.ScatterPlan(np.array([0, 1, 1, 0, 2]), 3)
-    check(lambda t: ag.segment_sum(ag.take_rows(t, idx), seg), x)
+    idx = np.array([0, 0, 2, 5, 3])
+    seg = np.array([0, 1, 1, 0, 2])
+    check(lambda t: ag.segment_sum(ag.take_rows(t, idx), seg, 3), x)
 
 
 def test_concat_and_slice_gradient():
@@ -281,14 +282,41 @@ def test_scatter_plan_is_bitwise_add_at(name):
         values = rng.standard_normal(values_shape) \
             * 10.0 ** rng.integers(-12, 12, values_shape)
         values = np.where(rng.random(values_shape) < 0.2, -0.0, values)
-        got = ag.ScatterPlan(index, shape[0]).scatter(values)
+        got = ag._scatter(values, index, shape[0])
         assert got.flags.c_contiguous and got.dtype == np.float64
         assert got.tobytes() == _add_at(shape, index, values).tobytes()
 
 
+def _model_tables():
+    """The index tables the model scatters through, with their row counts."""
+    level1 = generate_icosphere(1)
+    tables = {"neighbourhood-l1": (level1.neighbourhood, level1.n_vertices)}
+    for level in (1, 2):
+        grid = build_label_sets(level, level + 1)
+        tables[f"edges-dst-l{level}"] = (grid.edges[:, 0], grid.n_controls)
+        tables[f"edges-src-l{level}"] = (grid.edges[:, 1], grid.n_controls)
+    tables["densify-corners"] = (warp._densify_weights(1, 3)[0], level1.n_vertices)
+    level3 = generate_icosphere(3)
+    tables["faces-l3"] = (level3.faces, level3.n_vertices)
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(_model_tables()))
+def test_scatter_is_bitwise_add_at_on_model_tables(name):
+    # the tables the model passes, C- and Fortran-ordered values alike
+    rng = np.random.default_rng(15)
+    index, n = _model_tables()[name]
+    for trailing in ((4, 8), (3,)):
+        values = rng.standard_normal(index.shape + trailing)
+        values = np.where(rng.random(values.shape) < 0.2, -0.0, values)
+        expected = _add_at((n,) + trailing, index, values).tobytes()
+        assert ag._scatter(values, index, n).tobytes() == expected
+        assert ag._scatter(np.asfortranarray(values), index, n).tobytes() == expected
+
+
 def test_scatter_ops_accept_plans_bitwise():
-    # gathers and segment sums through a plan give the bytes of plain
-    # indexing and np.add.at, forward and backward
+    # gathers and segment sums over plain index arrays give the bytes of
+    # plain indexing and np.add.at, forward and backward
     rng = np.random.default_rng(14)
     x = rng.standard_normal((6, 3))
     rows = np.array([[5, 0], [0, 0], [2, 5]])
@@ -297,16 +325,13 @@ def test_scatter_ops_accept_plans_bitwise():
                "segments": rng.standard_normal((5, 3))}
 
     leaf = ag.Tensor(x)
-    out = ag.take_rows(leaf, ag.ScatterPlan(rows, 6))
+    out = ag.take_rows(leaf, rows)
     ag.reduce_sum(ag.mul(out, weights["rows"])).backward()
     assert out.value.tobytes() == x[rows].tobytes()
     assert leaf.grad.tobytes() == _add_at(x.shape, rows, weights["rows"]).tobytes()
 
     leaf = ag.Tensor(x)
-    out = ag.segment_sum(leaf, ag.ScatterPlan(segments, 5))
+    out = ag.segment_sum(leaf, segments, 5)
     ag.reduce_sum(ag.mul(out, weights["segments"])).backward()
     assert out.value.tobytes() == _add_at((5, 3), segments, x).tobytes()
     assert leaf.grad.tobytes() == weights["segments"][segments].tobytes()
-
-    with pytest.raises(ValueError, match="targets"):
-        ag.take_rows(x[:5], ag.ScatterPlan(rows, 6))

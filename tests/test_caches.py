@@ -37,6 +37,7 @@ def test_every_cache_is_a_functools_memo_that_clears_cold():
 
     mesh = generate_icosphere(3)
     built = [mesh, build_basis(mesh, 16), build_label_sets(1, 3)]
+    old_forward = built[1].forward
     for module in modules:
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
@@ -53,6 +54,10 @@ def test_every_cache_is_a_functools_memo_that_clears_cold():
             assert not array.flags.writeable, where
             assert array.dtype == old_arrays[name].dtype, where
             assert array.tobytes() == old_arrays[name].tobytes(), where
+
+    # the basis builds its analysis operator on first use, frozen too
+    assert not fresh[1].forward.flags.writeable
+    assert fresh[1].forward.tobytes() == old_forward.tobytes()
 
     # equal arguments share one entry however they are spelled
     assert generate_icosphere(np.int64(3)) is generate_icosphere(3)

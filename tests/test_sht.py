@@ -7,6 +7,7 @@ independently from standard tables before the implementation existed.
 import numpy as np
 import pytest
 
+from sphreg import sht
 from sphreg.icosphere import SphericalSignal, generate_icosphere
 from sphreg.sht import (HarmonicBasis, SpectralCoeffs, build_basis,
                         flat_index, random_bandlimited, sht_forward,
@@ -113,6 +114,19 @@ def test_random_bandlimited_spectrum_decay():
     expected = (1.0 + np.arange(9)) ** (-4.0)   # variance decays as square
     ratio = powers / expected
     assert ratio.max() / ratio.min() < 1.5
+
+
+def test_synthesis_alone_builds_no_pseudo_inverse(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda a: calls.append(a.shape) or pinv(a))
+    sht._basis.cache_clear()
+    random_bandlimited(3, 8, 1, np.random.default_rng(0))
+    assert calls == []
+    basis = build_basis(generate_icosphere(3), 8)
+    assert basis.forward is basis.forward
+    assert calls == [(642, 81)]
 
 
 def test_mismatched_levels_rejected():

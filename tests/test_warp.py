@@ -234,8 +234,7 @@ def test_densify_interpolates_controls_exactly():
                          [(c, d) for d in range(5) for c in range(d + 1)])
 def test_densify_weights_match_prefix_loop(control_level, dst_level):
     # the one-hot rows of the control prefix against the per-vertex loop
-    plan, weights = warp._densify_weights(control_level, dst_level)
-    corners = plan.indices
+    corners, weights = warp._densify_weights(control_level, dst_level)
     faces, lam = locate_faces(generate_icosphere(control_level),
                               generate_icosphere(dst_level).vertices)
     expected = lam / lam.sum(axis=1, keepdims=True)
