@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ag
-from .discrete_reg import ControlGrid, DeformationProbabilities
+from .discrete_reg import ControlGrid, DeformationProbabilities, check_q_shape
 
 UNARY_FLOOR = 1e-12
 
@@ -52,11 +52,7 @@ def mean_edge_arc(grid: ControlGrid) -> float:
 
 def _check_shapes(Q: DeformationProbabilities, grid: ControlGrid,
                   params: CrfParams) -> None:
-    q = Q.value
-    if q.shape != (grid.n_controls, grid.n_labels):
-        raise ValueError(
-            f"Q shape {q.shape} does not match grid "
-            f"({grid.n_controls}, {grid.n_labels})")
+    check_q_shape(Q, grid)
     if ag.value_of(params.mu).shape != (grid.n_labels, grid.n_labels):
         raise ValueError(
             f"mu shape {ag.value_of(params.mu).shape} does not match "

@@ -7,13 +7,13 @@ one-ring hops.  The U-Net below scores the candidates per control point; the
 resulting row-stochastic matrix Q drives either a hard argmax deformation
 (inference) or a probability-weighted soft deformation (training).
 
-Architecture: three zonal-convolution encoder blocks with spectral pooling
-(bandwidths L, L/2, L/4, channels C, 2C, 4C), a two-layer graph-attention
-bottleneck, and a mirrored decoder with concatenated skips, ending in a
-batch-normalized linear head with one logit channel per label slot.  The
-bottleneck attends on the coarsest icosphere with a vertex per degree-L/4
-coefficient (level 1 at L = 16) and lifts its output back to the mesh by
-one frozen matrix (``graph_attention.lift_matrix``).
+Architecture: three zonal-convolution encoder blocks, the last two pooling
+by spectral truncation with no residual (bandwidths L, L/2, L/4, channels C,
+2C, 4C), a two-layer graph-attention bottleneck, and a mirrored decoder with
+concatenated skips, ending in a batch-normalized linear head with one logit
+channel per label slot.  The bottleneck attends on the coarsest icosphere
+with a vertex per degree-L/4 coefficient (level 1 at L = 16) and lifts its
+output back by one frozen matrix (``graph_attention.lift_matrix``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ag
 from .graph_attention import GraphModuleParams, graph_enhanced_module, init_graph_module
 from .icosphere import Icosphere, generate_icosphere, vertex_count
-from .sht import HarmonicBasis, build_basis
+from .sht import build_basis
 from .shconv import BlockParams, init_block, shconv_block
 
 
@@ -195,8 +195,8 @@ class DeformationProbabilities:
 @dataclass
 class UNetParams:
     enc1: BlockParams   # 2   -> C   at L
-    enc2: BlockParams   # C   -> 2C  at L/2
-    enc3: BlockParams   # 2C  -> 4C  at L/4
+    enc2: BlockParams   # C   -> 2C  at L/2, pools from L (no alpha)
+    enc3: BlockParams   # 2C  -> 4C  at L/4, pools from L/2 (no alpha)
     graph: GraphModuleParams | None   # 4C -> 4C bottleneck
     dec1: BlockParams   # 8C  -> 4C  at L/4
     dec2: BlockParams   # 6C  -> 2C  at L/2
@@ -216,8 +216,10 @@ def init_unet(L: int, channels: int, n_labels: int, heads: int, rng,
     enc1 = init_block(c, 2, L, rng)
     enc2 = init_block(2 * c, c, L // 2, rng)
     enc3 = init_block(4 * c, 2 * c, L // 4, rng)
-    # drawn even when unused, so every later parameter starts from the same
-    # numbers with the graph on or off and the ablation changes only the graph
+    enc2.filt.alpha = enc3.filt.alpha = None    # pooling: no residual
+    # the dropped alphas and the graph are drawn even when unused, so every
+    # later parameter keeps its place in the rng stream and the ablation
+    # changes only the graph
     graph = init_graph_module(4 * c, heads, rng)
     return UNetParams(
         enc1=enc1,
@@ -229,15 +231,6 @@ def init_unet(L: int, channels: int, n_labels: int, heads: int, rng,
         dec3=init_block(c, 3 * c, L, rng),
         head=init_block(n_labels, c, L, rng, relu=False),
     )
-
-
-def spectral_project(values, basis: HarmonicBasis, L_new: int):
-    """Band-limit vertex values to degree <= L_new (differentiable pooling)."""
-    if L_new > basis.L:
-        raise ValueError(f"cannot project to L={L_new} with basis L={basis.L}")
-    n_lm = (L_new + 1) ** 2
-    coeffs = ag.slice_rows(ag.matmul(basis.forward, values), 0, n_lm)
-    return ag.matmul(basis.Y[:, :n_lm], coeffs)
 
 
 def unet_forward(moving, fixed, params: UNetParams, mesh_level: int,
@@ -263,10 +256,8 @@ def unet_forward(moving, fixed, params: UNetParams, mesh_level: int,
 
     x = ag.concat([moving, fixed], axis=1)
     f1 = shconv_block(x, params.enc1, b_full, training)
-    f2 = shconv_block(spectral_project(f1, b_full, L // 2), params.enc2,
-                      b_half, training)
-    f3 = shconv_block(spectral_project(f2, b_half, L // 4), params.enc3,
-                      b_quarter, training)
+    f2 = shconv_block(f1, params.enc2, b_full, training)
+    f3 = shconv_block(f2, params.enc3, b_half, training)
 
     bottleneck = f3 if params.graph is None else \
         graph_enhanced_module(f3, mesh, params.graph, L // 4)
@@ -293,28 +284,28 @@ def predict_probabilities(logits, grid: ControlGrid) -> DeformationProbabilities
     return DeformationProbabilities(ag.softmax_rows(prefix))
 
 
+def check_q_shape(Q: DeformationProbabilities, grid: ControlGrid) -> None:
+    """Raise ValueError unless Q has a row per control, a column per label."""
+    if Q.value.shape != (grid.n_controls, grid.n_labels):
+        raise ValueError(
+            f"Q shape {Q.value.shape} does not match grid "
+            f"({grid.n_controls}, {grid.n_labels})")
+
+
 def argmax_deformation(Q: DeformationProbabilities, grid: ControlGrid) -> np.ndarray:
     """Hard deformation: each control moves to its most probable label.
 
     Ties resolve to the lowest slot, so a uniform row stays at slot 0
     (the identity move).
     """
-    q = Q.value
-    if q.shape != (grid.n_controls, grid.n_labels):
-        raise ValueError(
-            f"Q shape {q.shape} does not match grid "
-            f"({grid.n_controls}, {grid.n_labels})")
-    best = np.argmax(q, axis=1)
+    check_q_shape(Q, grid)
+    best = np.argmax(Q.value, axis=1)
     return grid.label_positions[np.arange(grid.n_controls), best].copy()
 
 
 def soft_deformation(Q: DeformationProbabilities, grid: ControlGrid):
     """Probability-weighted mean of label positions, renormalized to the
     sphere (tensor-aware).  Equals argmax_deformation exactly for one-hot Q."""
-    q = Q.value
-    if q.shape != (grid.n_controls, grid.n_labels):
-        raise ValueError(
-            f"Q shape {q.shape} does not match grid "
-            f"({grid.n_controls}, {grid.n_labels})")
+    check_q_shape(Q, grid)
     blended = ag.einsum2("cl,clx->cx", Q.Q, grid.label_positions)
     return ag.row_normalize(blended)

@@ -10,6 +10,10 @@ term alpha * f is added in the spatial domain.  The bracket is evaluated in
 exactly that grouping so filters with h_hat = alpha / C(l) cancel the
 spectral path bitwise and pass alpha * f through untouched.
 
+A filter whose ``alpha`` is ``None`` has no residual and its bracket is
+h_hat.  The U-Net's pooling blocks are such filters: on the wider basis of
+the block before them they read only their own degrees, so they truncate.
+
 Blocks wrap the convolution with per-channel batch normalisation over the
 vertex axis (momentum 0.1 running stats) and an optional ReLU.  All forward
 code accepts plain arrays or autodiff tensors interchangeably.
@@ -67,7 +71,7 @@ class ZonalFilter:
     """Per-(out, in) channel zonal taps plus the residual mixing weights."""
 
     h: object       # (C_out, C_in, L_in + 1) array or Tensor
-    alpha: object   # (C_out, C_in) array or Tensor
+    alpha: object   # (C_out, C_in) array or Tensor; None: no residual (pooling)
 
     @property
     def c_out(self) -> int:
@@ -111,7 +115,8 @@ def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis):
     L, c_in, c_out = filt.L_in, filt.c_in, filt.c_out
     n_lm = (L + 1) ** 2
     h_in, alpha_in = filt.h, filt.alpha
-    h, alpha = ag.value_of(h_in), ag.value_of(alpha_in)
+    h = ag.value_of(h_in)
+    alpha = None if alpha_in is None else ag.value_of(alpha_in)
     table = pad_table(L)
     kept = np.flatnonzero(table.ravel() < n_lm)     # unpads an L+1 stack
     analysis = basis.forward[:n_lm]
@@ -122,12 +127,13 @@ def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis):
     np.matmul(analysis, v, out=coeffs[:n_lm])
     padded = coeffs[table]
     scale = degree_scale(L)[None, None, :]                   # (1, 1, L+1)
-    bracket = h - alpha.reshape(c_out, c_in, 1) / scale
+    bracket = h if alpha is None else h - alpha.reshape(c_out, c_in, 1) / scale
     # C(l) * (h - a/C(l)) as an (L+1, C_in, C_out) stack of per-degree mixes
     gains = np.ascontiguousarray((bracket * scale).transpose(2, 1, 0))
     mixed = np.matmul(padded, gains).reshape(-1, c_out)[kept]
-    spectral = synthesis @ mixed
-    residual = v @ alpha.T
+    out = synthesis @ mixed
+    if alpha is not None:
+        out = out + v @ alpha.T
 
     def backward(g):
         g_mixed = np.zeros((n_lm + 1, c_out))
@@ -144,11 +150,12 @@ def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis):
             g_coeffs = np.matmul(g_padded, gains.transpose(0, 2, 1))
             ag.accumulate(values,
                           analysis.T @ g_coeffs.reshape(-1, c_in)[kept])
-            ag.accumulate(values, g @ alpha)
+            if alpha is not None:
+                ag.accumulate(values, g @ alpha)
         if ag.is_tensor(alpha_in):
             ag.accumulate(alpha_in, g.T @ v)
 
-    return ag.record(spectral + residual, (values, h_in, alpha_in), backward)
+    return ag.record(out, (values, h_in, alpha_in), backward)
 
 
 @dataclass

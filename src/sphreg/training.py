@@ -171,7 +171,8 @@ def _leaf_specs(model: ModelParams, trainable_only: bool = True):
         for bname in _BLOCK_NAMES:
             block = getattr(net, bname)
             specs.append((f"{scale}.{bname}.h", block.filt, "h"))
-            specs.append((f"{scale}.{bname}.alpha", block.filt, "alpha"))
+            if block.filt.alpha is not None:    # pooling blocks have none
+                specs.append((f"{scale}.{bname}.alpha", block.filt, "alpha"))
             specs.append((f"{scale}.{bname}.bn_gamma", block, "bn_gamma"))
             specs.append((f"{scale}.{bname}.bn_beta", block, "bn_beta"))
             if not trainable_only:

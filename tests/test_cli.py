@@ -436,20 +436,29 @@ def test_checkpoint_config_is_one_json_object(tmp_path, capsys):
     assert "byte 12" in err and "JSON string" in err
 
 
-@pytest.mark.parametrize("change", ["shape", "names"])
+@pytest.mark.parametrize("change", ["shape", "names", "pooled-alpha"])
 def test_checkpoint_tensors_must_fit_config(tmp_path, capsys, change):
     ckpt = zero_head_checkpoint(tmp_path)
-    raw = ckpt.read_bytes()
-    (blob_len,) = struct.unpack_from("<I", raw, 8)
-    config = json.loads(raw[12:12 + blob_len])
-    if change == "shape":
-        config["channels"] = 6
+    if change == "pooled-alpha":
+        # a pooling block's residual weights, as checkpoints held them
+        # before pooling blocks lost their alpha
+        config, tensors = fileio.read_checkpoint(ckpt)
+        tensors["coarse.enc2.alpha"] = np.zeros((8, 4))
+        fileio.write_checkpoint(ckpt, config, tensors)
     else:
-        config["use_graph_module"] = not config["use_graph_module"]
-    replace_config_blob(ckpt, json.dumps(config).encode())
+        raw = ckpt.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", raw, 8)
+        config = json.loads(raw[12:12 + blob_len])
+        if change == "shape":
+            config["channels"] = 6
+        else:
+            config["use_graph_module"] = not config["use_graph_module"]
+        replace_config_blob(ckpt, json.dumps(config).encode())
     assert register_with(tmp_path, ckpt) == 3
     err = capsys.readouterr().err
     assert "format error" in err and "byte 12" in err
+    if change == "pooled-alpha":
+        assert "unexpected ['coarse.enc2.alpha']" in err
 
 
 def test_eval_ground_truth_field_beats_unregistered(tmp_path, capsys):

@@ -14,7 +14,8 @@ import pytest
 import sphreg.autodiff as ag
 from sphreg.crf import CrfParams, crf_energy, crf_refine, mean_edge_arc
 from sphreg.discrete_reg import (ControlGrid, DeformationProbabilities,
-                                 build_label_sets)
+                                 argmax_deformation, build_label_sets,
+                                 soft_deformation)
 
 UNARY_FLOOR = 1e-12
 
@@ -285,3 +286,18 @@ def test_mu_shape_mismatch_rejected():
     params = CrfParams(iterations=2, mu=np.zeros((4, 4)), sigma=0.5, weight=1.0)
     with pytest.raises(ValueError, match="mu"):
         crf_refine(Q, grid, params)
+
+
+def test_q_shape_mismatch_rejected_alike():
+    # refinement and both decodes share one Q-shape check and its message
+    grid = ring_grid(4)
+    Q = random_q(5, 3, seed=13)
+    params = CrfParams(iterations=2, mu=np.zeros((3, 3)), sigma=0.5, weight=1.0)
+    calls = (lambda: crf_refine(Q, grid, params),
+             lambda: crf_energy(np.zeros(4, dtype=int), Q, grid, params),
+             lambda: argmax_deformation(Q, grid),
+             lambda: soft_deformation(Q, grid))
+    for call in calls:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == "Q shape (5, 3) does not match grid (4, 3)"

@@ -8,10 +8,10 @@ from sphreg import discrete_reg
 from sphreg.discrete_reg import (ControlGrid, DeformationProbabilities,
                                  argmax_deformation, build_label_sets,
                                  init_unet, predict_probabilities,
-                                 soft_deformation, spectral_project,
-                                 unet_forward)
+                                 soft_deformation, unet_forward)
 from sphreg.icosphere import generate_icosphere
-from sphreg.sht import build_basis, random_bandlimited
+from sphreg.shconv import ZonalFilter, init_zonal_filter, zonal_convolve
+from sphreg.sht import build_basis
 
 
 # ---------------------------------------------------------------------------
@@ -281,28 +281,54 @@ def test_unet_bandwidth_multiple_of_four():
 
 
 # ---------------------------------------------------------------------------
-# spectral projection
+# spectral pooling
 # ---------------------------------------------------------------------------
 
-def test_spectral_project_preserves_lowpass_signals():
-    mesh = generate_icosphere(2)
-    basis = build_basis(mesh, 8)
-    signal = random_bandlimited(2, 4, 3, np.random.default_rng(11)).values
-    projected = ag.value_of(spectral_project(signal, basis, 4))
-    assert np.max(np.abs(projected - signal)) < 1e-9
+def spectral_project(values, basis, L_new):
+    """Band-limit vertex values to degree <= L_new through the vertices:
+    analyse on the full basis, keep the low degrees, synthesise them."""
+    n_lm = (L_new + 1) ** 2
+    coeffs = ag.slice_rows(ag.matmul(basis.forward, values), 0, n_lm)
+    return ag.matmul(basis.Y[:, :n_lm], coeffs)
 
 
-def test_spectral_project_is_idempotent():
-    mesh = generate_icosphere(2)
-    basis = build_basis(mesh, 8)
-    values = np.random.default_rng(12).standard_normal((mesh.n_vertices, 2))
-    once = ag.value_of(spectral_project(values, basis, 4))
-    twice = ag.value_of(spectral_project(once, basis, 4))
-    assert np.max(np.abs(twice - once)) < 1e-10
+def _pool_and_grads(pool, values, h, weights):
+    """A pooling chain's output and the gradients of sum(out * weights)
+    into the values and ``h``."""
+    leaves = [ag.Tensor(values.copy()), ag.Tensor(h.copy())]
+    out = pool(*leaves)
+    ag.reduce_sum(ag.mul(out, weights)).backward()
+    return [out.value] + [leaf.grad for leaf in leaves]
 
 
-def test_spectral_project_bandwidth_bound():
-    mesh = generate_icosphere(2)
-    basis = build_basis(mesh, 8)
-    with pytest.raises(ValueError, match="cannot project"):
-        spectral_project(np.zeros((mesh.n_vertices, 1)), basis, 9)
+# (c_out, c_in, filter bandwidth, bandwidth of the basis it pools from):
+# the default U-Net's enc2 and enc3
+POOLING_BLOCKS = [(16, 8, 8, 16), (32, 16, 4, 8)]
+
+
+@pytest.mark.parametrize("shape", POOLING_BLOCKS,
+                         ids=[f"{i}to{o}L{w}toL{L}"
+                              for o, i, L, w in POOLING_BLOCKS])
+def test_pooled_block_matches_project_then_filter(shape):
+    # the filter reads only its own degrees of the wider basis, so it pools
+    # as a projection to its band through the vertices followed by the same
+    # filter on the band's own basis, where any alpha cancels
+    c_out, c_in, L, wide = shape
+    mesh = generate_icosphere(3)
+    wide_basis, band_basis = build_basis(mesh, wide), build_basis(mesh, L)
+    rng = np.random.default_rng(c_out + c_in)
+    filt = init_zonal_filter(c_out, c_in, L, rng)
+    values = rng.standard_normal((mesh.n_vertices, c_in))
+    weights = rng.standard_normal((mesh.n_vertices, c_out))
+
+    def pooled(v, h):
+        return zonal_convolve(v, ZonalFilter(h=h, alpha=None), wide_basis)
+
+    def chain(v, h):
+        return zonal_convolve(spectral_project(v, wide_basis, L),
+                              ZonalFilter(h=h, alpha=filt.alpha), band_basis)
+
+    new = _pool_and_grads(pooled, values, filt.h, weights)
+    old = _pool_and_grads(chain, values, filt.h, weights)
+    for name, a, b in zip(("out", "values", "h"), new, old):
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name

@@ -106,7 +106,8 @@ def test_alpha_cancellation_passes_alpha_times_input():
 def test_alpha_cancels_on_band_limited_input():
     # on input limited to the filter's degrees the spectral path's -alpha * f
     # cancels the residual alpha * f, so alpha has no effect on the output;
-    # the pooled encoder blocks see only such input
+    # a pooling block would see only such input after truncation, so it has
+    # no alpha
     mesh = generate_icosphere(3)
     basis = build_basis(mesh, 16)
     rng = np.random.default_rng(15)
@@ -121,6 +122,27 @@ def test_alpha_cancels_on_band_limited_input():
 
     assert alpha_effect(limited) < 1e-12
     assert alpha_effect(noise) > 1.0
+
+
+@pytest.mark.parametrize("shape", [(16, 8, 8), (32, 16, 4)],
+                         ids=["8to16L8", "16to32L4"])
+def test_no_alpha_is_bitwise_zero_alpha(shape):
+    # a filter without alpha is the residual filter at alpha = 0, bit for bit
+    c_out, c_in, L = shape
+    basis = build_basis(generate_icosphere(3), 2 * L)
+    rng = np.random.default_rng(c_out + c_in)
+    h = init_zonal_filter(c_out, c_in, L, rng).h
+    x = rng.standard_normal((basis.Y.shape[0], c_in))
+    weights = rng.standard_normal((basis.Y.shape[0], c_out))
+    runs = []
+    for alpha in (None, np.zeros((c_out, c_in))):
+        leaves = [ag.Tensor(x.copy()), ag.Tensor(h.copy())]
+        out = zonal_convolve(leaves[0], ZonalFilter(h=leaves[1], alpha=alpha),
+                             basis)
+        ag.reduce_sum(ag.mul(out, weights)).backward()
+        runs.append([a.tobytes() for a in
+                     (out.value, leaves[0].grad, leaves[1].grad)])
+    assert runs[0] == runs[1]
 
 
 def test_input_validation():

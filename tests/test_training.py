@@ -16,8 +16,10 @@ import pytest
 from sphreg import autodiff as ag
 from sphreg import training
 from sphreg.crf import mean_edge_arc
+from sphreg.graph_attention import init_graph_module
 from sphreg.icosphere import SphericalSignal, generate_icosphere
 from sphreg.metrics import distortion_report, pearson_cc
+from sphreg.shconv import init_block
 from sphreg.training import (ModelParams, TrainConfig, align_search,
                              build_grids, composed_field, forward_cascade,
                              init_model, load_checkpoint, named_arrays,
@@ -370,6 +372,43 @@ def test_graph_ablation_keeps_spectral_initialisation():
     assert sorted(spectral) == sorted(without)
     for name in spectral:
         np.testing.assert_array_equal(with_graph[name], without[name])
+
+
+def test_init_keeps_the_draw_order_of_residual_pooling_blocks():
+    # the pooling blocks' alphas are drawn and dropped, so every parameter
+    # starts from the numbers of a U-Net whose seven blocks all draw one
+    config = TrainConfig()
+    rng = np.random.default_rng(config.seed)
+    n_l = build_grids(config)[0].n_labels
+    L, c = config.bandwidth, config.channels
+    expected = {}
+    for scale in ("coarse", "fine"):
+        blocks = {"enc1": init_block(c, 2, L, rng),
+                  "enc2": init_block(2 * c, c, L // 2, rng),
+                  "enc3": init_block(4 * c, 2 * c, L // 4, rng)}
+        graph = init_graph_module(4 * c, config.heads, rng)
+        blocks.update(dec1=init_block(4 * c, 8 * c, L // 4, rng),
+                      dec2=init_block(2 * c, 6 * c, L // 2, rng),
+                      dec3=init_block(c, 3 * c, L, rng),
+                      head=init_block(n_l, c, L, rng, relu=False))
+        for bname, block in blocks.items():
+            arrays = {"h": block.filt.h, "alpha": block.filt.alpha,
+                      "bn_gamma": block.bn_gamma, "bn_beta": block.bn_beta,
+                      "bn_mean": block.bn_mean, "bn_var": block.bn_var}
+            if bname in ("enc2", "enc3"):
+                del arrays["alpha"]
+            for key, array in arrays.items():
+                expected[f"{scale}.{bname}.{key}"] = array
+        for lname in ("layer1", "layer2"):
+            layer = getattr(graph, lname)
+            expected[f"{scale}.graph.{lname}.W"] = layer.W
+            expected[f"{scale}.graph.{lname}.a"] = layer.a
+    expected["crf.coarse.mu"] = expected["crf.fine.mu"] = \
+        np.ones((n_l, n_l)) - np.eye(n_l)
+    actual = named_arrays(init_model(config))
+    assert sorted(actual) == sorted(expected)
+    for name, array in expected.items():
+        assert actual[name].tobytes() == array.tobytes(), name
 
 
 def test_register_pair_rejects_level_mismatch():

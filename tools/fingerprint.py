@@ -34,6 +34,9 @@ registration and the gradient check bitwise equal.  The object holds
   of a random weighting of them into its input, ``h`` and ``alpha``, on
   seeded random inputs at the default U-Net's seven block shapes on the
   level-3 mesh, so the convolution's rounding shows apart from training;
+* ``zonal_pool``: the same for the two pooling blocks, whose filters have no
+  ``alpha`` and run on the wider basis of the block before them: the outputs
+  and the gradients into the input and ``h``;
 * ``eval``: for the pair-17 field above and for a smooth level-5 field
   built as the benchmark's field-ops set-up builds its ``eval`` field,
   sha256 of ``distortion_report``'s ``J`` and ``R`` and ``repr`` of its
@@ -178,6 +181,30 @@ def _zonal(out: dict) -> None:
     out["zonal"] = digest.hexdigest()
 
 
+# (c_out, c_in, filter bandwidth, bandwidth of the basis it pools from) of
+# the default U-Net's two pooling blocks
+_POOLING_BLOCKS = ((16, 8, 8, 16), (32, 16, 4, 8))
+
+
+def _zonal_pool(out: dict) -> None:
+    """Add the ``zonal_pool`` entry to ``out``."""
+    rng = np.random.default_rng(14)
+    mesh = icosphere.generate_icosphere(3)
+    digest = hashlib.sha256()
+    for c_out, c_in, L, wide in _POOLING_BLOCKS:
+        filt = shconv.init_zonal_filter(c_out, c_in, L, rng)
+        leaves = [ag.Tensor(rng.standard_normal((mesh.n_vertices, c_in))),
+                  ag.Tensor(filt.h)]
+        conv = shconv.zonal_convolve(
+            leaves[0], shconv.ZonalFilter(h=leaves[1], alpha=None),
+            sht.build_basis(mesh, wide))
+        weights = rng.standard_normal((mesh.n_vertices, c_out))
+        ag.reduce_sum(ag.mul(conv, weights)).backward()
+        for array in [conv.value] + [leaf.grad for leaf in leaves]:
+            digest.update(array.tobytes())
+    out["zonal_pool"] = digest.hexdigest()
+
+
 def _graph_off(pairs) -> str:
     """The ``graph_off`` entry: a 2-epoch training without the graph module."""
     config = training.TrainConfig(epochs=2, use_graph_module=False)
@@ -232,6 +259,7 @@ def main() -> int:
     _field_ops(out)
     _locate(out)
     _zonal(out)
+    _zonal_pool(out)
     print(json.dumps(out, sort_keys=True))
     print(json.dumps({"blas": getattr(sphreg, "BLAS", None)}), file=sys.stderr)
     return 0
