@@ -14,6 +14,7 @@ compatibility matrix mu is learnable and lives on the model; the schedule
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -43,8 +44,9 @@ class CrfParams:
             raise ValueError(f"mu must be square, got shape {mu.shape}")
 
 
+@cache
 def mean_edge_arc(grid: ControlGrid) -> float:
-    """Mean great-circle length of the control-mesh edges."""
+    """Mean great-circle length of the control-mesh edges, memoised per grid."""
     a = grid.control_positions[grid.edges[:, 0]]
     b = grid.control_positions[grid.edges[:, 1]]
     return float(np.mean(np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))))

@@ -8,6 +8,9 @@ every finer level; the rest of the package leans on that prefix property for
 control grids and label sets.  It also writes the four children of face f
 as rows 4f..4f+3, and their normalised midpoints lie on the parent's
 great-circle edges, so the children's cones tile the parent's cone.
+Subdivision reads only the parent's edge table; every other index table of
+a mesh is built on its first read and then frozen, so a process pays only
+for the tables it uses.
 
 Interpolation uses gnomonic (central projection) barycentric coordinates:
 for a query point t inside the cone of face (a, b, c) the weights solve
@@ -29,7 +32,7 @@ target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -49,15 +52,20 @@ def edge_count(level: int) -> int:
     return 30 * 4 ** level
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(eq=False)
 class Icosphere:
     """Triangulated unit sphere at one subdivision level.
 
-    ``vertices`` are unit rows, ``faces`` index CCW as seen from outside.
-    Every index set depends only on ``faces`` and is built once by
-    ``build_mesh``; the arrays are frozen so cached meshes can be shared
-    freely.  Meshes hash by identity, so tables derived from one (such as
-    the per-face solve matrices) are memoised per mesh object.
+    ``vertices`` are unit rows, ``faces`` index CCW as seen from outside;
+    both are frozen on construction.  Each index set depends only on
+    ``faces`` and is built on first read, then frozen, so cached meshes
+    can be shared freely.  Meshes hash by identity, so tables derived from
+    one (such as the per-face solve matrices) are memoised per mesh object.
 
     ``edges`` are the undirected edges as sorted (i, j) pairs in
     lexicographic order.  The directed one-ring is stored in CSR form:
@@ -79,13 +87,10 @@ class Icosphere:
     level: int
     vertices: np.ndarray
     faces: np.ndarray
-    edges: np.ndarray = field(repr=False)
-    ring_offsets: np.ndarray = field(repr=False)
-    ring_dst: np.ndarray = field(repr=False)
-    ring_src: np.ndarray = field(repr=False)
-    incident_faces: np.ndarray = field(repr=False)
-    neighbourhood: np.ndarray = field(repr=False)
-    face_neighbours: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        _frozen(self.vertices)
+        _frozen(self.faces)
 
     @property
     def n_vertices(self) -> int:
@@ -96,6 +101,69 @@ class Icosphere:
         return self.faces.shape[0]
 
     @cached_property
+    def _edge_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_unique_edges`` of the faces, frozen; ``_subdivide`` reads it
+        to place the next level's midpoints."""
+        edges, edge_of = _unique_edges(self.faces, self.n_vertices)
+        return _frozen(edges), _frozen(edge_of)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        return self._edge_table[0]
+
+    @cached_property
+    def _directed_ring(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dst, src) of every directed edge, by dst and then src, frozen."""
+        directed = np.concatenate([self.edges, self.edges[:, ::-1]])
+        order = np.lexsort((directed[:, 1], directed[:, 0]))
+        return _frozen(directed[order, 0]), _frozen(directed[order, 1])
+
+    @cached_property
+    def ring_dst(self) -> np.ndarray:
+        return self._directed_ring[0]
+
+    @cached_property
+    def ring_src(self) -> np.ndarray:
+        return self._directed_ring[1]
+
+    @cached_property
+    def ring_offsets(self) -> np.ndarray:
+        return _frozen(np.searchsorted(self.ring_dst,
+                                       np.arange(self.n_vertices + 1)))
+
+    @cached_property
+    def neighbourhood(self) -> np.ndarray:
+        ring_slots = np.arange(6)
+        in_ring = ring_slots < np.diff(self.ring_offsets)[:, None]
+        ring = self.ring_src[self.ring_offsets[:-1, None]
+                             + np.where(in_ring, ring_slots, 0)]
+        vertex_ids = np.arange(self.n_vertices)[:, None]
+        return _frozen(np.concatenate(
+            [vertex_ids, np.where(in_ring, ring, vertex_ids)], axis=1))
+
+    @cached_property
+    def incident_faces(self) -> np.ndarray:
+        corner_vertex = self.faces.ravel()
+        by_vertex = np.argsort(corner_vertex, kind="stable")
+        face_offsets = np.searchsorted(corner_vertex[by_vertex],
+                                       np.arange(self.n_vertices + 1))
+        slots = np.arange(6)
+        slots = np.where(slots < np.diff(face_offsets)[:, None], slots, 0)
+        return _frozen((by_vertex // 3)[face_offsets[:-1, None] + slots])
+
+    @cached_property
+    def face_neighbours(self) -> np.ndarray:
+        # slot g * F + f is edge g of face f; each edge has two slots, so a
+        # slot's partner is the edge's slot sum minus itself.  Edge g runs
+        # (a, b), (b, c), (c, a): corner k faces edge k + 1.
+        edge_of = self._edge_table[1]
+        slot = np.arange(3 * self.n_faces)
+        partner = (np.bincount(edge_of, weights=slot)[edge_of]
+                   .astype(np.int64) - slot)
+        return _frozen((partner % self.n_faces)
+                       .reshape(3, self.n_faces).T[:, [1, 2, 0]])
+
+    @cached_property
     def one_ring(self) -> tuple[np.ndarray, ...]:
         """Per vertex, the view of ``ring_src`` holding its neighbours."""
         return tuple(np.split(self.ring_src, self.ring_offsets[1:-1]))
@@ -104,9 +172,7 @@ class Icosphere:
     def corner_inverse(self) -> np.ndarray:
         """Per-face inverse of the 3x3 corner-column matrix, shape (F, 3, 3)."""
         corners = self.vertices[self.faces]              # (F, corner, xyz)
-        inverse = np.linalg.inv(corners.transpose(0, 2, 1))
-        inverse.setflags(write=False)
-        return inverse
+        return _frozen(np.linalg.inv(corners.transpose(0, 2, 1)))
 
     @cached_property
     def split_normals(self) -> np.ndarray:
@@ -118,25 +184,7 @@ class Icosphere:
         great circle between it and the centre child, positive on the
         corner child's side.  Only meaningful above level 0."""
         centre = self.vertices[self.faces[3::4]]         # (F/4, corner, xyz)
-        normals = np.cross(centre, np.roll(centre, 1, axis=1))
-        normals.setflags(write=False)
-        return normals
-
-    def mean_edge_arc(self) -> float:
-        a = self.vertices[self.edges[:, 0]]
-        b = self.vertices[self.edges[:, 1]]
-        return float(np.mean(_arc_length(a, b)))
-
-    def max_edge_arc(self) -> float:
-        a = self.vertices[self.edges[:, 0]]
-        b = self.vertices[self.edges[:, 1]]
-        return float(np.max(_arc_length(a, b)))
-
-
-def _arc_length(a, b):
-    crossed = np.linalg.norm(np.cross(a, b), axis=-1)
-    dotted = np.sum(a * b, axis=-1)
-    return np.arctan2(crossed, dotted)
+        return _frozen(np.cross(centre, np.roll(centre, 1, axis=1)))
 
 
 def _base_icosahedron():
@@ -166,15 +214,16 @@ def _base_icosahedron():
 def _unique_edges(faces, n_vertices):
     """Undirected edges as sorted (i, j) rows in lexicographic order, and the
     row of each face edge, edge-major: every (a, b), then (b, c), (c, a)."""
-    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    pairs.sort(axis=1)
-    keys, inverse = np.unique(pairs[:, 0] * n_vertices + pairs[:, 1],
-                              return_inverse=True)
+    start, end = faces.T.ravel(), faces[:, [1, 2, 0]].T.ravel()
+    keys, inverse = np.unique(np.minimum(start, end) * n_vertices
+                              + np.maximum(start, end), return_inverse=True)
     return np.stack(np.divmod(keys, n_vertices), axis=1), inverse
 
 
-def _subdivide(vertices, faces):
-    unique_edges, inverse = _unique_edges(faces, vertices.shape[0])
+def _subdivide(parent: Icosphere):
+    """The next level's vertices and faces, from the parent's edge table."""
+    vertices, faces = parent.vertices, parent.faces
+    unique_edges, inverse = parent._edge_table
     midpoints = vertices[unique_edges[:, 0]] + vertices[unique_edges[:, 1]]
     midpoints /= np.linalg.norm(midpoints, axis=1, keepdims=True)
     new_vertices = np.concatenate([vertices, midpoints])
@@ -194,49 +243,6 @@ def _subdivide(vertices, faces):
     return new_vertices, children
 
 
-def build_mesh(level: int, vertices: np.ndarray, faces: np.ndarray) -> Icosphere:
-    """Icosphere with every index set derived once from ``faces``, frozen."""
-    n_vertices = vertices.shape[0]
-    edges, edge_of = _unique_edges(faces, n_vertices)
-    directed = np.concatenate([edges, edges[:, ::-1]])
-    order = np.lexsort((directed[:, 1], directed[:, 0]))
-    ring_dst, ring_src = directed[order, 0], directed[order, 1]
-    ring_offsets = np.searchsorted(ring_dst, np.arange(n_vertices + 1))
-    degree = np.diff(ring_offsets)
-    ring_slots = np.arange(6)
-    in_ring = ring_slots < degree[:, None]
-    ring = ring_src[ring_offsets[:-1, None] + np.where(in_ring, ring_slots, 0)]
-    vertex_ids = np.arange(n_vertices)[:, None]
-    neighbourhood = np.concatenate(
-        [vertex_ids, np.where(in_ring, ring, vertex_ids)], axis=1)
-
-    corner_vertex = faces.ravel()
-    by_vertex = np.argsort(corner_vertex, kind="stable")
-    face_offsets = np.searchsorted(corner_vertex[by_vertex],
-                                   np.arange(n_vertices + 1))
-    slots = np.arange(6)
-    slots = np.where(slots < np.diff(face_offsets)[:, None], slots, 0)
-    incident_faces = (by_vertex // 3)[face_offsets[:-1, None] + slots]
-
-    # each edge has two face-edge slots (slot g * F + f is edge g of face f),
-    # so a slot's partner is the edge's slot sum minus itself.  Edge g of a
-    # face runs (a, b), (b, c), (c, a): corner k faces edge k + 1.
-    n_faces = faces.shape[0]
-    slot = np.arange(3 * n_faces)
-    partner = np.bincount(edge_of, weights=slot)[edge_of].astype(np.int64) - slot
-    face_neighbours = (partner % n_faces).reshape(3, n_faces).T[:, [1, 2, 0]]
-
-    for array in (vertices, faces, edges, ring_offsets, ring_dst, ring_src,
-                  incident_faces, neighbourhood, face_neighbours):
-        array.setflags(write=False)
-    return Icosphere(level=level, vertices=vertices, faces=faces, edges=edges,
-                     ring_offsets=ring_offsets, ring_dst=ring_dst,
-                     ring_src=ring_src,
-                     incident_faces=incident_faces,
-                     neighbourhood=neighbourhood,
-                     face_neighbours=face_neighbours)
-
-
 def generate_icosphere(level: int) -> Icosphere:
     """Return the (cached, shared) icosphere at ``level`` subdivisions."""
     if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
@@ -252,8 +258,8 @@ def _icosphere(level: int) -> Icosphere:
         vertices, faces = _base_icosahedron()
     else:
         parent = _icosphere(level - 1)
-        vertices, faces = _subdivide(parent.vertices, parent.faces)
-    return build_mesh(level, vertices, faces)
+        vertices, faces = _subdivide(parent)
+    return Icosphere(level, vertices, faces)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ def _sample_basis(points: np.ndarray, L: int) -> np.ndarray:
     st = np.hypot(points[:, 0], points[:, 1])
     phi = np.arctan2(points[:, 1], points[:, 0])
 
-    Y = np.empty((n, (L + 1) ** 2), dtype=np.float64)
+    # one contiguous row of T per harmonic fills faster than strided
+    # columns; the C-order copy of T.T is the (N, (L+1)^2) basis
+    T = np.empty(((L + 1) ** 2, n), dtype=np.float64)
     # azimuthal factors, computed once per order
     cos_m = [np.ones(n)] + [np.cos(m * phi) for m in range(1, L + 1)]
     sin_m = [np.zeros(n)] + [np.sin(m * phi) for m in range(1, L + 1)]
@@ -61,12 +63,12 @@ def _sample_basis(points: np.ndarray, L: int) -> np.ndarray:
                 b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
                 p_prev, p_curr = p_curr, a * (ct * p_curr - b * p_prev)
             if m == 0:
-                Y[:, flat_index(l, 0)] = p_curr
+                T[flat_index(l, 0)] = p_curr
             else:
                 scaled = np.sqrt(2.0) * p_curr
-                Y[:, flat_index(l, m)] = scaled * cos_m[m]
-                Y[:, flat_index(l, -m)] = scaled * sin_m[m]
-    return Y
+                T[flat_index(l, m)] = scaled * cos_m[m]
+                T[flat_index(l, -m)] = scaled * sin_m[m]
+    return np.ascontiguousarray(T.T)
 
 
 @dataclass

@@ -17,6 +17,8 @@ from sphreg.icosphere import (Icosphere, SphericalSignal, barycentric_resample,
                               generate_icosphere, locate_faces, vertex_count)
 from sphreg.metrics import smoothness_penalty
 
+from mesh_arcs import max_edge_arc, mean_edge_arc
+
 
 @pytest.mark.parametrize("level,verts", [(0, 12), (1, 42), (2, 162),
                                          (3, 642), (4, 2562), (6, 40962)])
@@ -62,11 +64,11 @@ def test_one_ring_is_symmetric():
 
 
 def test_edge_arcs_shrink_roughly_by_half_per_level():
-    arcs = [generate_icosphere(level).mean_edge_arc() for level in (0, 1, 2, 3)]
+    arcs = [mean_edge_arc(generate_icosphere(level)) for level in (0, 1, 2, 3)]
     for coarse, fine in zip(arcs, arcs[1:]):
         assert 1.8 < coarse / fine < 2.2
     mesh = generate_icosphere(2)
-    assert mesh.mean_edge_arc() <= mesh.max_edge_arc()
+    assert mean_edge_arc(mesh) <= max_edge_arc(mesh)
 
 
 def test_locate_faces_own_vertices():
@@ -487,8 +489,7 @@ def test_one_ring_is_built_on_first_use():
     # a level-6 mesh is built without its one-ring list, which then matches
     # the CSR slices of ring_src
     parent = icosphere.generate_icosphere(5)
-    mesh = icosphere.build_mesh(6, *icosphere._subdivide(parent.vertices,
-                                                         parent.faces))
+    mesh = Icosphere(6, *icosphere._subdivide(parent))
     assert "one_ring" not in vars(mesh)
     rings = mesh.one_ring
     assert len(rings) == mesh.n_vertices

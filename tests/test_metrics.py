@@ -12,7 +12,7 @@ import pytest
 
 from sphreg import autodiff as ag
 from sphreg import icosphere, metrics
-from sphreg.icosphere import SphericalSignal, build_mesh, generate_icosphere
+from sphreg.icosphere import Icosphere, SphericalSignal, generate_icosphere
 from sphreg.metrics import (DistortionReport, distortion_report, loss_reg,
                             loss_sim, mean_squared_difference, pearson_cc,
                             singular_values_2x2, smoothness_penalty)
@@ -448,7 +448,7 @@ def test_distortion_report_of_another_mesh_at_a_cached_level():
     moved = shared.vertices + 0.01 * np.random.default_rng(0).standard_normal(
         shared.vertices.shape)
     moved /= np.linalg.norm(moved, axis=1, keepdims=True)
-    other = build_mesh(2, moved, shared.faces.copy())
+    other = Icosphere(2, moved, shared.faces.copy())
     for mesh in (other, shared, other):
         rep = distortion_report(mesh, field)
         expected = reference_distortion(mesh, field)

@@ -32,6 +32,46 @@ def closed_form_sh(l, m, p):
     return c[(l, m)]()
 
 
+def column_by_column_basis(points, L):
+    """The basis as the package first wrote it, one strided column of an
+    (N, (L+1)^2) array per harmonic."""
+    n = points.shape[0]
+    ct = points[:, 2]
+    st = np.hypot(points[:, 0], points[:, 1])
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    Y = np.empty((n, (L + 1) ** 2), dtype=np.float64)
+    cos_m = [np.ones(n)] + [np.cos(m * phi) for m in range(1, L + 1)]
+    sin_m = [np.zeros(n)] + [np.sin(m * phi) for m in range(1, L + 1)]
+    p_mm = np.full(n, 1.0 / np.sqrt(4.0 * np.pi))
+    for m in range(0, L + 1):
+        if m > 0:
+            p_mm = p_mm * st * np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+        p_prev, p_curr = None, p_mm
+        for l in range(m, L + 1):
+            if l == m + 1:
+                p_prev, p_curr = p_curr, p_curr * ct * np.sqrt(2.0 * m + 3.0)
+            elif l > m + 1:
+                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                p_prev, p_curr = p_curr, a * (ct * p_curr - b * p_prev)
+            if m == 0:
+                Y[:, flat_index(l, 0)] = p_curr
+            else:
+                scaled = np.sqrt(2.0) * p_curr
+                Y[:, flat_index(l, m)] = scaled * cos_m[m]
+                Y[:, flat_index(l, -m)] = scaled * sin_m[m]
+    return Y
+
+
+@pytest.mark.parametrize("level,L", [(1, 2), (3, 4), (3, 8), (3, 16), (6, 8)])
+def test_sampled_basis_keeps_the_column_by_column_bits(level, L):
+    points = generate_icosphere(level).vertices
+    Y = sht._sample_basis(points, L)
+    assert Y.flags.c_contiguous
+    assert Y.shape == (points.shape[0], (L + 1) ** 2)
+    assert Y.tobytes() == column_by_column_basis(points, L).tobytes()
+
+
 def test_flat_index_layout():
     assert flat_index(0, 0) == 0
     assert flat_index(1, -1) == 1

@@ -40,7 +40,11 @@ registration and the gradient check bitwise equal.  The object holds
 * ``eval``: for the pair-17 field above and for a smooth level-5 field
   built as the benchmark's field-ops set-up builds its ``eval`` field,
   sha256 of ``distortion_report``'s ``J`` and ``R`` and ``repr`` of its
-  ``row()``.
+  ``row()``;
+* ``mesh``: sha256, in a fixed order, of the name, dtype, shape and bytes
+  of every table of the icosphere at levels 0-6 (vertices, faces and the
+  index tables), then of the sampled harmonic basis at (level, degree)
+  (3, 16) and (6, 8).
 
 A second line, on stderr, records the BLAS library, its thread count and
 the pin that ``import sphreg`` applied.  It is not part of the
@@ -205,6 +209,29 @@ def _zonal_pool(out: dict) -> None:
     out["zonal_pool"] = digest.hexdigest()
 
 
+_MESH_TABLES = ("vertices", "faces", "edges", "ring_offsets", "ring_dst",
+                "ring_src", "incident_faces", "neighbourhood",
+                "face_neighbours")
+
+
+def _mesh(out: dict) -> None:
+    """Add the ``mesh`` entry to ``out``."""
+    digest = hashlib.sha256()
+
+    def add(name, array):
+        digest.update(f"{name} {array.dtype.str} {array.shape}".encode())
+        digest.update(array.tobytes())
+
+    for level in range(7):
+        mesh = icosphere.generate_icosphere(level)
+        for name in _MESH_TABLES:
+            add(f"{level}.{name}", getattr(mesh, name))
+    for level, L in ((3, 16), (6, 8)):
+        add(f"basis.{level}.{L}",
+            sht._sample_basis(icosphere.generate_icosphere(level).vertices, L))
+    out["mesh"] = digest.hexdigest()
+
+
 def _graph_off(pairs) -> str:
     """The ``graph_off`` entry: a 2-epoch training without the graph module."""
     config = training.TrainConfig(epochs=2, use_graph_module=False)
@@ -260,6 +287,7 @@ def main() -> int:
     _locate(out)
     _zonal(out)
     _zonal_pool(out)
+    _mesh(out)
     print(json.dumps(out, sort_keys=True))
     print(json.dumps({"blas": getattr(sphreg, "BLAS", None)}), file=sys.stderr)
     return 0
