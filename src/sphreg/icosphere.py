@@ -26,8 +26,8 @@ when its smallest coordinate exceeds ``_INSIDE`` (1e-10, far above the
 rounding error of a coordinate); only targets near an edge or a vertex
 search the faces around the seed for the largest minimum coordinate (the
 lowest face index on exact ties), and resampling reads a target on a
-vertex from the seed's row.  That is O(level) work and O(1) memory per
-target.
+vertex from the seed's row.  That is O(level) work per target and memory
+per block of ``_BLOCK`` targets.
 """
 
 from __future__ import annotations
@@ -273,6 +273,10 @@ _SNAP_DOT = 1.0 - 1e-12
 # holds a target with a computed minimum above this can be the max-min face.
 _INSIDE = 1e-10
 
+# Rows per block of location, interpolation and harmonic sampling: rows
+# never mix, so blocks change no bit; (_BLOCK, 20, 3) floats take 2 MB.
+_BLOCK = 4096
+
 
 def _sum3(a):
     """Sums over a length-3 axis 1, bitwise ``a.sum(axis=1)``, which adds
@@ -314,16 +318,22 @@ def _min_coordinate(lam):
     return np.minimum(np.minimum(lam[..., 0], lam[..., 1]), lam[..., 2])
 
 
-def _descend(mesh: Icosphere, targets: np.ndarray):
-    """``targets`` as float64 rows, checked to be of unit length within 1e-8
-    (a NaN row is not), and per target the descent's leaf face and its
-    corner nearest the target, the seed."""
+def _unit_blocks(targets):
+    """``targets`` as float64 rows, checked all at once to be of unit length
+    within 1e-8 (a NaN row is not), and the row slices of its blocks."""
     targets = np.asarray(targets, dtype=np.float64)
     norms = _norm3(targets)
     if not np.all(np.abs(norms - 1.0) <= 1e-8):
         worst = int(np.argmax(np.abs(norms - 1.0)))     # the first NaN, if any
         raise ValueError(
             f"target {worst} has norm {norms[worst]:.9f}, expected unit")
+    return targets, [slice(lo, lo + _BLOCK)
+                     for lo in range(0, len(targets), _BLOCK)]
+
+
+def _descend(mesh: Icosphere, targets: np.ndarray):
+    """Per unit float64 target row, the descent's leaf face and its corner
+    nearest the target, the seed."""
     # tables are gathered by np.take, which copies the same bytes as fancy
     # indexing several times faster
     base = generate_icosphere(0).corner_inverse.reshape(-1, 3)
@@ -338,8 +348,7 @@ def _descend(mesh: Icosphere, targets: np.ndarray):
     corners = np.take(mesh.faces, leaf, axis=0)               # (T, 3)
     dots = np.einsum("tkx,tx->tk", np.take(mesh.vertices, corners, axis=0),
                      targets)
-    return targets, leaf, np.take(corners,
-                                  3 * np.arange(len(leaf)) + _argmax3(dots))
+    return leaf, np.take(corners, 3 * np.arange(len(leaf)) + _argmax3(dots))
 
 
 def _around_seed(mesh: Icosphere, targets: np.ndarray, seeds: np.ndarray):
@@ -377,10 +386,16 @@ def locate_faces(mesh: Icosphere, targets: np.ndarray):
     face around the seed with the largest minimum coordinate as computed,
     and on exact ties the lowest face index, since ``incident_faces`` lists
     faces in ascending order.  ``mesh`` must come from ``generate_icosphere``:
-    the descent reads the coarser levels through it.
+    the descent reads the coarser levels through it.  Targets are checked
+    all at once, then located per block of ``_BLOCK``.
     Returns (face_indices, lambdas) with lambdas unnormalised.
     """
-    return _settle(mesh, *_descend(mesh, targets))
+    targets, blocks = _unit_blocks(targets)
+    faces, lam = np.empty(len(targets), np.intp), np.empty((len(targets), 3))
+    for rows in blocks:
+        block = targets[rows]
+        faces[rows], lam[rows] = _settle(mesh, block, *_descend(mesh, block))
+    return faces, lam
 
 
 def barycentric_weights(mesh: Icosphere, targets: np.ndarray):
@@ -397,7 +412,7 @@ def barycentric_resample(values: np.ndarray, mesh: Icosphere,
     return that vertex's row bitwise, so resampling a signal at its own
     vertices is the identity.  Such a target lies only in faces around the
     vertex, so the vertex is the descent's seed and the row skips
-    ``_settle``.
+    ``_settle``.  Targets run per block, as in ``locate_faces``.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
@@ -407,14 +422,18 @@ def barycentric_resample(values: np.ndarray, mesh: Icosphere,
             f"barycentric_resample: {values.shape[0]} rows for mesh with "
             f"{mesh.n_vertices} vertices")
 
-    targets, leaf, seeds = _descend(mesh, targets)
-    out = np.take(values, seeds, axis=0)
-    rest = np.flatnonzero(
-        _dot3(targets, np.take(mesh.vertices, seeds, axis=0)) < _SNAP_DOT)
-    face_idx, lam = _settle(mesh, targets[rest], leaf[rest], seeds[rest])
-    corners = np.take(mesh.faces, face_idx, axis=0)           # (R, 3)
-    out[rest] = np.einsum("tk,tkc->tc", lam / _sum3(lam)[:, None],
-                          np.take(values, corners, axis=0))
+    targets, blocks = _unit_blocks(targets)
+    out = np.empty((len(targets), values.shape[1]))
+    for rows in blocks:
+        block = targets[rows]
+        leaf, seeds = _descend(mesh, block)
+        out[rows] = np.take(values, seeds, axis=0)
+        rest = np.flatnonzero(
+            _dot3(block, np.take(mesh.vertices, seeds, axis=0)) < _SNAP_DOT)
+        face_idx, lam = _settle(mesh, block[rest], leaf[rest], seeds[rest])
+        out[rows.start + rest] = np.einsum(
+            "tk,tkc->tc", lam / _sum3(lam)[:, None],
+            np.take(values, np.take(mesh.faces, face_idx, axis=0), axis=0))
     return out
 
 

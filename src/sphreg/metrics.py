@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ag
 from .icosphere import (Icosphere, SphericalSignal, _cross3, _dot3, _norm3,
-                        _sum3, generate_icosphere, vertex_count)
+                        _sum3, generate_icosphere)
 from .warp import DeformationField
 
 _STAT_KEYS = ("mean", "std", "max", "p95", "p98")
@@ -230,26 +230,35 @@ def _undeformed(mesh: Icosphere):
     return inverse
 
 
-def distortion_report(mesh: Icosphere, field: DeformationField) -> DistortionReport:
-    """Per-triangle J and R between the mesh and its deformed image."""
+def _jacobians(mesh: Icosphere, field: DeformationField):
+    """Per triangle J (exactly 1 where no corner moved), which triangles
+    moved, and their deformation gradients F."""
     if field.mesh_level != mesh.level:
         raise ValueError(
             f"field level {field.mesh_level} does not match mesh level "
             f"{mesh.level}")
-    inverse = _undeformed(mesh)
-    J = np.ones(mesh.n_faces)
-    R = np.ones(mesh.n_faces)
-    # triangles whose corners did not move keep J = R = 1 exactly
     same = field.targets == mesh.vertices
     still = np.take(same[:, 0] & same[:, 1] & same[:, 2], mesh.faces)
     moved = ~(still[:, 0] & still[:, 1] & still[:, 2])
-    if np.any(moved):
-        deformed = np.take(field.targets, mesh.faces[moved], axis=0)
-        F = _edge_matrix(deformed) @ inverse[moved]
-        s1, s2 = singular_values_2x2(F)
-        J[moved] = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-        with np.errstate(divide="ignore"):
-            R[moved] = np.where(s2 > 0, s1 / np.where(s2 > 0, s2, 1.0), np.inf)
+    deformed = np.take(field.targets, mesh.faces[moved], axis=0)
+    F = _edge_matrix(deformed) @ _undeformed(mesh)[moved]
+    J = np.ones(mesh.n_faces)
+    J[moved] = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
+    return J, moved, F
+
+
+def fold_count(mesh: Icosphere, field: DeformationField) -> int:
+    """The triangles with J <= 0, as ``distortion_report`` counts them."""
+    return int(np.sum(_jacobians(mesh, field)[0] <= 0))
+
+
+def distortion_report(mesh: Icosphere, field: DeformationField) -> DistortionReport:
+    """Per-triangle J and R between the mesh and its deformed image."""
+    J, moved, F = _jacobians(mesh, field)
+    R = np.ones(mesh.n_faces)
+    s1, s2 = singular_values_2x2(F)
+    with np.errstate(divide="ignore"):
+        R[moved] = np.where(s2 > 0, s1 / np.where(s2 > 0, s2, 1.0), np.inf)
 
     folds = int(np.sum(J <= 0))
     with np.errstate(divide="ignore"):

@@ -23,7 +23,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .icosphere import Icosphere, SphericalSignal, generate_icosphere, vertex_count
+from .icosphere import _BLOCK, Icosphere, SphericalSignal, generate_icosphere
 
 MAX_DEGREE = 64
 
@@ -35,14 +35,21 @@ def flat_index(l: int, m: int) -> int:
 
 
 def _sample_basis(points: np.ndarray, L: int) -> np.ndarray:
-    """Evaluate all real harmonics up to degree L at unit points, (N, (L+1)^2)."""
+    """Evaluate all real harmonics up to degree L at unit points, (N, (L+1)^2),
+    per block of points: no full-size transposed copy, and the same bits."""
+    Y = np.empty((points.shape[0], (L + 1) ** 2), dtype=np.float64)
+    for lo in range(0, len(points), _BLOCK):
+        Y[lo:lo + _BLOCK] = _sample_rows(points[lo:lo + _BLOCK], L).T
+    return Y
+
+
+def _sample_rows(points: np.ndarray, L: int) -> np.ndarray:
+    """((L+1)^2, N) harmonics at ``points``: rows fill faster than columns."""
     n = points.shape[0]
     ct = points[:, 2]
     st = np.hypot(points[:, 0], points[:, 1])
     phi = np.arctan2(points[:, 1], points[:, 0])
 
-    # one contiguous row of T per harmonic fills faster than strided
-    # columns; the C-order copy of T.T is the (N, (L+1)^2) basis
     T = np.empty(((L + 1) ** 2, n), dtype=np.float64)
     # azimuthal factors, computed once per order
     cos_m = [np.ones(n)] + [np.cos(m * phi) for m in range(1, L + 1)]
@@ -68,7 +75,7 @@ def _sample_basis(points: np.ndarray, L: int) -> np.ndarray:
                 scaled = np.sqrt(2.0) * p_curr
                 T[flat_index(l, m)] = scaled * cos_m[m]
                 T[flat_index(l, -m)] = scaled * sin_m[m]
-    return np.ascontiguousarray(T.T)
+    return T
 
 
 @dataclass
@@ -99,6 +106,11 @@ def build_basis(mesh: Icosphere, L: int) -> HarmonicBasis:
     sampled columns are far from rank deficiency and the pseudo-inverse is a
     stable left inverse (checked to 1e-8 in the tests).
     """
+    return _basis(mesh, L)
+
+
+@cache
+def _basis(mesh: Icosphere, L: int) -> HarmonicBasis:
     if L < 0 or L > MAX_DEGREE:
         raise ValueError(f"bandwidth L={L} out of [0, {MAX_DEGREE}]")
     n_coeffs = (L + 1) ** 2
@@ -106,14 +118,9 @@ def build_basis(mesh: Icosphere, L: int) -> HarmonicBasis:
         raise ValueError(
             f"level {mesh.level} has {mesh.n_vertices} vertices, fewer than "
             f"{n_coeffs} coefficients for L={L}; refine the mesh or lower L")
-    return _basis(mesh, int(L))
-
-
-@cache
-def _basis(mesh: Icosphere, L: int) -> HarmonicBasis:
-    Y = _sample_basis(mesh.vertices, L)
+    Y = _sample_basis(mesh.vertices, int(L))
     Y.setflags(write=False)
-    return HarmonicBasis(mesh.level, L, Y)
+    return HarmonicBasis(mesh.level, int(L), Y)
 
 
 @dataclass
@@ -159,14 +166,18 @@ def sht_inverse(coeffs: SpectralCoeffs, basis: HarmonicBasis) -> SphericalSignal
     return SphericalSignal(basis.mesh_level, values)
 
 
-def random_bandlimited(mesh_level: int, L: int, channels: int,
-                       rng) -> SphericalSignal:
-    """Random signal below degree L with a 1/(1+l)^2 amplitude spectrum;
-    used by the synthetic-data generator and several tests."""
-    basis = build_basis(generate_icosphere(mesh_level), L)
+def random_coefficients(L: int, channels: int, rng) -> SpectralCoeffs:
+    """(L+1)^2 x channels normal draws scaled by a 1/(1+l)^2 spectrum."""
     n = (L + 1) ** 2
     scales = np.empty(n)
     for l in range(L + 1):
         scales[l * l:(l + 1) * (l + 1)] = (1.0 + l) ** (-2.0)
-    coeffs = rng.normal(size=(n, channels)) * scales[:, None]
-    return sht_inverse(SpectralCoeffs(L, coeffs), basis)
+    return SpectralCoeffs(L, rng.normal(size=(n, channels)) * scales[:, None])
+
+
+def random_bandlimited(mesh_level: int, L: int, channels: int,
+                       rng) -> SphericalSignal:
+    """``random_coefficients`` on the level's mesh, bitwise ``sht_inverse``
+    on ``build_basis``, but with a basis sampled for this call alone."""
+    basis = _basis.__wrapped__(generate_icosphere(mesh_level), L)
+    return sht_inverse(random_coefficients(L, channels, rng), basis)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,9 @@ from .discrete_reg import (ControlGrid, DeformationProbabilities, UNetParams,
                            predict_probabilities, soft_deformation, unet_forward)
 from .errors import FormatError, NumericError
 from .icosphere import (SphericalSignal, _norm3, barycentric_resample,
-                        generate_icosphere, vertex_count)
+                        generate_icosphere)
 from .metrics import loss_reg, loss_sim, pearson_cc
-from .sht import random_bandlimited
+from .sht import build_basis, random_coefficients, sht_inverse
 from .warp import (DeformationField, check_unit_targets, compose,
                    densify_targets, warp_signal, warp_values)
 
@@ -238,7 +238,8 @@ def _smooth_control_moves(control, amplitude: float, degree: int,
     task ill-posed."""
     if amplitude == 0:
         return control.vertices.copy()
-    disp = random_bandlimited(control.level, degree, 3, rng).values
+    disp = sht_inverse(random_coefficients(degree, 3, rng),
+                       build_basis(control, degree)).values
     rms = float(np.sqrt((disp ** 2).sum(axis=1).mean()))
     if rms == 0:
         raise NumericError("degenerate displacement draw (all zeros)")
@@ -258,18 +259,19 @@ def synth_dataset(n_pairs: int, config: TrainConfig, seed: int) -> list[Syntheti
     leave nothing transferable between training and held-out pairs."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    from .metrics import distortion_report
+    from .metrics import fold_count
     control = generate_icosphere(config.control_coarse)
     mesh = generate_icosphere(config.mesh_level)
-    template_rng = np.random.default_rng([seed])
-    template = _standardize(
-        random_bandlimited(config.mesh_level, config.bandwidth // 2, 1,
-                           template_rng).values)
+    basis = build_basis(mesh, config.bandwidth // 2)    # the model's, cached
+
+    def bandlimited(rng):
+        return sht_inverse(random_coefficients(basis.L, 1, rng), basis).values
+
+    template = _standardize(bandlimited(np.random.default_rng([seed])))
     pairs = []
     for i in range(n_pairs):
         rng = np.random.default_rng([seed, i])
-        detail = random_bandlimited(config.mesh_level, config.bandwidth // 2,
-                                    1, rng).values
+        detail = bandlimited(rng)
         detail_std = detail.std()
         if detail_std > 0:
             detail = detail * (config.synth_detail / detail_std)
@@ -285,7 +287,7 @@ def synth_dataset(n_pairs: int, config: TrainConfig, seed: int) -> list[Syntheti
                 config.mesh_level,
                 densify_targets(moves, config.control_coarse,
                                 config.mesh_level))
-            if distortion_report(mesh, candidate).fold_count == 0:
+            if fold_count(mesh, candidate) == 0:
                 truth = candidate
                 break
         if truth is None:
@@ -295,8 +297,7 @@ def synth_dataset(n_pairs: int, config: TrainConfig, seed: int) -> list[Syntheti
 
         moving_vals = warp_signal(fixed, truth).values
         if config.synth_noise > 0:
-            noise = random_bandlimited(config.mesh_level, config.bandwidth // 2,
-                                       1, rng).values
+            noise = bandlimited(rng)
             noise_std = noise.std()
             if noise_std > 0:
                 moving_vals = moving_vals + noise * (

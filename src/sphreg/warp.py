@@ -253,9 +253,9 @@ def invert_field(field: DeformationField) -> DeformationField:
     original corners x_k, with w the normalised gnomonic weights of v in
     that face.  A walk takes at most one step per face.  A folded field
     has no inverse and raises NumericError."""
-    from .metrics import distortion_report
+    from .metrics import fold_count
     mesh = generate_icosphere(field.mesh_level)
-    folds = distortion_report(mesh, field).fold_count
+    folds = fold_count(mesh, field)
     if folds:
         raise NumericError(f"invert_field: field folds {folds} triangles "
                            "and has no inverse")

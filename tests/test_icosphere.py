@@ -255,7 +255,7 @@ def test_descend_seed_is_the_first_nearest_leaf_corner(level):
         if level == 6:
             targets = targets[rng.choice(len(targets), min(len(targets), 3000),
                                          replace=False)]
-        targets, leaf, seeds = icosphere._descend(mesh, targets)
+        leaf, seeds = icosphere._descend(mesh, targets)
         corners = mesh.faces[leaf]
         dots = np.einsum("tkx,tx->tk", mesh.vertices[corners], targets)
         np.testing.assert_array_equal(
@@ -377,12 +377,52 @@ def test_locate_faces_matches_exhaustive_oracle(level):
         np.testing.assert_array_equal(lam, expected_lam, err_msg=name)
 
 
+def _located_and_resampled(mesh, targets, values):
+    faces, lam = locate_faces(mesh, targets)
+    return (faces, lam, barycentric_resample(values, mesh, targets),
+            barycentric_resample(values[:, 0], mesh, targets))
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_blocks_match_one_block_bitwise(monkeypatch, block):
+    # every step works row by row, so where the blocks end changes no bit;
+    # a level-4 vertex set is one default block, as the counting tests read
+    assert icosphere._BLOCK >= generate_icosphere(4).n_vertices
+    rng = np.random.default_rng(21)
+    cases = [(generate_icosphere(3), name, targets)
+             for name, targets in _location_cases(3, rng).items()]
+    cases += [(generate_icosphere(level), f"own{level}",
+               generate_icosphere(level).vertices) for level in (4, 5)]
+    for mesh, name, targets in cases:
+        values = rng.standard_normal((mesh.n_vertices, 2))
+        monkeypatch.setattr(icosphere, "_BLOCK", len(targets))
+        expected = _located_and_resampled(mesh, targets, values)
+        monkeypatch.setattr(icosphere, "_BLOCK", block)
+        for got, want in zip(_located_and_resampled(mesh, targets, values),
+                             expected):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def test_non_finite_target_is_named_by_its_global_row():
+    # the unit-norm check runs over all targets before the blocks
+    mesh = generate_icosphere(5)
+    targets = mesh.vertices.copy()
+    targets[5000] = np.nan
+    values = np.zeros(mesh.n_vertices)
+    for call in (lambda: locate_faces(mesh, targets),
+                 lambda: barycentric_resample(values, mesh, targets)):
+        with pytest.raises(ValueError, match="target 5000 has norm nan"):
+            call()
+
+
 def test_level7_resample_fits_in_memory():
-    # the locator needs O(level) work and O(1) memory per target, so
-    # resampling at MAX_LEVEL runs in a fresh process well under 1.5 GB
+    # the locator works in blocks of targets and the harmonic sampler in
+    # blocks of vertices, and a band-limited draw caches no basis, so
+    # resampling and a draw at MAX_LEVEL run in a fresh process under 300 MB
     script = (
         "import resource, numpy as np\n"
         "from sphreg.icosphere import barycentric_resample, generate_icosphere\n"
+        "from sphreg.sht import random_bandlimited\n"
         "mesh = generate_icosphere(7)\n"
         "rng = np.random.default_rng(7)\n"
         "values = rng.standard_normal((mesh.n_vertices, 2))\n"
@@ -390,6 +430,7 @@ def test_level7_resample_fits_in_memory():
         "targets /= np.linalg.norm(targets, axis=1, keepdims=True)\n"
         "assert np.array_equal(barycentric_resample(values, mesh, mesh.vertices), values)\n"
         "assert np.isfinite(barycentric_resample(values, mesh, targets)).all()\n"
+        "assert np.isfinite(random_bandlimited(7, 8, 1, rng).values).all()\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [
@@ -399,7 +440,7 @@ def test_level7_resample_fits_in_memory():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     peak_kib = int(done.stdout.split()[-1])
-    assert peak_kib * 1024 < 1.5e9
+    assert peak_kib * 1024 < 300e6
 
 
 def _reference_index_sets(mesh):

@@ -10,8 +10,8 @@ import pytest
 from sphreg import sht
 from sphreg.icosphere import SphericalSignal, generate_icosphere
 from sphreg.sht import (HarmonicBasis, SpectralCoeffs, build_basis,
-                        flat_index, random_bandlimited, sht_forward,
-                        sht_inverse)
+                        flat_index, random_bandlimited, random_coefficients,
+                        sht_forward, sht_inverse)
 
 
 def closed_form_sh(l, m, p):
@@ -70,6 +70,16 @@ def test_sampled_basis_keeps_the_column_by_column_bits(level, L):
     assert Y.flags.c_contiguous
     assert Y.shape == (points.shape[0], (L + 1) ** 2)
     assert Y.tobytes() == column_by_column_basis(points, L).tobytes()
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_sampled_basis_blocks_keep_the_bits(monkeypatch, block):
+    points = generate_icosphere(4).vertices      # one default block
+    expected = sht._sample_basis(points, 8)
+    monkeypatch.setattr(sht, "_BLOCK", block)
+    Y = sht._sample_basis(points, 8)
+    assert Y.flags.c_contiguous
+    assert Y.tobytes() == expected.tobytes()
 
 
 def test_flat_index_layout():
@@ -167,6 +177,23 @@ def test_synthesis_alone_builds_no_pseudo_inverse(monkeypatch):
     basis = build_basis(generate_icosphere(3), 8)
     assert basis.forward is basis.forward
     assert calls == [(642, 81)]
+
+
+def test_random_bandlimited_caches_no_basis():
+    sht._basis.cache_clear()
+    random_bandlimited(4, 8, 1, np.random.default_rng(0))
+    assert sht._basis.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("level,L,channels", [(1, 2, 3), (3, 8, 1), (6, 8, 1)])
+def test_random_bandlimited_is_synthesis_on_the_cached_basis(level, L,
+                                                             channels):
+    signal = random_bandlimited(level, L, channels, np.random.default_rng(5))
+    expected = sht_inverse(
+        random_coefficients(L, channels, np.random.default_rng(5)),
+        build_basis(generate_icosphere(level), L))
+    assert signal.level == level
+    assert signal.values.tobytes() == expected.values.tobytes()
 
 
 def test_mismatched_levels_rejected():

@@ -41,6 +41,8 @@ registration and the gradient check bitwise equal.  The object holds
   built as the benchmark's field-ops set-up builds its ``eval`` field,
   sha256 of ``distortion_report``'s ``J`` and ``R`` and ``repr`` of its
   ``row()``;
+* ``bandlimited``: sha256 of ``random_bandlimited`` single-channel signals
+  of degree 8 at levels 6 and 7, drawn from one seeded generator;
 * ``mesh``: sha256, in a fixed order, of the name, dtype, shape and bytes
   of every table of the icosphere at levels 0-6 (vertices, faces and the
   index tables), then of the sampled harmonic basis at (level, degree)
@@ -209,6 +211,15 @@ def _zonal_pool(out: dict) -> None:
     out["zonal_pool"] = digest.hexdigest()
 
 
+def _bandlimited(out: dict) -> None:
+    """Add the ``bandlimited`` entry to ``out``."""
+    rng = np.random.default_rng(15)
+    digest = hashlib.sha256()
+    for level in (6, 7):
+        digest.update(sht.random_bandlimited(level, 8, 1, rng).values.tobytes())
+    out["bandlimited"] = digest.hexdigest()
+
+
 _MESH_TABLES = ("vertices", "faces", "edges", "ring_offsets", "ring_dst",
                 "ring_src", "incident_faces", "neighbourhood",
                 "face_neighbours")
@@ -287,6 +298,7 @@ def main() -> int:
     _locate(out)
     _zonal(out)
     _zonal_pool(out)
+    _bandlimited(out)
     _mesh(out)
     print(json.dumps(out, sort_keys=True))
     print(json.dumps({"blas": getattr(sphreg, "BLAS", None)}), file=sys.stderr)
