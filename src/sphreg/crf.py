@@ -1,14 +1,16 @@
 """Mean-field CRF refinement of control-point label probabilities.
 
-The energy couples per-control unary costs -log Q with pairwise penalties
-w * mu(l_i, l_j) * K(pos_i(l_i), pos_j(l_j)) over one-ring-adjacent control
-points, where K is a Gaussian kernel on great-circle distance between the
-candidate label positions.  Refinement unrolls T mean-field updates
+The energy couples per-control unary costs -log Q with Potts pairwise
+penalties w * [l_i != l_j] * K(pos_i(l_i), pos_j(l_j)) over one-ring-adjacent
+control points, where K is a Gaussian kernel on great-circle distance between
+the candidate label positions.  Refinement unrolls T mean-field updates
 (CRF-as-RNN style): messages are accumulated from current beliefs, added to
-the anchored unary logits, and re-normalized by a row softmax.  The
-compatibility matrix mu is learnable and lives on the model; the schedule
-(T, sigma, w) comes from the training config, which builds one
-``CrfParams`` per stage and call.
+the anchored unary logits, and re-normalized by a row softmax.  The Potts
+compatibility is fixed, not learned: slot k points a different way at each
+control point, so a learned slot-by-slot matrix has no fixed meaning to
+learn.  It lives in the grid's frozen kernel, whose diagonal is zero.  T and
+w come from the training config and sigma is the stage grid's mean control
+edge arc; the trainer builds one ``CrfParams`` per stage and call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ UNARY_FLOOR = 1e-12
 @dataclass
 class CrfParams:
     iterations: int
-    mu: object          # (N_l, N_l) array or autodiff tensor
     sigma: float
     weight: float
 
@@ -39,9 +40,6 @@ class CrfParams:
             raise ValueError(f"kernel bandwidth must be positive, got {self.sigma}")
         if self.weight < 0:
             raise ValueError(f"pairwise weight must be nonnegative, got {self.weight}")
-        mu = ag.value_of(self.mu)
-        if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
-            raise ValueError(f"mu must be square, got shape {mu.shape}")
 
 
 @cache
@@ -52,20 +50,12 @@ def mean_edge_arc(grid: ControlGrid) -> float:
     return float(np.mean(np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))))
 
 
-def _check_shapes(Q: DeformationProbabilities, grid: ControlGrid,
-                  params: CrfParams) -> None:
-    check_q_shape(Q, grid)
-    if ag.value_of(params.mu).shape != (grid.n_labels, grid.n_labels):
-        raise ValueError(
-            f"mu shape {ag.value_of(params.mu).shape} does not match "
-            f"N_l = {grid.n_labels}")
-
-
 def crf_energy(assignment, Q: DeformationProbabilities, grid: ControlGrid,
                params: CrfParams) -> float:
-    """Energy of one hard assignment: unary -log Q plus pairwise penalties
-    over directed adjacent pairs."""
-    _check_shapes(Q, grid, params)
+    """Energy of one hard assignment: unary -log Q plus the Potts-masked
+    kernel over directed adjacent pairs (pairs in the same slot cost
+    nothing)."""
+    check_q_shape(Q, grid)
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (grid.n_controls,):
         raise ValueError(
@@ -74,39 +64,32 @@ def crf_energy(assignment, Q: DeformationProbabilities, grid: ControlGrid,
     if assignment.min() < 0 or assignment.max() >= grid.n_labels:
         raise ValueError("assignment label out of range")
     q = Q.value
-    mu = ag.value_of(params.mu)
     unary = -np.log(q[np.arange(grid.n_controls), assignment] + UNARY_FLOOR).sum()
-    if len(grid.edges) == 0:
-        return float(unary)
     dst, src = grid.edges.T
-    l_dst, l_src = assignment[dst], assignment[src]
-    p_dst = grid.label_positions[dst, l_dst]
-    p_src = grid.label_positions[src, l_src]
-    arc = np.arccos(np.clip(np.sum(p_dst * p_src, axis=1), -1.0, 1.0))
-    kernel = np.exp(-(arc ** 2) / (2.0 * params.sigma ** 2))
-    pairwise = params.weight * np.sum(mu[l_dst, l_src] * kernel)
+    kernel = grid.kernel_stack(params.sigma)
+    pairwise = params.weight * np.sum(
+        kernel[np.arange(len(dst)), assignment[dst], assignment[src]])
     return float(unary + pairwise)
 
 
 def crf_refine(Q: DeformationProbabilities, grid: ControlGrid,
                params: CrfParams) -> DeformationProbabilities:
-    """T mean-field iterations (tensor-aware in Q and mu).
+    """T mean-field iterations (tensor-aware in Q).
 
-    Each step: m_i(l) = sum_{j in N(i)} sum_{l'} K[i,l; j,l'] mu[l,l'] Q_j(l'),
+    Each step: m_i(l) = sum_{j in N(i)} sum_{l' != l} K[i,l; j,l'] Q_j(l'),
     then Q <- row-softmax(log(Q_init + eps) - w m).  T = 0 or w = 0 leave Q
     untouched (for w = 0 the message term vanishes identically, so skipping
     the renormalization is exact rather than 1e-12 close).
     """
-    _check_shapes(Q, grid, params)
+    check_q_shape(Q, grid)
     if params.iterations == 0 or params.weight == 0 or len(grid.edges) == 0:
         return Q
-    kernel = grid.kernel_stack(params.sigma)
-    coupled = ag.mul(kernel, params.mu)                 # (E, N_l, N_l)
+    kernel = grid.kernel_stack(params.sigma)            # (E, N_l, N_l)
     dst, src = grid.edges.T
     anchor = ag.log(ag.add(Q.Q, UNARY_FLOOR))
     q = Q.Q
     for _ in range(params.iterations):
-        per_edge = ag.einsum2("elm,em->el", coupled, ag.take_rows(q, src))
+        per_edge = ag.einsum2("elm,em->el", kernel, ag.take_rows(q, src))
         message = ag.segment_sum(per_edge, dst, grid.n_controls)
         q = ag.softmax_rows(ag.sub(anchor, ag.mul(params.weight, message)))
     return DeformationProbabilities(q)

@@ -38,9 +38,9 @@ class ControlGrid:
     is always the control point's own position (the identity move).
     ``edges`` holds directed one-ring pairs (dst, src) of the control mesh.
     ``kernel_stack(sigma)`` is the CRF's frozen Gaussian kernel over those
-    edges.  Grids compare and hash by identity, and the kernel is memoised
-    per grid and sigma, so it assumes ``edges`` and ``label_positions`` do
-    not change.
+    edges, masked by the Potts compatibility.  Grids compare and hash by
+    identity, and the kernel is memoised per grid and sigma, so it assumes
+    ``edges`` and ``label_positions`` do not change.
     """
 
     control_level: int
@@ -87,7 +87,9 @@ class ControlGrid:
         return self.labels.shape[1]
 
     def kernel_stack(self, sigma: float) -> np.ndarray:
-        """K[e, l, l'] = exp(-arc(pos_dst(l), pos_src(l'))^2 / (2 sigma^2))."""
+        """K[e, l, l'] = [l != l'] exp(-arc^2 / (2 sigma^2)), arc running from
+        pos_dst(l) to pos_src(l'): the Gaussian kernel times the Potts
+        compatibility, so its diagonal is zero."""
         return _kernel_stack(self, sigma)
 
 
@@ -98,6 +100,8 @@ def _kernel_stack(grid: ControlGrid, sigma: float) -> np.ndarray:
     cos = np.einsum("elx,emx->elm", pos_dst, pos_src)
     arc = np.arccos(np.clip(cos, -1.0, 1.0))
     kernel = np.exp(-(arc ** 2) / (2.0 * sigma * sigma))
+    slots = np.arange(grid.n_labels)
+    kernel[:, slots, slots] = 0.0
     kernel.setflags(write=False)
     return kernel
 

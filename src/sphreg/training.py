@@ -53,7 +53,6 @@ class TrainConfig:
     label_hops: int = 1
     crf_iters: int = 5
     crf_weight: float = 0.5
-    crf_sigma: float = 0.0          # 0: each stage's mean control edge arc
     lambda1: float = 0.05
     lambda2: float = 0.02
     learning_rate: float = 0.01
@@ -65,7 +64,6 @@ class TrainConfig:
     use_graph_module: bool = True
     use_crf: bool = True
     cascade_mode: str = "cascaded"
-    stages: int = 2
     synth_warp_amplitude: float = 0.5
     synth_warp_degree: int = 2
     synth_noise: float = 0.1
@@ -76,8 +74,6 @@ class TrainConfig:
             raise ValueError(
                 f"cascade_mode must be one of {CASCADE_MODES}, "
                 f"got {self.cascade_mode!r}")
-        if self.stages not in (1, 2):
-            raise ValueError(f"stages must be 1 or 2, got {self.stages}")
         for name in ("mesh_level", "bandwidth", "channels", "heads",
                      "label_hops", "epochs", "batch_size"):
             if getattr(self, name) <= 0:
@@ -93,9 +89,6 @@ class TrainConfig:
             raise ValueError(f"crf_iters must lie in [0, 20], got {self.crf_iters}")
         if self.crf_weight < 0:
             raise ValueError("crf_weight must be nonnegative")
-        if self.crf_sigma < 0:
-            raise ValueError("crf_sigma must be nonnegative (0 means each "
-                             "stage's mean control edge arc)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -120,8 +113,6 @@ class TrainConfig:
 class ModelParams:
     coarse: UNetParams
     fine: UNetParams
-    mu_coarse: object   # (N_l, N_l) CRF label compatibility, array or Tensor
-    mu_fine: object
 
 
 def build_grids(config: TrainConfig) -> tuple[ControlGrid, ControlGrid]:
@@ -146,7 +137,8 @@ def build_grids(config: TrainConfig) -> tuple[ControlGrid, ControlGrid]:
 
 
 def init_model(config: TrainConfig) -> ModelParams:
-    """Seeded initial parameters; CRF mu starts at 1 - I."""
+    """Seeded initial parameters: the two U-Nets.  The CRF has none; its
+    Potts compatibility is fixed in the grids' kernels."""
     rng = np.random.default_rng(config.seed)
     n_l = build_grids(config)[0].n_labels
     return ModelParams(
@@ -154,8 +146,6 @@ def init_model(config: TrainConfig) -> ModelParams:
                          rng, use_graph=config.use_graph_module),
         fine=init_unet(config.bandwidth, config.channels, n_l, config.heads,
                        rng, use_graph=config.use_graph_module),
-        mu_coarse=np.ones((n_l, n_l)) - np.eye(n_l),
-        mu_fine=np.ones((n_l, n_l)) - np.eye(n_l),
     )
 
 
@@ -183,8 +173,6 @@ def _leaf_specs(model: ModelParams, trainable_only: bool = True):
                 layer = getattr(net.graph, lname)
                 specs.append((f"{scale}.graph.{lname}.W", layer, "W"))
                 specs.append((f"{scale}.graph.{lname}.a", layer, "a"))
-    specs.append(("crf.coarse.mu", model, "mu_coarse"))
-    specs.append(("crf.fine.mu", model, "mu_fine"))
     return specs
 
 
@@ -318,25 +306,25 @@ class CascadeResult:
     warped: object            # final warped moving values (N, 1)
     warped_coarse: object     # after stage 1 only
     control1: object          # (N_c1, 3) stage-1 control targets
-    control2: object | None   # (N_c2, 3) stage-2 control targets
+    control2: object          # (N_c2, 3) stage-2 control targets
     dense1: object            # (N, 3) stage-1 targets densified to the mesh
-    dense2: object | None     # (N, 3) stage-2 targets densified to the mesh
+    dense2: object            # (N, 3) stage-2 targets densified to the mesh
     Q1: DeformationProbabilities
-    Q2: DeformationProbabilities | None
+    Q2: DeformationProbabilities
     timings: dict
 
 
 def _stage(values_moving, values_fixed, net: UNetParams, grid: ControlGrid,
-           mu, config: TrainConfig, training: bool, timings: dict):
+           config: TrainConfig, training: bool, timings: dict):
     t0 = time.perf_counter()
     logits = unet_forward(values_moving, values_fixed, net, config.mesh_level,
                           training)
     Q = predict_probabilities(logits, grid)
     t1 = time.perf_counter()
     if config.use_crf:
-        sigma = config.crf_sigma if config.crf_sigma > 0 else mean_edge_arc(grid)
-        Q = crf_refine(Q, grid, CrfParams(config.crf_iters, mu, sigma,
-                                          config.crf_weight))
+        params = CrfParams(config.crf_iters, mean_edge_arc(grid),
+                           config.crf_weight)
+        Q = crf_refine(Q, grid, params)
     t2 = time.perf_counter()
     if training:
         control = soft_deformation(Q, grid)
@@ -363,18 +351,12 @@ def forward_cascade(moving, fixed, model: ModelParams, config: TrainConfig,
     grid_coarse, grid_fine = build_grids(config)
     timings: dict = {}
     warped1, ctrl1, dense1, q1 = _stage(
-        moving, fixed, model.coarse, grid_coarse, model.mu_coarse, config,
-        training, timings)
-    if config.stages == 1:
-        return CascadeResult(warped=warped1, warped_coarse=warped1,
-                             control1=ctrl1, control2=None, dense1=dense1,
-                             dense2=None, Q1=q1, Q2=None, timings=timings)
+        moving, fixed, model.coarse, grid_coarse, config, training, timings)
     stage2_in = warped1
     if config.cascade_mode == "independent":
         stage2_in = ag.value_of(warped1)
     warped2, ctrl2, dense2, q2 = _stage(
-        stage2_in, fixed, model.fine, grid_fine, model.mu_fine, config,
-        training, timings)
+        stage2_in, fixed, model.fine, grid_fine, config, training, timings)
     return CascadeResult(warped=warped2, warped_coarse=warped1,
                          control1=ctrl1, control2=ctrl2, dense1=dense1,
                          dense2=dense2, Q1=q1, Q2=q2, timings=timings)
@@ -384,8 +366,6 @@ def composed_field(result: CascadeResult, config: TrainConfig) -> DeformationFie
     """Single full-resolution field equivalent to the cascade (stage 1 acts
     first, so it is the second argument of compose)."""
     phi1 = DeformationField(config.mesh_level, ag.value_of(result.dense1))
-    if result.dense2 is None:
-        return phi1
     phi2 = DeformationField(config.mesh_level, ag.value_of(result.dense2))
     return compose(phi2, phi1)
 
@@ -393,13 +373,11 @@ def composed_field(result: CascadeResult, config: TrainConfig) -> DeformationFie
 def total_loss(result: CascadeResult, fixed, config: TrainConfig):
     """loss_sim + loss_reg per the cascade mode (see train()).  Returns
     (loss, sim_part, reg_part) as graph nodes / floats."""
-    identity2 = generate_icosphere(config.control_fine).vertices
-    ctrl2 = result.control2 if result.control2 is not None else identity2
     reg = loss_reg((result.control1, config.control_coarse),
-                   (ctrl2, config.control_fine),
+                   (result.control2, config.control_fine),
                    config.lambda1, config.lambda2)
     sim = loss_sim(fixed, result.warped)
-    if config.cascade_mode == "independent" and result.control2 is not None:
+    if config.cascade_mode == "independent":
         sim = ag.add(sim, loss_sim(fixed, result.warped_coarse))
     return ag.add(sim, reg), sim, reg
 
@@ -533,7 +511,7 @@ def register_pair(model: ModelParams, config: TrainConfig,
 # gradient check
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("h", "alpha", "bn_gamma", "bn_beta", "W", "a", "mu")
+_FAMILIES = ("h", "alpha", "bn_gamma", "bn_beta", "W", "a")
 _SAMPLES_PER_FAMILY = 9
 _FD_STEP = 1e-5
 

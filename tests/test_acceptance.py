@@ -24,8 +24,9 @@ from sphreg.metrics import distortion_report, pearson_cc, singular_values_2x2
 from sphreg.sht import build_basis, random_bandlimited, sht_forward, sht_inverse
 from sphreg.shconv import (ZonalFilter, degree_scale, init_zonal_filter,
                            zonal_convolve)
-from sphreg.training import (TrainConfig, gradient_check, register_pair,
-                             synth_dataset, train)
+from sphreg.training import (_FAMILIES, _SAMPLES_PER_FAMILY, TrainConfig,
+                             gradient_check, register_pair, synth_dataset,
+                             train)
 from sphreg.warp import DeformationField, identity_field
 
 TRAIN_N = 64
@@ -195,19 +196,18 @@ def _random_q(n_points, n_labels, seed) -> DeformationProbabilities:
 
 def test_05_crf_refinement():
     grid = _ring_grid(4)
-    mu = np.ones((3, 3)) - np.eye(3)
     q0 = _random_q(4, 3, seed=5)
 
-    frozen = CrfParams(iterations=0, mu=mu, sigma=0.5, weight=2.0)
+    frozen = CrfParams(iterations=0, sigma=0.5, weight=2.0)
     t0_exact = bool(np.array_equal(crf_refine(q0, grid, frozen).value,
                                    q0.value))
-    unweighted = CrfParams(iterations=7, mu=mu, sigma=0.5, weight=0.0)
+    unweighted = CrfParams(iterations=7, sigma=0.5, weight=0.0)
     w0_exact = bool(np.array_equal(crf_refine(q0, grid, unweighted).value,
                                    q0.value))
 
     # strong smoothness: narrow kernel relative to ring spacing, high weight
-    params = CrfParams(iterations=5, mu=mu,
-                       sigma=0.25 * mean_edge_arc(grid), weight=5.0)
+    params = CrfParams(iterations=5, sigma=0.25 * mean_edge_arc(grid),
+                       weight=5.0)
     wins = 0
     for seed in range(100):
         Q = crf_refine(_random_q(4, 3, seed=seed), grid, params)
@@ -298,13 +298,14 @@ def test_07_gradient_check():
     config = TrainConfig(mesh_level=2, bandwidth=8, channels=4, heads=2,
                          epochs=1, batch_size=1)
     pair = synth_dataset(1, config, seed=7)[0]
-    # 7 parameter families x 9 sampled coordinates = 63 checks per pass
+    # each pass samples the same number of coordinates from every family
+    checks = len(_FAMILIES) * _SAMPLES_PER_FAMILY
     smooth = gradient_check(dataclasses.replace(config, use_crf=False), pair,
                             rng=np.random.default_rng(70))
     unrolled = gradient_check(config, pair, rng=np.random.default_rng(71))
     ok = smooth < 1e-3 and unrolled < 1e-2
     _report(7, "gradient check", ok,
-            f"63 params/run, crf-off max rel err {smooth:.2e} (<1e-3), "
+            f"{checks} params/run, crf-off max rel err {smooth:.2e} (<1e-3), "
             f"crf unrolled {unrolled:.2e} (<1e-2)")
 
 

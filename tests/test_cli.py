@@ -461,6 +461,28 @@ def test_checkpoint_tensors_must_fit_config(tmp_path, capsys, change):
         assert "unexpected ['coarse.enc2.alpha']" in err
 
 
+@pytest.mark.parametrize("old_config", [True, False])
+def test_learned_crf_compatibility_checkpoint_exits_3(tmp_path, capsys,
+                                                      old_config):
+    # checkpoints from before the CRF's compatibility was fixed at Potts
+    # carry a learned mu per stage, and their configs two keys since removed
+    ckpt = zero_head_checkpoint(tmp_path)
+    config, tensors = fileio.read_checkpoint(ckpt)
+    n_l = tensors["coarse.head.bn_beta"].shape[0]
+    tensors["crf.coarse.mu"] = tensors["crf.fine.mu"] = \
+        np.ones((n_l, n_l)) - np.eye(n_l)
+    if old_config:
+        config.update(crf_sigma=0.0, stages=2)
+    fileio.write_checkpoint(ckpt, config, tensors)
+    assert register_with(tmp_path, ckpt) == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and "byte 12" in err
+    if old_config:
+        assert "unknown config keys: ['crf_sigma', 'stages']" in err
+    else:
+        assert "unexpected ['crf.coarse.mu', 'crf.fine.mu']" in err
+
+
 def test_eval_ground_truth_field_beats_unregistered(tmp_path, capsys):
     # the generator field maps the fixed image onto the moving one, so the
     # reproduction direction warps fixed and compares against moving

@@ -11,7 +11,6 @@ import itertools
 import numpy as np
 import pytest
 
-import sphreg.autodiff as ag
 from sphreg.crf import CrfParams, crf_energy, crf_refine, mean_edge_arc
 from sphreg.discrete_reg import (ControlGrid, DeformationProbabilities,
                                  argmax_deformation, build_label_sets,
@@ -46,19 +45,19 @@ def random_q(n_points: int, n_labels: int, seed: int) -> DeformationProbabilitie
 
 
 def oracle_energy(assignment, Q, grid, params) -> float:
-    """Nested-loop energy: unary -log(Q + floor) plus directed pairwise
-    penalties w * mu * exp(-arc^2 / (2 sigma^2))."""
+    """Nested-loop energy: unary -log(Q + floor) plus directed Potts
+    penalties w * exp(-arc^2 / (2 sigma^2)) where the label slots differ."""
     q = Q.value
-    mu = np.asarray(ag.value_of(params.mu))
     total = 0.0
     for i, label in enumerate(assignment):
         total += -np.log(q[i, label] + UNARY_FLOOR)
     for dst, src in grid.edges:
+        if assignment[dst] == assignment[src]:
+            continue
         p = grid.label_positions[dst, assignment[dst]]
         r = grid.label_positions[src, assignment[src]]
         arc = np.arccos(np.clip(p @ r, -1.0, 1.0))
-        total += params.weight * mu[assignment[dst], assignment[src]] * np.exp(
-            -(arc ** 2) / (2 * params.sigma ** 2))
+        total += params.weight * np.exp(-(arc ** 2) / (2 * params.sigma ** 2))
     return total
 
 
@@ -74,18 +73,17 @@ def test_single_point_energy_is_unary_only():
                        control_positions=grid.control_positions[:1],
                        edges=np.zeros((0, 2), dtype=np.int64))
     Q = random_q(1, 3, seed=0)
-    params = CrfParams(iterations=5, mu=np.ones((3, 3)) - np.eye(3),
-                       sigma=0.5, weight=2.0)
+    params = CrfParams(iterations=5, sigma=0.5, weight=2.0)
     for label in range(3):
         expected = -np.log(Q.value[0, label] + UNARY_FLOOR)
         assert crf_energy([label], Q, lone, params) == pytest.approx(
             expected, abs=1e-14)
 
 
-def test_zero_mu_energy_is_sum_of_unaries():
+def test_zero_weight_energy_is_sum_of_unaries():
     grid = ring_grid(4)
     Q = random_q(4, 3, seed=1)
-    params = CrfParams(iterations=5, mu=np.zeros((3, 3)), sigma=0.5, weight=3.0)
+    params = CrfParams(iterations=5, sigma=0.5, weight=0.0)
     assignment = np.array([0, 2, 1, 0])
     expected = -np.log(Q.value[np.arange(4), assignment] + UNARY_FLOOR).sum()
     assert crf_energy(assignment, Q, grid, params) == pytest.approx(
@@ -96,8 +94,7 @@ def test_energy_matches_nested_loop_oracle_exhaustively():
     # 3 points, first 2 label slots: all 8 assignments, and larger instances
     grid = ring_grid(3)
     Q = random_q(3, 3, seed=2)
-    params = CrfParams(iterations=5, mu=np.ones((3, 3)) - np.eye(3),
-                       sigma=0.4, weight=1.5)
+    params = CrfParams(iterations=5, sigma=0.4, weight=1.5)
     for assignment in itertools.product(range(2), repeat=3):
         a = np.array(assignment)
         assert crf_energy(a, Q, grid, params) == pytest.approx(
@@ -109,8 +106,7 @@ def test_energy_oracle_on_random_assignments(n_points, n_labels):
     grid = ring_grid(n_points)
     Q = random_q(n_points, n_labels, seed=n_points)
     rng = np.random.default_rng(17)
-    mu = rng.random((n_labels, n_labels))
-    params = CrfParams(iterations=5, mu=mu, sigma=0.6, weight=2.5)
+    params = CrfParams(iterations=5, sigma=0.6, weight=2.5)
     for _ in range(20):
         a = rng.integers(n_labels, size=n_points)
         assert crf_energy(a, Q, grid, params) == pytest.approx(
@@ -120,7 +116,7 @@ def test_energy_oracle_on_random_assignments(n_points, n_labels):
 def test_energy_validates_assignment():
     grid = ring_grid(4)
     Q = random_q(4, 3, seed=3)
-    params = CrfParams(iterations=5, mu=np.zeros((3, 3)), sigma=0.5, weight=1.0)
+    params = CrfParams(iterations=5, sigma=0.5, weight=1.0)
     with pytest.raises(ValueError, match="out of range"):
         crf_energy([0, 1, 2, 3], Q, grid, params)
     with pytest.raises(ValueError, match="shape"):
@@ -134,8 +130,7 @@ def test_energy_validates_assignment():
 def test_zero_iterations_is_identity():
     grid = ring_grid(4)
     Q = random_q(4, 3, seed=4)
-    params = CrfParams(iterations=0, mu=np.ones((3, 3)) - np.eye(3),
-                       sigma=0.5, weight=2.0)
+    params = CrfParams(iterations=0, sigma=0.5, weight=2.0)
     refined = crf_refine(Q, grid, params)
     np.testing.assert_array_equal(refined.value, Q.value)
 
@@ -143,8 +138,7 @@ def test_zero_iterations_is_identity():
 def test_zero_weight_is_identity():
     grid = ring_grid(4)
     Q = random_q(4, 3, seed=5)
-    params = CrfParams(iterations=7, mu=np.ones((3, 3)) - np.eye(3),
-                       sigma=0.5, weight=0.0)
+    params = CrfParams(iterations=7, sigma=0.5, weight=0.0)
     refined = crf_refine(Q, grid, params)
     np.testing.assert_array_equal(refined.value, Q.value)
 
@@ -152,8 +146,7 @@ def test_zero_weight_is_identity():
 def test_refined_argmax_energy_drops_in_95_of_100_instances():
     grid = ring_grid(4, delta=0.35)
     sigma = 0.25 * mean_edge_arc(grid)
-    params = CrfParams(iterations=5, mu=np.ones((3, 3)) - np.eye(3),
-                       sigma=sigma, weight=5.0)
+    params = CrfParams(iterations=5, sigma=sigma, weight=5.0)
     wins = 0
     for seed in range(100):
         Q = random_q(4, 3, seed=seed)
@@ -169,8 +162,7 @@ def test_refined_argmax_energy_drops_in_95_of_100_instances():
 def test_refined_energy_within_exhaustive_range():
     grid = ring_grid(4)
     sigma = 0.25 * mean_edge_arc(grid)
-    params = CrfParams(iterations=5, mu=np.ones((3, 3)) - np.eye(3),
-                       sigma=sigma, weight=5.0)
+    params = CrfParams(iterations=5, sigma=sigma, weight=5.0)
     Q = random_q(4, 3, seed=33)
     refined = crf_refine(Q, grid, params)
     energies = [crf_energy(np.array(a), Q, grid, params)
@@ -182,8 +174,7 @@ def test_refined_energy_within_exhaustive_range():
 @pytest.mark.parametrize("iterations", [1, 2, 3, 5])
 def test_rows_stay_stochastic_after_every_iteration(iterations):
     grid = ring_grid(6)
-    params = CrfParams(iterations=iterations,
-                       mu=np.ones((3, 3)) - np.eye(3), sigma=0.6, weight=2.0)
+    params = CrfParams(iterations=iterations, sigma=0.6, weight=2.0)
     Q = random_q(6, 3, seed=iterations)
     refined = crf_refine(Q, grid, params)
     sums = refined.value.sum(axis=1)
@@ -196,8 +187,7 @@ def test_refinement_equivariant_under_ring_rotation():
     # slot onto the same slot, so refinement commutes with the permutation
     grid = ring_grid(4)
     sigma = 0.5 * mean_edge_arc(grid)
-    params = CrfParams(iterations=5, mu=np.ones((3, 3)) - np.eye(3),
-                       sigma=sigma, weight=2.0)
+    params = CrfParams(iterations=5, sigma=sigma, weight=2.0)
     Q = random_q(4, 3, seed=8)
     perm = np.array([1, 2, 3, 0])
     refined = crf_refine(Q, grid, params).value
@@ -208,9 +198,7 @@ def test_refinement_equivariant_under_ring_rotation():
 
 def test_refinement_on_real_control_grid():
     grid = build_label_sets(1, 3, hops=1)
-    n_l = grid.n_labels
-    params = CrfParams(iterations=5, mu=np.ones((n_l, n_l)) - np.eye(n_l),
-                       sigma=mean_edge_arc(grid), weight=0.5)
+    params = CrfParams(iterations=5, sigma=mean_edge_arc(grid), weight=0.5)
     Q = random_q(grid.n_controls, grid.n_labels, seed=9)
     refined = crf_refine(Q, grid, params)
     assert refined.value.shape == Q.value.shape
@@ -219,8 +207,7 @@ def test_refinement_on_real_control_grid():
 
 def test_kernel_stack_built_once_per_grid_and_sigma(monkeypatch):
     grid = ring_grid(5)
-    params = CrfParams(iterations=2, mu=np.ones((3, 3)) - np.eye(3),
-                       sigma=0.4, weight=1.0)
+    params = CrfParams(iterations=2, sigma=0.4, weight=1.0)
     arccos, builds = np.arccos, []
     monkeypatch.setattr(np, "arccos", lambda x: builds.append(1) or arccos(x))
     crf_refine(random_q(5, 3, seed=12), grid, params)
@@ -234,32 +221,11 @@ def test_kernel_stack_built_once_per_grid_and_sigma(monkeypatch):
     pos_src = grid.label_positions[grid.edges[:, 1]]
     cos = np.einsum("elx,emx->elm", pos_dst, pos_src)
     arc = arccos(np.clip(cos, -1.0, 1.0))
-    np.testing.assert_array_equal(kernel, np.exp(-(arc ** 2) / (2.0 * 0.4 * 0.4)))
-
-
-def test_mu_gradient_flows_through_refinement():
-    grid = ring_grid(4)
-    Q = random_q(4, 3, seed=10)
-    mu = ag.parameter(np.ones((3, 3)) - np.eye(3))
-    params = CrfParams(iterations=3, mu=mu, sigma=0.5, weight=1.0)
-    weights = np.random.default_rng(11).standard_normal((4, 3))
-    loss = ag.reduce_sum(ag.mul(crf_refine(Q, grid, params).Q, weights))
-    loss.backward()
-    assert mu.grad is not None
-
-    step = 1e-6
-    idx = (0, 1)
-    for sign, store in ((1, "plus"), (-1, "minus")):
-        probe = (np.ones((3, 3)) - np.eye(3))
-        probe[idx] += sign * step
-        p = CrfParams(iterations=3, mu=probe, sigma=0.5, weight=1.0)
-        value = float(np.sum(ag.value_of(crf_refine(Q, grid, p).Q) * weights))
-        if sign == 1:
-            f_plus = value
-        else:
-            f_minus = value
-    fd = (f_plus - f_minus) / (2 * step)
-    assert abs(fd - mu.grad[idx]) / max(abs(fd), abs(mu.grad[idx]), 1e-9) < 1e-5
+    gaussian = np.exp(-(arc ** 2) / (2.0 * 0.4 * 0.4))
+    # the Potts compatibility: a slot costs nothing against the same slot
+    same = np.eye(3, dtype=bool)
+    assert np.all(kernel[:, same] == 0.0)
+    assert kernel[:, ~same].tobytes() == gaussian[:, ~same].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -267,32 +233,21 @@ def test_mu_gradient_flows_through_refinement():
 # ---------------------------------------------------------------------------
 
 def test_param_validation():
-    mu = np.zeros((3, 3))
     with pytest.raises(ValueError, match="iterations"):
-        CrfParams(iterations=21, mu=mu, sigma=0.5, weight=1.0)
+        CrfParams(iterations=21, sigma=0.5, weight=1.0)
     with pytest.raises(ValueError, match="iterations"):
-        CrfParams(iterations=-1, mu=mu, sigma=0.5, weight=1.0)
+        CrfParams(iterations=-1, sigma=0.5, weight=1.0)
     with pytest.raises(ValueError, match="bandwidth"):
-        CrfParams(iterations=5, mu=mu, sigma=0.0, weight=1.0)
+        CrfParams(iterations=5, sigma=0.0, weight=1.0)
     with pytest.raises(ValueError, match="weight"):
-        CrfParams(iterations=5, mu=mu, sigma=0.5, weight=-0.1)
-    with pytest.raises(ValueError, match="square"):
-        CrfParams(iterations=5, mu=np.zeros((3, 4)), sigma=0.5, weight=1.0)
-
-
-def test_mu_shape_mismatch_rejected():
-    grid = ring_grid(4)
-    Q = random_q(4, 3, seed=12)
-    params = CrfParams(iterations=2, mu=np.zeros((4, 4)), sigma=0.5, weight=1.0)
-    with pytest.raises(ValueError, match="mu"):
-        crf_refine(Q, grid, params)
+        CrfParams(iterations=5, sigma=0.5, weight=-0.1)
 
 
 def test_q_shape_mismatch_rejected_alike():
     # refinement and both decodes share one Q-shape check and its message
     grid = ring_grid(4)
     Q = random_q(5, 3, seed=13)
-    params = CrfParams(iterations=2, mu=np.zeros((3, 3)), sigma=0.5, weight=1.0)
+    params = CrfParams(iterations=2, sigma=0.5, weight=1.0)
     calls = (lambda: crf_refine(Q, grid, params),
              lambda: crf_energy(np.zeros(4, dtype=int), Q, grid, params),
              lambda: argmax_deformation(Q, grid),

@@ -15,7 +15,8 @@ import pytest
 
 from sphreg import autodiff as ag
 from sphreg import training
-from sphreg.crf import mean_edge_arc
+from sphreg.crf import CrfParams, crf_refine, mean_edge_arc
+from sphreg.discrete_reg import predict_probabilities, unet_forward
 from sphreg.graph_attention import init_graph_module
 from sphreg.icosphere import SphericalSignal, generate_icosphere
 from sphreg.metrics import distortion_report, pearson_cc
@@ -102,8 +103,6 @@ def test_synth_rejects_nonpositive_count():
 def test_config_validation():
     with pytest.raises(ValueError, match="cascade_mode"):
         TrainConfig(cascade_mode="parallel")
-    with pytest.raises(ValueError, match="stages"):
-        TrainConfig(stages=3)
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="control levels"):
@@ -114,8 +113,6 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         TrainConfig(lambda1=-0.1)
-    with pytest.raises(ValueError, match="crf_sigma"):
-        TrainConfig(crf_sigma=-0.1)
 
 
 def test_config_rejects_bad_crf_schedule():
@@ -214,18 +211,6 @@ def test_forward_cascade_matches_composed_field():
     assert np.max(np.abs(fused.values - stepped.values)) < 1e-2
 
 
-def test_single_stage_runs_coarse_only():
-    cfg = tiny_config(stages=1)
-    pair = synth_dataset(1, cfg, seed=13)[0]
-    model = init_model(cfg)
-    result = forward_cascade(pair.moving.values, pair.fixed.values, model,
-                             cfg)
-    assert result.control2 is None
-    assert result.Q2 is None
-    np.testing.assert_array_equal(ag.value_of(result.warped),
-                                  ag.value_of(result.warped_coarse))
-
-
 def test_loss_invariant_to_common_signal_shift():
     cfg = tiny_config(use_crf=True)
     pair = synth_dataset(1, cfg, seed=15)[0]
@@ -289,24 +274,22 @@ def test_training_mode_never_reads_running_buffers():
 
 
 def test_crf_schedule_defaults_from_grid():
-    # mu starts at 1 - I, and crf_sigma = 0 means the stage's mean control
-    # edge arc (one stage, so one grid decides it)
-    cfg = tiny_config(stages=1)
+    # each stage's kernel bandwidth is its grid's mean control edge arc
+    cfg = tiny_config()
     grid = build_grids(cfg)[0]
     model = init_model(cfg)
-    n_l = grid.n_labels
-    for mu in (model.mu_coarse, model.mu_fine):
-        np.testing.assert_array_equal(mu, np.ones((n_l, n_l)) - np.eye(n_l))
     pair = synth_dataset(1, cfg, seed=31)[0]
+    result = forward_cascade(pair.moving.values, pair.fixed.values, model, cfg)
+    logits = unet_forward(pair.moving.values, pair.fixed.values, model.coarse,
+                          cfg.mesh_level, training=False)
+    unrefined = predict_probabilities(logits, grid)
 
     def refined(sigma: float) -> bytes:
-        config = dataclasses.replace(cfg, crf_sigma=sigma)
-        result = forward_cascade(pair.moving.values, pair.fixed.values, model,
-                                 config)
-        return result.Q1.value.tobytes()
+        params = CrfParams(cfg.crf_iters, sigma, cfg.crf_weight)
+        return crf_refine(unrefined, grid, params).value.tobytes()
 
-    assert refined(0.0) == refined(mean_edge_arc(grid))
-    assert refined(0.0) != refined(0.5 * mean_edge_arc(grid))
+    assert result.Q1.value.tobytes() == refined(mean_edge_arc(grid))
+    assert result.Q1.value.tobytes() != refined(0.5 * mean_edge_arc(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +386,9 @@ def test_init_keeps_the_draw_order_of_residual_pooling_blocks():
             layer = getattr(graph, lname)
             expected[f"{scale}.graph.{lname}.W"] = layer.W
             expected[f"{scale}.graph.{lname}.a"] = layer.a
-    expected["crf.coarse.mu"] = expected["crf.fine.mu"] = \
-        np.ones((n_l, n_l)) - np.eye(n_l)
     actual = named_arrays(init_model(config))
+    # the CRF's Potts compatibility is fixed, so the CRF has no parameter
+    assert not [name for name in actual if name.startswith("crf.")]
     assert sorted(actual) == sorted(expected)
     for name, array in expected.items():
         assert actual[name].tobytes() == array.tobytes(), name
