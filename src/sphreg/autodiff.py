@@ -105,10 +105,11 @@ def _topological_order(root):
 
 
 def accumulate(node, grad):
-    """Add ``grad`` into ``node.grad``, which starts from +0.0."""
+    """Add ``grad`` into ``node.grad``, as if onto +0.0 without a zero fill."""
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += grad
+        node.grad = np.add(grad, 0.0, out=np.empty_like(node.value))
+    else:
+        node.grad += grad
 
 
 def _unbroadcast(grad, shape):

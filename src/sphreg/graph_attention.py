@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from . import autodiff as ag
-from .icosphere import Icosphere, generate_icosphere, vertex_count
+from .icosphere import Icosphere, _frozen, generate_icosphere, vertex_count
 from .sht import build_basis
 
 LEAKY_SLOPE = 0.2
@@ -135,9 +135,8 @@ def lift_matrix(mesh_level: int, band: int) -> np.ndarray:
     then synthesis on the full one.  It reproduces a signal band-limited to
     ``band`` from its first V_c rows.  Built once per (level, band)."""
     coarse = build_basis(generate_icosphere(coarse_level(band)), band)
-    lift = build_basis(generate_icosphere(mesh_level), band).Y @ coarse.forward
-    lift.setflags(write=False)
-    return lift
+    return _frozen(build_basis(generate_icosphere(mesh_level), band).Y
+                   @ coarse.forward)
 
 
 def graph_enhanced_module(features, mesh: Icosphere, params: GraphModuleParams,

@@ -169,6 +169,18 @@ class Icosphere:
         return tuple(np.split(self.ring_src, self.ring_offsets[1:-1]))
 
     @cached_property
+    def antipodes(self) -> np.ndarray:
+        """Per vertex, the vertex at minus it, in O(N): level 0 pairs by dot
+        product, then the midpoint of (a, b) maps to that of (anti a, anti b)."""
+        if self.level == 0:
+            return _frozen(np.argmin(self.vertices @ self.vertices.T, axis=1))
+        parent = generate_icosphere(self.level - 1)
+        n, anti = parent.n_vertices, parent.antipodes
+        mapped = np.sort(anti[parent.edges], axis=1)
+        midpoints = np.searchsorted(parent.edges @ [n, 1], mapped @ [n, 1])
+        return _frozen(np.concatenate([anti, n + midpoints]))
+
+    @cached_property
     def corner_inverse(self) -> np.ndarray:
         """Per-face inverse of the 3x3 corner-column matrix, shape (F, 3, 3)."""
         corners = self.vertices[self.faces]              # (F, corner, xyz)

@@ -22,14 +22,15 @@ The convolution and the batch norm each record one autodiff node, so a
 block is three with the ReLU; hand-written backwards give each input its
 contributions in a fixed order: the bracket path into ``alpha`` before the
 residual path, the spectral path into the input before the residual path.
-Every contraction of the convolution is a BLAS product.  A zonal gain
-depends only on l, so a frozen ``pad_table`` per bandwidth gathers the
-coefficients into an (L+1, 2L+1, C_in) stack (slots past 2l read zeros)
-and one stacked ``matmul`` mixes each degree with its (C_in, C_out) gains,
-as it forms both gradients; the residual is a plain ``@``.  Tests hold the
-conv bitwise to 2-D products over the padded degree slices and within
-1e-14 to the einsum chain it replaced, and the batch norm bitwise to its
-chain of elementary autodiff ops.
+Every contraction of the convolution is a BLAS product, and analysis and
+synthesis run on the basis's parity halves (see ``sht``) at half the cost.
+A zonal gain depends only on l, so a frozen ``pad_table`` per bandwidth
+gathers the flat (l, m) coefficients into an (L+1, 2L+1, C_in) stack
+(slots past 2l read zeros) and one stacked ``matmul`` mixes each degree
+with its (C_in, C_out) gains, as it forms both gradients; the residual is
+a plain ``@``.  Tests hold the conv bitwise to the parity arithmetic in 2-D
+products and within 1e-14 to the einsum chain on the full basis, and the
+batch norm bitwise to its chain of elementary autodiff ops.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import cache
 import numpy as np
 
 from . import autodiff as ag
-from .sht import HarmonicBasis
+from .sht import HarmonicBasis, parity_columns
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -64,6 +65,13 @@ def pad_table(L: int) -> np.ndarray:
     table = np.where(slot <= 2 * l, l * l + slot, (L + 1) ** 2)
     table.setflags(write=False)
     return table
+
+
+def _paired(a: np.ndarray, b: np.ndarray, basis: HarmonicBasis) -> np.ndarray:
+    """Vertex rows a + b at P and a - b at Q: the even plus the odd part."""
+    out = np.empty((2 * len(basis.P), a.shape[1]))
+    out[basis.P], out[basis.Q] = a + b, a - b
+    return out
 
 
 @dataclass
@@ -119,25 +127,30 @@ def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis):
     alpha = None if alpha_in is None else ag.value_of(alpha_in)
     table = pad_table(L)
     kept = np.flatnonzero(table.ravel() < n_lm)     # unpads an L+1 stack
-    analysis = basis.forward[:n_lm]
-    synthesis = basis.Y[:, :n_lm]
+    # the degree <= L prefix of each parity half, on the pairs (P, Q)
+    even, odd = parity_columns(L)
+    synth_even, synth_odd = basis.even[:, :len(even)], basis.odd[:, :len(odd)]
+    F_even, F_odd = basis.forward_even[:len(even)], basis.forward_odd[:len(odd)]
 
     # coefficients with a zero row appended, gathered to (L+1, 2L+1, C_in)
     coeffs = np.zeros((n_lm + 1, c_in))
-    np.matmul(analysis, v, out=coeffs[:n_lm])
+    v_P, v_Q = np.take(v, basis.P, axis=0), np.take(v, basis.Q, axis=0)
+    coeffs[even], coeffs[odd] = F_even @ (v_P + v_Q), F_odd @ (v_P - v_Q)
     padded = coeffs[table]
     scale = degree_scale(L)[None, None, :]                   # (1, 1, L+1)
     bracket = h if alpha is None else h - alpha.reshape(c_out, c_in, 1) / scale
     # C(l) * (h - a/C(l)) as an (L+1, C_in, C_out) stack of per-degree mixes
     gains = np.ascontiguousarray((bracket * scale).transpose(2, 1, 0))
     mixed = np.matmul(padded, gains).reshape(-1, c_out)[kept]
-    out = synthesis @ mixed
+    out = _paired(synth_even @ mixed[even], synth_odd @ mixed[odd], basis)
     if alpha is not None:
         out = out + v @ alpha.T
 
     def backward(g):
         g_mixed = np.zeros((n_lm + 1, c_out))
-        np.matmul(synthesis.T, g, out=g_mixed[:n_lm])
+        g_P, g_Q = np.take(g, basis.P, axis=0), np.take(g, basis.Q, axis=0)
+        g_mixed[even] = synth_even.T @ (g_P + g_Q)
+        g_mixed[odd] = synth_odd.T @ (g_P - g_Q)
         g_padded = g_mixed[table]
         if ag.is_tensor(h_in) or ag.is_tensor(alpha_in):
             g_gains = np.matmul(padded.transpose(0, 2, 1), g_padded)
@@ -147,9 +160,10 @@ def zonal_convolve(values, filt: ZonalFilter, basis: HarmonicBasis):
             if ag.is_tensor(alpha_in):
                 ag.accumulate(alpha_in, (-g_bracket / scale).sum(axis=2))
         if ag.is_tensor(values):
-            g_coeffs = np.matmul(g_padded, gains.transpose(0, 2, 1))
-            ag.accumulate(values,
-                          analysis.T @ g_coeffs.reshape(-1, c_in)[kept])
+            g_coeffs = np.matmul(g_padded, gains.transpose(0, 2, 1)
+                                 ).reshape(-1, c_in)[kept]
+            ag.accumulate(values, _paired(F_even.T @ g_coeffs[even],
+                                          F_odd.T @ g_coeffs[odd], basis))
             if alpha is not None:
                 ag.accumulate(values, g @ alpha)
         if ag.is_tensor(alpha_in):

@@ -14,6 +14,12 @@ l = 64 cap (the unnormalised P_l^m would overflow long before that).
 Columns use the flat index l^2 + l + m.  Icosphere samplings admit no exact
 quadrature, so the forward transform is the Moore-Penrose pseudo-inverse of
 the sampled basis (least squares); see the design notes in build_basis.
+
+Y_lm(-x) = (-1)^l Y_lm(x) on the centrally symmetric icosphere, so a basis
+is sampled at P, one vertex per antipodal pair, and reflected to Q = anti P.
+With E and O its even-degree and odd-degree halves at P, Y = [[E, O],
+[E, -O]] and Y^T Y = diag(2 E^T E, 2 O^T O), so pinv(Y) = [[E+, E+],
+[O+, -O+]] / 2 exactly: two half pinvs, no full-size SVD.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .icosphere import _BLOCK, Icosphere, SphericalSignal, generate_icosphere
+from .icosphere import (_BLOCK, Icosphere, SphericalSignal, _frozen,
+                        generate_icosphere)
 
 MAX_DEGREE = 64
 
@@ -32,15 +39,6 @@ def flat_index(l: int, m: int) -> int:
     if abs(m) > l:
         raise ValueError(f"order |{m}| exceeds degree {l}")
     return l * l + l + m
-
-
-def _sample_basis(points: np.ndarray, L: int) -> np.ndarray:
-    """Evaluate all real harmonics up to degree L at unit points, (N, (L+1)^2),
-    per block of points: no full-size transposed copy, and the same bits."""
-    Y = np.empty((points.shape[0], (L + 1) ** 2), dtype=np.float64)
-    for lo in range(0, len(points), _BLOCK):
-        Y[lo:lo + _BLOCK] = _sample_rows(points[lo:lo + _BLOCK], L).T
-    return Y
 
 
 def _sample_rows(points: np.ndarray, L: int) -> np.ndarray:
@@ -78,33 +76,65 @@ def _sample_rows(points: np.ndarray, L: int) -> np.ndarray:
     return T
 
 
+@cache
+def parity_columns(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen flat indices of the even and the odd degrees up to L, ascending."""
+    odd = np.repeat(np.arange(L + 1) % 2, 2 * np.arange(L + 1) + 1)
+    return _frozen(np.flatnonzero(odd == 0)), _frozen(np.flatnonzero(odd))
+
+
 @dataclass
 class HarmonicBasis:
-    """Sampled basis plus its least-squares forward operator for one mesh."""
+    """One mesh's sampled basis; its parity halves and analysis operators
+    are built on first use, since synthesis alone never needs them."""
 
     mesh_level: int
     L: int
-    Y: np.ndarray          # (N, (L+1)^2)
+    P: np.ndarray          # (N/2,) the first vertex of each antipodal pair
+    Q: np.ndarray          # (N/2,) its antipode
+    Y: np.ndarray          # (N, (L+1)^2), Y[Q] = (-1)^l Y[P] exactly
 
     @property
     def n_coeffs(self) -> int:
         return (self.L + 1) ** 2
 
     @cached_property
+    def even(self) -> np.ndarray:
+        """(N/2, n_even) Y[P] at the even degrees."""
+        return _frozen(self.Y[np.ix_(self.P, parity_columns(self.L)[0])])
+
+    @cached_property
+    def odd(self) -> np.ndarray:
+        """(N/2, n_odd) Y[P] at the odd degrees."""
+        return _frozen(self.Y[np.ix_(self.P, parity_columns(self.L)[1])])
+
+    @cached_property
+    def forward_even(self) -> np.ndarray:
+        """(n_even, N/2) rows of pinv(Y) at the even degrees, read at P."""
+        return _frozen(0.5 * np.linalg.pinv(self.even))
+
+    @cached_property
+    def forward_odd(self) -> np.ndarray:
+        """(n_odd, N/2) rows of pinv(Y) at the odd degrees, read at P."""
+        return _frozen(0.5 * np.linalg.pinv(self.odd))
+
+    @cached_property
     def forward(self) -> np.ndarray:
-        """((L+1)^2, N) pseudo-inverse of ``Y``, frozen; built on first use,
-        since synthesis alone never needs it."""
-        forward = np.linalg.pinv(self.Y)
-        forward.setflags(write=False)
-        return forward
+        """((L+1)^2, N) pseudo-inverse of ``Y``, from the two half pinvs."""
+        (ce, co), P, Q = parity_columns(self.L), self.P, self.Q
+        forward = np.empty((self.n_coeffs, 2 * len(P)))
+        forward[np.ix_(ce, P)] = forward[np.ix_(ce, Q)] = self.forward_even
+        forward[np.ix_(co, P)] = self.forward_odd
+        forward[np.ix_(co, Q)] = -self.forward_odd
+        return _frozen(forward)
 
 
 def build_basis(mesh: Icosphere, L: int) -> HarmonicBasis:
     """Basis for ``mesh`` up to degree ``L`` (cached per (mesh, L)).
 
-    Requires more samples than coefficients; at 2x oversampling or better the
-    sampled columns are far from rank deficiency and the pseudo-inverse is a
-    stable left inverse (checked to 1e-8 in the tests).
+    Each parity half needs as many antipodal pairs as columns, (L+1)(L+2)/2
+    for the wider one.  At 2x oversampling or better the pseudo-inverse is
+    a stable left inverse (checked to 1e-12 in the tests).
     """
     return _basis(mesh, L)
 
@@ -113,14 +143,22 @@ def build_basis(mesh: Icosphere, L: int) -> HarmonicBasis:
 def _basis(mesh: Icosphere, L: int) -> HarmonicBasis:
     if L < 0 or L > MAX_DEGREE:
         raise ValueError(f"bandwidth L={L} out of [0, {MAX_DEGREE}]")
-    n_coeffs = (L + 1) ** 2
-    if mesh.n_vertices < n_coeffs:
+    if mesh.n_vertices < (L + 1) * (L + 2):
         raise ValueError(
-            f"level {mesh.level} has {mesh.n_vertices} vertices, fewer than "
-            f"{n_coeffs} coefficients for L={L}; refine the mesh or lower L")
-    Y = _sample_basis(mesh.vertices, int(L))
-    Y.setflags(write=False)
-    return HarmonicBasis(mesh.level, int(L), Y)
+            f"level {mesh.level} has {mesh.n_vertices // 2} antipodal pairs, "
+            f"fewer than L={L}'s {(L + 1) * (L + 2) // 2} coefficients of "
+            "one parity; refine the mesh or lower L")
+    anti = mesh.antipodes
+    P = np.flatnonzero(np.arange(mesh.n_vertices) < anti)
+    sign = np.repeat((-1.0) ** np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    Y = np.empty((mesh.n_vertices, (L + 1) ** 2))
+    for lo in range(0, len(P), _BLOCK):
+        block = P[lo:lo + _BLOCK]
+        Y[block] = rows = _sample_rows(mesh.vertices[block], int(L)).T
+        Y[anti[block]] = np.multiply(rows, sign, out=rows)    # reflected
+        del rows                    # one block's rows alive at a time
+    return HarmonicBasis(mesh.level, int(L), _frozen(P), _frozen(anti[P]),
+                         _frozen(Y))
 
 
 @dataclass
@@ -141,10 +179,6 @@ class SpectralCoeffs:
                 f"L={self.L} needs {expected}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("coefficients must be finite")
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[1]
 
 
 def sht_forward(signal: SphericalSignal, basis: HarmonicBasis) -> SpectralCoeffs:

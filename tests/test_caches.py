@@ -21,7 +21,8 @@ from sphreg.icosphere import generate_icosphere
 from sphreg.sht import build_basis
 
 MESH_TABLES = ("edges", "ring_offsets", "ring_dst", "ring_src",
-               "incident_faces", "neighbourhood", "face_neighbours")
+               "incident_faces", "neighbourhood", "face_neighbours",
+               "antipodes")
 
 
 def package_modules():
@@ -60,10 +61,11 @@ def test_every_cache_is_a_functools_memo_that_clears_cold():
     fresh_mesh = generate_icosphere(3)
     fresh = [fresh_mesh, build_basis(fresh_mesh, 16), build_label_sets(1, 3)]
 
-    # the mesh's index tables and the basis's analysis operator are built
-    # on first read, and frozen too
+    # the mesh's index tables and the basis's full maps and analysis
+    # operators are built on first read, and frozen too
     assert set(MESH_TABLES) < arrays_of(fresh_mesh).keys()
-    assert "forward" in arrays_of(fresh[1])
+    assert {"Y", "forward", "forward_even", "forward_odd"} < \
+        arrays_of(fresh[1]).keys()
     for old, new in zip(built, fresh):
         assert new is not old
         old_arrays, new_arrays = arrays_of(old), arrays_of(new)
@@ -93,5 +95,6 @@ def test_mesh_tables_are_built_on_first_read(monkeypatch):
         table = getattr(mesh, name)
         assert name in vars(mesh) and not table.flags.writeable, name
         assert getattr(mesh, name) is table, name
-    # one edge table serves edges, face_neighbours and the one-ring
+    # one edge table serves edges, face_neighbours and the one-ring, and
+    # the antipodes read only the coarser levels' edge tables
     assert len(calls) == 7

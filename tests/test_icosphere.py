@@ -56,6 +56,22 @@ def test_prefix_property_across_levels():
                                   coarse.vertices)
 
 
+@pytest.mark.parametrize("level", range(8))
+def test_antipodes_pair_every_vertex_with_minus_it(level):
+    mesh = generate_icosphere(level)
+    anti = mesh.antipodes
+    ids = np.arange(mesh.n_vertices)
+    assert anti.dtype.kind == "i" and not anti.flags.writeable
+    assert (anti[anti] == ids).all() and (anti != ids).all()
+    assert np.linalg.norm(mesh.vertices + mesh.vertices[anti], axis=1).max() \
+        <= 1e-15
+    # the prefix property holds for the table too
+    if level:
+        coarse = generate_icosphere(level - 1)
+        np.testing.assert_array_equal(anti[:coarse.n_vertices],
+                                      coarse.antipodes)
+
+
 def test_one_ring_is_symmetric():
     mesh = generate_icosphere(1)
     for v, ring in enumerate(mesh.one_ring):

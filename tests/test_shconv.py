@@ -7,7 +7,7 @@ import pytest
 
 from sphreg import autodiff as ag
 from sphreg.icosphere import generate_icosphere
-from sphreg.sht import build_basis, random_bandlimited
+from sphreg.sht import build_basis, parity_columns, random_bandlimited
 from sphreg.shconv import (BlockParams, ZonalFilter, batch_norm,
                            degree_scale, init_block, init_zonal_filter,
                            pad_table, shconv_block, zonal_convolve)
@@ -207,15 +207,35 @@ def test_gradients_flow_through_block():
 # ---------------------------------------------------------------------------
 
 def reference_zonal_convolve(values, filt, basis):
-    """The zonal convolution in plain NumPy as one recorded op: a loop of
+    """The zonal convolution in plain NumPy as one recorded op: the parity
+    halves of the basis as 2-D ``@`` on the antipodal pairs, and a loop of
     2-D ``@`` over the degrees, each on its padded (2L+1)-row slice.  The
     fused node must match it bitwise, forward and backward."""
     L = filt.L_in
     n_lm = (L + 1) ** 2
     v, h, alpha = (ag.value_of(x) for x in (values, filt.h, filt.alpha))
-    analysis, synthesis = basis.forward[:n_lm], basis.Y[:, :n_lm]
+    even, odd = parity_columns(L)
+    synth = basis.even[:, :len(even)], basis.odd[:, :len(odd)]
+    analysis = basis.forward_even[:len(even)], basis.forward_odd[:len(odd)]
+    P, Q = basis.P, basis.Q
     table = pad_table(L)
     kept = np.flatnonzero(table.ravel() < n_lm)
+
+    def fold(rows, ops):
+        """Flat (l, m) rows from vertex rows: the even op on P + Q, the odd
+        op on P - Q (analysis, and the adjoint of synthesis)."""
+        out = np.zeros((n_lm, rows.shape[1]))
+        out[even] = ops[0] @ (rows[P] + rows[Q])
+        out[odd] = ops[1] @ (rows[P] - rows[Q])
+        return out
+
+    def unfold(coeffs, ops):
+        """Vertex rows from flat (l, m) rows: a + b at P, a - b at Q
+        (synthesis, and the adjoint of analysis)."""
+        a, b = ops[0] @ coeffs[even], ops[1] @ coeffs[odd]
+        out = np.zeros((2 * len(P), coeffs.shape[1]))
+        out[P], out[Q] = a + b, a - b
+        return out
 
     def pad(rows):
         return np.concatenate([rows, np.zeros((1, rows.shape[1]))])[table]
@@ -226,11 +246,11 @@ def reference_zonal_convolve(values, filt, basis):
 
     scale = degree_scale(L)[None, None, :]
     gains = ((h - alpha[:, :, None] / scale) * scale).transpose(2, 1, 0).copy()
-    padded = pad(analysis @ v)
-    out = synthesis @ per_degree(padded, gains) + v @ alpha.T
+    padded = pad(fold(v, analysis))
+    out = unfold(per_degree(padded, gains), synth) + v @ alpha.T
 
     def backward(g):
-        g_padded = pad(synthesis.T @ g)
+        g_padded = pad(fold(g, [s.T for s in synth]))
         g_gains = np.stack([padded[l].T @ g_padded[l] for l in range(L + 1)])
         g_bracket = g_gains.transpose(2, 1, 0).copy() * scale
         # each input takes its contributions in the fused node's order
@@ -240,7 +260,7 @@ def reference_zonal_convolve(values, filt, basis):
             ag.accumulate(filt.alpha, (-g_bracket / scale).sum(axis=2))
         if ag.is_tensor(values):
             g_coeffs = per_degree(g_padded, gains.transpose(0, 2, 1))
-            ag.accumulate(values, analysis.T @ g_coeffs)
+            ag.accumulate(values, unfold(g_coeffs, [a.T for a in analysis]))
             ag.accumulate(values, g @ alpha)
         if ag.is_tensor(filt.alpha):
             ag.accumulate(filt.alpha, g.T @ v)
@@ -262,19 +282,24 @@ def take_degrees(gains, degrees):
 
 
 def composite_zonal_convolve(values, filt, basis):
-    """The zonal convolution as eleven elementary autodiff ops, with the
-    degree mixing and the residual as einsum contractions."""
+    """The zonal convolution as elementary autodiff ops on the full basis
+    ``Y`` and its pseudo-inverse, with the degree mixing and the residual
+    as einsum contractions; a filter without ``alpha`` has no residual."""
     n_lm = (filt.L_in + 1) ** 2
     coeffs = ag.slice_rows(ag.matmul(basis.forward, values), 0, n_lm)
     scale = degree_scale(filt.L_in)[None, None, :]
-    alpha_col = ag.reshape(filt.alpha, (filt.c_out, filt.c_in, 1))
-    bracket = ag.sub(filt.h, ag.div(alpha_col, scale))
+    bracket = filt.h
+    if filt.alpha is not None:
+        alpha_col = ag.reshape(filt.alpha, (filt.c_out, filt.c_in, 1))
+        bracket = ag.sub(filt.h, ag.div(alpha_col, scale))
     gains = ag.mul(bracket, scale)
     l = np.arange(filt.L_in + 1)
     degrees = np.repeat(l, 2 * l + 1)
     gains_lm = take_degrees(gains, degrees)
     spectral = ag.matmul(basis.Y[:, :n_lm],
                          ag.einsum2("oil,li->lo", gains_lm, coeffs))
+    if filt.alpha is None:
+        return spectral
     residual = ag.einsum2("ni,oi->no", values, filt.alpha)
     return ag.add(spectral, residual)
 
@@ -359,12 +384,22 @@ def test_fused_block_is_bitwise_the_composite(shape):
     assert fused[5] == composite[5]                      # inference forward
 
 
+# (c_out, c_in, filter bandwidth, bandwidth of the basis it pools from) of
+# the default U-Net's two pooling blocks, whose filters have no alpha
+POOLING_BLOCKS = [(16, 8, 8, 16), (32, 16, 4, 8)]
+
+
 def _conv_case(shape):
-    """A level-3 basis, a seeded filter, input values and output weights."""
-    c_out, c_in, L, _ = shape
-    basis = build_basis(generate_icosphere(3), L)
+    """A level-3 basis, a seeded filter, input values and output weights.
+    A pooling shape's filter has no alpha and reads the wider basis that
+    the shape's last entry names."""
+    c_out, c_in, L = shape[:3]
+    wide = shape[3] if shape in POOLING_BLOCKS else None
+    basis = build_basis(generate_icosphere(3), wide or L)
     rng = np.random.default_rng(c_out * 100 + c_in + 1)
     filt = init_zonal_filter(c_out, c_in, L, rng)
+    if wide:
+        filt = ZonalFilter(h=filt.h, alpha=None)
     x = rng.standard_normal((basis.Y.shape[0], c_in))
     weights = rng.standard_normal((basis.Y.shape[0], c_out))
     return basis, filt, x, weights
@@ -372,22 +407,32 @@ def _conv_case(shape):
 
 def _conv_and_grads(conv, basis, filt, x, weights):
     """A conv's output and the gradients of sum(out * weights) into the
-    input, ``h`` and ``alpha``."""
-    leaves = [ag.Tensor(x.copy()), ag.Tensor(np.array(filt.h)),
-              ag.Tensor(np.array(filt.alpha))]
-    out = conv(leaves[0], ZonalFilter(h=leaves[1], alpha=leaves[2]), basis)
+    input, ``h`` and, if the filter has it, ``alpha``."""
+    leaves = [ag.Tensor(x.copy()), ag.Tensor(np.array(filt.h))]
+    if filt.alpha is not None:
+        leaves.append(ag.Tensor(np.array(filt.alpha)))
+    alpha = leaves[2] if len(leaves) == 3 else None
+    out = conv(leaves[0], ZonalFilter(h=leaves[1], alpha=alpha), basis)
     ag.reduce_sum(ag.mul(out, weights)).backward()
     return [out.value] + [leaf.grad for leaf in leaves]
 
 
-@pytest.mark.parametrize("shape", UNET_BLOCKS,
-                         ids=[f"{i}to{o}L{L}" for o, i, L, _ in UNET_BLOCKS])
+CONV_SHAPES = UNET_BLOCKS + POOLING_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "shape", CONV_SHAPES,
+    ids=[f"{s[1]}to{s[0]}L{s[2]}" + ("" if s in UNET_BLOCKS else f"of{s[3]}")
+         for s in CONV_SHAPES])
 def test_fused_conv_is_near_the_einsum_chain(shape):
-    # the per-degree products add in another order than the einsum chain,
-    # so the two agree only to rounding: 1e-14 of each array's largest value
+    # the fused conv analyses and synthesises on the antipodal pairs' parity
+    # halves, and its per-degree products add in another order than the
+    # einsum chain on the full basis, so the two agree only to rounding:
+    # 1e-14 of each array's largest value
     case = _conv_case(shape)
     fused = _conv_and_grads(zonal_convolve, *case)
     chain = _conv_and_grads(composite_zonal_convolve, *case)
+    assert len(fused) == len(chain) == (3 if shape in POOLING_BLOCKS else 4)
     for name, a, b in zip(("out", "values", "h", "alpha"), fused, chain):
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
 

@@ -65,19 +65,21 @@ def column_by_column_basis(points, L):
 
 @pytest.mark.parametrize("level,L", [(1, 2), (3, 4), (3, 8), (3, 16), (6, 8)])
 def test_sampled_basis_keeps_the_column_by_column_bits(level, L):
-    points = generate_icosphere(level).vertices
-    Y = sht._sample_basis(points, L)
-    assert Y.flags.c_contiguous
-    assert Y.shape == (points.shape[0], (L + 1) ** 2)
-    assert Y.tobytes() == column_by_column_basis(points, L).tobytes()
+    mesh = generate_icosphere(level)
+    basis = sht._basis.__wrapped__(mesh, L)
+    assert basis.Y.flags.c_contiguous
+    assert basis.Y.shape == (mesh.n_vertices, (L + 1) ** 2)
+    # sampled at the first vertex of each antipodal pair, reflected to the other
+    assert basis.Y[basis.P].tobytes() == \
+        column_by_column_basis(mesh.vertices[basis.P], L).tobytes()
 
 
 @pytest.mark.parametrize("block", [7, 1000])
 def test_sampled_basis_blocks_keep_the_bits(monkeypatch, block):
-    points = generate_icosphere(4).vertices      # one default block
-    expected = sht._sample_basis(points, 8)
+    mesh = generate_icosphere(4)         # 1281 antipodal pairs, one block
+    expected = sht._basis.__wrapped__(mesh, 8).Y
     monkeypatch.setattr(sht, "_BLOCK", block)
-    Y = sht._sample_basis(points, 8)
+    Y = sht._basis.__wrapped__(mesh, 8).Y
     assert Y.flags.c_contiguous
     assert Y.tobytes() == expected.tobytes()
 
@@ -134,6 +136,10 @@ def test_bandwidth_validation():
     mesh = generate_icosphere(1)     # 42 vertices
     with pytest.raises(ValueError):
         build_basis(mesh, 6)         # 49 coefficients > 42 samples
+    build_basis(generate_icosphere(3), 23)   # 300 odd columns, 321 pairs
+    with pytest.raises(ValueError, match="antipodal pairs"):
+        # 625 coefficients < 642 samples, but 325 even ones > 321 pairs
+        build_basis(generate_icosphere(3), 24)
     with pytest.raises(ValueError):
         build_basis(mesh, -1)
     with pytest.raises(ValueError):
@@ -176,7 +182,60 @@ def test_synthesis_alone_builds_no_pseudo_inverse(monkeypatch):
     assert calls == []
     basis = build_basis(generate_icosphere(3), 8)
     assert basis.forward is basis.forward
-    assert calls == [(642, 81)]
+    # one pinv per parity half, 45 even and 36 odd columns at 321 pairs
+    assert calls == [(321, 45), (321, 36)]
+
+
+@pytest.mark.parametrize("level,L", [(0, 2), (1, 5), (2, 8), (3, 16), (4, 16)])
+def test_antipodal_rows_reflect_by_degree_parity(level, L):
+    mesh = generate_icosphere(level)
+    basis = build_basis(mesh, L)
+    P, Q = basis.P, basis.Q
+    assert len(P) == len(Q) == mesh.n_vertices // 2
+    np.testing.assert_array_equal(Q, mesh.antipodes[P])
+    assert (P < Q).all() and (np.diff(P) > 0).all()
+    degree = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    sign = (-1.0) ** degree
+    assert basis.Y[Q].tobytes() == (sign * basis.Y[P]).tobytes()
+    assert basis.Y[P].tobytes() == \
+        sht._sample_rows(mesh.vertices[P], L).T.tobytes()
+    # the reflection stands in for sampling at Q to rounding level
+    assert np.abs(basis.Y[Q] - column_by_column_basis(mesh.vertices[Q], L)
+                  ).max() < 1e-13
+
+
+@pytest.mark.parametrize("level,L", [(0, 2), (2, 8), (3, 4), (3, 16)])
+def test_forward_is_the_half_pinvs_without_a_full_size_pinv(monkeypatch,
+                                                            level, L):
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda a: calls.append(a.shape) or pinv(a))
+    sht._basis.cache_clear()
+    basis = build_basis(generate_icosphere(level), L)
+    eye = basis.forward @ basis.Y
+    pairs, (even, odd) = len(basis.P), sht.parity_columns(L)
+    assert calls == [(pairs, len(even)), (pairs, len(odd))]
+    assert np.abs(eye - np.eye(basis.n_coeffs)).max() < 1e-12
+    # Y^T Y is block diagonal by parity, so the halves give pinv(Y)'s rows
+    monkeypatch.undo()
+    np.testing.assert_allclose(basis.forward, np.linalg.pinv(basis.Y),
+                               rtol=0, atol=1e-12)
+
+
+def test_parity_columns_split_the_flat_index():
+    for L in range(9):
+        even, odd = sht.parity_columns(L)
+        assert not even.flags.writeable and not odd.flags.writeable
+        np.testing.assert_array_equal(np.sort(np.concatenate([even, odd])),
+                                      np.arange((L + 1) ** 2))
+        for l in range(L + 1):
+            half = even if l % 2 == 0 else odd
+            assert set(range(l * l, (l + 1) ** 2)) <= set(half)
+        if L:
+            lower = sht.parity_columns(L - 1)
+            np.testing.assert_array_equal(even[:len(lower[0])], lower[0])
+            np.testing.assert_array_equal(odd[:len(lower[1])], lower[1])
 
 
 def test_random_bandlimited_caches_no_basis():

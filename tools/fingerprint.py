@@ -45,8 +45,9 @@ registration and the gradient check bitwise equal.  The object holds
   of degree 8 at levels 6 and 7, drawn from one seeded generator;
 * ``mesh``: sha256, in a fixed order, of the name, dtype, shape and bytes
   of every table of the icosphere at levels 0-6 (vertices, faces and the
-  index tables), then of the sampled harmonic basis at (level, degree)
-  (3, 16) and (6, 8).
+  index tables, ``antipodes`` included), then of ``build_basis(...).Y``,
+  the harmonic basis sampled at one vertex per antipodal pair and
+  reflected to the other, at (level, degree) (3, 16) and (6, 8).
 
 A second line, on stderr, records the BLAS library, its thread count and
 the pin that ``import sphreg`` applied.  It is not part of the
@@ -222,7 +223,7 @@ def _bandlimited(out: dict) -> None:
 
 _MESH_TABLES = ("vertices", "faces", "edges", "ring_offsets", "ring_dst",
                 "ring_src", "incident_faces", "neighbourhood",
-                "face_neighbours")
+                "face_neighbours", "antipodes")
 
 
 def _mesh(out: dict) -> None:
@@ -239,7 +240,7 @@ def _mesh(out: dict) -> None:
             add(f"{level}.{name}", getattr(mesh, name))
     for level, L in ((3, 16), (6, 8)):
         add(f"basis.{level}.{L}",
-            sht._sample_basis(icosphere.generate_icosphere(level).vertices, L))
+            sht.build_basis(icosphere.generate_icosphere(level), L).Y)
     out["mesh"] = digest.hexdigest()
 
 
