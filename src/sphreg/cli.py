@@ -35,8 +35,8 @@ from .icosphere import (SphericalSignal, barycentric_resample,
                         generate_icosphere)
 from .metrics import distortion_report, pearson_cc, require_variance
 from .training import (SyntheticPair, TrainConfig, align_search,
-                       load_checkpoint, register_pair, save_checkpoint,
-                       synth_dataset, train)
+                       load_checkpoint, register_pair, synth_dataset,
+                       train)
 from .warp import DeformationField, warp_signal
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
@@ -181,10 +181,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     dataset = _load_pairs(args.data)
     val_set = _load_pairs(args.val_data) if args.val_data else None
-    model, history = train(config, dataset, val_dataset=val_set,
-                           log_path=args.log,
-                           checkpoint_path=args.out)
-    save_checkpoint(args.out, config, model)
+    _, history = train(config, dataset, val_dataset=val_set,
+                       log_path=args.log, checkpoint_path=args.out)
     last = history[-1]
     line = (f"epochs={len(history)} loss={last['loss']:.6f} "
             f"loss_sim={last['loss_sim']:.6f} loss_reg={last['loss_reg']:.6f}")

@@ -2,8 +2,8 @@
 
 A control grid places deformation handles on a coarse icosphere; each handle
 may move to one of N_l candidate positions (its "labels") chosen from a finer
-icosphere: itself (slot 0, the identity move) plus the vertices within a few
-one-ring hops.  The U-Net below scores the candidates per control point; the
+icosphere: itself (slot 0, the identity move) plus its one-ring neighbours
+there.  The U-Net below scores the candidates per control point; the
 resulting row-stochastic matrix Q drives either a hard argmax deformation
 (inference) or a probability-weighted soft deformation (training).
 
@@ -106,49 +106,35 @@ def _kernel_stack(grid: ControlGrid, sigma: float) -> np.ndarray:
     return kernel
 
 
-def build_label_sets(control_level: int, label_level: int,
-                     hops: int = 1) -> ControlGrid:
-    """Label sets from k-hop neighborhoods on the label mesh.
+def build_label_sets(control_level: int, label_level: int) -> ControlGrid:
+    """Label sets from one-ring neighbourhoods on the label mesh.
 
     Each control point (a label-mesh vertex by the prefix property) gets
-    slot 0 = itself, then its within-``hops`` neighbors nearest-first
-    (arc distance, index tie-break).  N_l is the largest neighborhood size;
-    sparser (pentagon) control points pad trailing slots with repeats of
-    the identity label so Q stays rectangular and padding slots are inert.
+    slot 0 = itself, then its label-mesh ``one_ring`` nearest-first (arc
+    distance, index tie-break).  N_l is one more than the largest degree;
+    degree-5 control points pad the trailing slot with a repeat of the
+    identity label so Q stays rectangular and padding slots are inert.
 
-    Grids are built once per (control_level, label_level, hops) and shared,
-    with their arrays frozen as the meshes' are.
+    Grids are built once per (control_level, label_level) and shared, with
+    their arrays frozen as the meshes' are.
     """
-    if hops < 1:
-        raise ValueError(f"hops must be >= 1, got {hops}")
     control = generate_icosphere(control_level)
     label = generate_icosphere(label_level)
     if label_level <= control_level:
         raise ValueError(
             f"label level {label_level} must exceed control level {control_level}")
-    return _label_sets(control, label, hops)
+    return _label_sets(control, label)
 
 
 @cache
-def _label_sets(control: Icosphere, label: Icosphere, hops: int) -> ControlGrid:
+def _label_sets(control: Icosphere, label: Icosphere) -> ControlGrid:
+    # ring_src slices: one_ring would cache a view per label-mesh vertex
     ring, offsets = label.ring_src, label.ring_offsets
     neighbor_sets: list[np.ndarray] = []
     for c in range(control.n_vertices):
-        seen = {c}
-        frontier = [c]
-        for _ in range(hops):
-            nxt = []
-            for v in frontier:
-                for u in ring[offsets[v]:offsets[v + 1]]:
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        seen.discard(c)
-        ids = np.fromiter(seen, dtype=np.int64, count=len(seen))
+        ids = ring[offsets[c]:offsets[c + 1]]
         arcs = np.arccos(np.clip(label.vertices[ids] @ label.vertices[c], -1.0, 1.0))
-        order = np.lexsort((ids, arcs))
-        neighbor_sets.append(ids[order])
+        neighbor_sets.append(ids[np.lexsort((ids, arcs))])
 
     n_l = 1 + max(len(ids) for ids in neighbor_sets)
     labels = np.empty((control.n_vertices, n_l), dtype=np.int64)

@@ -44,14 +44,6 @@ def vertex_count(level: int) -> int:
     return 10 * 4 ** level + 2
 
 
-def face_count(level: int) -> int:
-    return 20 * 4 ** level
-
-
-def edge_count(level: int) -> int:
-    return 30 * 4 ** level
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -408,12 +400,6 @@ def locate_faces(mesh: Icosphere, targets: np.ndarray):
         block = targets[rows]
         faces[rows], lam[rows] = _settle(mesh, block, *_descend(mesh, block))
     return faces, lam
-
-
-def barycentric_weights(mesh: Icosphere, targets: np.ndarray):
-    """Containing faces plus weights normalised to sum to one."""
-    face_idx, lam = locate_faces(mesh, targets)
-    return face_idx, lam / _sum3(lam)[:, None]
 
 
 def barycentric_resample(values: np.ndarray, mesh: Icosphere,

@@ -11,9 +11,11 @@ the standard three-term recurrence in l with diagonal seeding in m.  The
 recurrence operates on normalised values throughout, so it is stable to the
 l = 64 cap (the unnormalised P_l^m would overflow long before that).
 
-Columns use the flat index l^2 + l + m.  Icosphere samplings admit no exact
-quadrature, so the forward transform is the Moore-Penrose pseudo-inverse of
-the sampled basis (least squares); see the design notes in build_basis.
+Columns use the flat index l^2 + l + m, and coefficients are plain
+((L+1)^2, C) arrays in that order, so their row count gives their band.
+Icosphere samplings admit no exact quadrature, so the forward transform is
+the Moore-Penrose pseudo-inverse of the sampled basis (least squares); see
+the design notes in build_basis.
 
 Y_lm(-x) = (-1)^l Y_lm(x) on the centrally symmetric icosphere, so a basis
 is sampled at P, one vertex per antipodal pair, and reflected to Q = anti P.
@@ -24,6 +26,7 @@ With E and O its even-degree and odd-degree halves at P, Y = [[E, O],
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -161,52 +164,34 @@ def _basis(mesh: Icosphere, L: int) -> HarmonicBasis:
                          _frozen(Y))
 
 
-@dataclass
-class SpectralCoeffs:
-    """Flat-indexed harmonic coefficients, one column per channel."""
-
-    L: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        expected = (self.L + 1) ** 2
-        if self.values.shape[0] != expected:
-            raise ValueError(
-                f"coefficients have {self.values.shape[0]} rows, "
-                f"L={self.L} needs {expected}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("coefficients must be finite")
-
-
-def sht_forward(signal: SphericalSignal, basis: HarmonicBasis) -> SpectralCoeffs:
-    """Least-squares analysis of a signal sampled on the basis mesh."""
+def sht_forward(signal: SphericalSignal, basis: HarmonicBasis) -> np.ndarray:
+    """Least-squares analysis of a signal sampled on the basis mesh: the
+    ((L+1)^2, C) coefficient array."""
     if signal.level != basis.mesh_level:
         raise ValueError(
             f"signal level {signal.level} does not match basis mesh level "
             f"{basis.mesh_level}")
-    return SpectralCoeffs(basis.L, basis.forward @ signal.values)
+    return basis.forward @ signal.values
 
 
-def sht_inverse(coeffs: SpectralCoeffs, basis: HarmonicBasis) -> SphericalSignal:
-    """Synthesise a signal on the basis mesh; coeffs may be narrower band."""
-    if coeffs.L > basis.L:
+def sht_inverse(coeffs: np.ndarray, basis: HarmonicBasis) -> SphericalSignal:
+    """Synthesise a signal on the basis mesh from ((L'+1)^2, C) coefficients,
+    L' <= L: a narrower band reads the basis's leading columns."""
+    cols = len(coeffs)
+    if not 1 <= cols <= basis.Y.shape[1] or math.isqrt(cols) ** 2 != cols:
         raise ValueError(
-            f"coefficient bandwidth {coeffs.L} exceeds basis bandwidth {basis.L}")
-    cols = (coeffs.L + 1) ** 2
-    values = basis.Y[:, :cols] @ coeffs.values
-    return SphericalSignal(basis.mesh_level, values)
+            f"{cols} coefficient rows are not (L'+1)^2 for any L' <= "
+            f"{basis.L}")
+    return SphericalSignal(basis.mesh_level, basis.Y[:, :cols] @ coeffs)
 
 
-def random_coefficients(L: int, channels: int, rng) -> SpectralCoeffs:
+def random_coefficients(L: int, channels: int, rng) -> np.ndarray:
     """(L+1)^2 x channels normal draws scaled by a 1/(1+l)^2 spectrum."""
     n = (L + 1) ** 2
     scales = np.empty(n)
     for l in range(L + 1):
         scales[l * l:(l + 1) * (l + 1)] = (1.0 + l) ** (-2.0)
-    return SpectralCoeffs(L, rng.normal(size=(n, channels)) * scales[:, None])
+    return rng.normal(size=(n, channels)) * scales[:, None]
 
 
 def random_bandlimited(mesh_level: int, L: int, channels: int,

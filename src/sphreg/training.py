@@ -50,7 +50,6 @@ class TrainConfig:
     heads: int = 4
     control_coarse: int = 1
     control_fine: int = 2
-    label_hops: int = 1
     crf_iters: int = 5
     crf_weight: float = 0.5
     lambda1: float = 0.05
@@ -64,10 +63,6 @@ class TrainConfig:
     use_graph_module: bool = True
     use_crf: bool = True
     cascade_mode: str = "cascaded"
-    synth_warp_amplitude: float = 0.5
-    synth_warp_degree: int = 2
-    synth_noise: float = 0.1
-    synth_detail: float = 0.35
 
     def __post_init__(self):
         if self.cascade_mode not in CASCADE_MODES:
@@ -75,7 +70,7 @@ class TrainConfig:
                 f"cascade_mode must be one of {CASCADE_MODES}, "
                 f"got {self.cascade_mode!r}")
         for name in ("mesh_level", "bandwidth", "channels", "heads",
-                     "label_hops", "epochs", "batch_size"):
+                     "epochs", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not (self.control_coarse < self.control_fine < self.mesh_level + 1):
@@ -118,21 +113,19 @@ class ModelParams:
 def build_grids(config: TrainConfig) -> tuple[ControlGrid, ControlGrid]:
     """Label grids for both stages (label level = control level + 2).
 
-    The label mesh sits two levels below the control mesh so a one-hop label
-    step is a quarter of the control edge.  Adjacent control points snapping
-    toward each other then compress a cell by at most half, keeping the
-    Jacobian of the densified map positive; with half-edge steps (one level)
-    opposing snaps sit exactly at the fold threshold."""
-    coarse = build_label_sets(config.control_coarse, config.control_coarse + 2,
-                              config.label_hops)
-    fine = build_label_sets(config.control_fine, config.control_fine + 2,
-                            config.label_hops)
+    The label mesh sits two levels below the control mesh so a label step,
+    one label-mesh edge, is a quarter of the control edge.  Adjacent control
+    points snapping toward each other then compress a cell by at most half,
+    keeping the Jacobian of the densified map positive; with half-edge steps
+    (one level) opposing snaps sit exactly at the fold threshold.  Both
+    stages need seven labels, so a level-0 coarse grid (six) is refused."""
+    coarse = build_label_sets(config.control_coarse, config.control_coarse + 2)
+    fine = build_label_sets(config.control_fine, config.control_fine + 2)
     if coarse.n_labels != fine.n_labels:
         raise ValueError(
             f"label counts differ across scales ({coarse.n_labels} vs "
-            f"{fine.n_labels}): the coarse control points' {config.label_hops}"
-            "-hop neighbourhoods reach fewer label vertices; change "
-            "label_hops or control_coarse")
+            f"{fine.n_labels}): every level-0 control point has five "
+            "neighbours, not six; raise control_coarse")
     return coarse, fine
 
 
@@ -202,6 +195,15 @@ def _unwrap_parameters(model: ModelParams) -> None:
 # synthetic data
 # ---------------------------------------------------------------------------
 
+# Synthetic pairs: RMS control-point displacement on the unit sphere and its
+# harmonic degree; noise std relative to the fixed image's; per-pair detail
+# std relative to the standardised template's
+SYNTH_WARP_AMPLITUDE = 0.5
+SYNTH_WARP_DEGREE = 2
+SYNTH_NOISE = 0.1
+SYNTH_DETAIL = 0.35
+
+
 @dataclass
 class SyntheticPair:
     fixed: SphericalSignal
@@ -216,22 +218,20 @@ def _standardize(values: np.ndarray) -> np.ndarray:
     return (values - values.mean()) / std
 
 
-def _smooth_control_moves(control, amplitude: float, degree: int,
-                          rng) -> np.ndarray:
-    """Low-degree band-limited displacement of the control vertices, scaled
-    so the RMS per-vertex displacement equals ``amplitude``.
+def _smooth_control_moves(control, rng) -> np.ndarray:
+    """Degree-``SYNTH_WARP_DEGREE`` band-limited displacement of the control
+    vertices, scaled so the RMS per-vertex displacement equals
+    ``SYNTH_WARP_AMPLITUDE``.
 
     Smoothness matters: independent per-vertex moves at any useful amplitude
     fold the densified warp, which has no inverse and makes the synthetic
     task ill-posed."""
-    if amplitude == 0:
-        return control.vertices.copy()
-    disp = sht_inverse(random_coefficients(degree, 3, rng),
-                       build_basis(control, degree)).values
+    disp = sht_inverse(random_coefficients(SYNTH_WARP_DEGREE, 3, rng),
+                       build_basis(control, SYNTH_WARP_DEGREE)).values
     rms = float(np.sqrt((disp ** 2).sum(axis=1).mean()))
     if rms == 0:
         raise NumericError("degenerate displacement draw (all zeros)")
-    moves = control.vertices + (amplitude / rms) * disp
+    moves = control.vertices + (SYNTH_WARP_AMPLITUDE / rms) * disp
     moves /= np.linalg.norm(moves, axis=1, keepdims=True)
     return moves
 
@@ -260,17 +260,13 @@ def synth_dataset(n_pairs: int, config: TrainConfig, seed: int) -> list[Syntheti
     for i in range(n_pairs):
         rng = np.random.default_rng([seed, i])
         detail = bandlimited(rng)
-        detail_std = detail.std()
-        if detail_std > 0:
-            detail = detail * (config.synth_detail / detail_std)
+        detail = detail * (SYNTH_DETAIL / detail.std())
         fixed_vals = _standardize(template + detail)
         fixed = SphericalSignal(config.mesh_level, fixed_vals)
 
         truth = None
         for _ in range(20):
-            moves = _smooth_control_moves(
-                control, config.synth_warp_amplitude,
-                config.synth_warp_degree, rng)
+            moves = _smooth_control_moves(control, rng)
             candidate = DeformationField(
                 config.mesh_level,
                 densify_targets(moves, config.control_coarse,
@@ -281,15 +277,11 @@ def synth_dataset(n_pairs: int, config: TrainConfig, seed: int) -> list[Syntheti
         if truth is None:
             raise NumericError(
                 f"pair {i}: no fold-free warp in 20 draws at amplitude "
-                f"{config.synth_warp_amplitude}")
+                f"{SYNTH_WARP_AMPLITUDE}")
 
-        moving_vals = warp_signal(fixed, truth).values
-        if config.synth_noise > 0:
-            noise = bandlimited(rng)
-            noise_std = noise.std()
-            if noise_std > 0:
-                moving_vals = moving_vals + noise * (
-                    config.synth_noise * fixed_vals.std() / noise_std)
+        noise = bandlimited(rng)
+        moving_vals = warp_signal(fixed, truth).values + noise * (
+            SYNTH_NOISE * fixed_vals.std() / noise.std())
         pairs.append(SyntheticPair(
             fixed=fixed,
             moving=SphericalSignal(config.mesh_level, moving_vals),

@@ -78,7 +78,7 @@ def test_every_cache_is_a_functools_memo_that_clears_cold():
 
     # equal arguments share one entry however they are spelled
     assert generate_icosphere(np.int64(3)) is generate_icosphere(3)
-    assert build_label_sets(1, 3) is build_label_sets(1, 3, hops=1)
+    assert build_label_sets(np.int64(1), 3) is build_label_sets(1, 3)
 
 
 def test_mesh_tables_are_built_on_first_read(monkeypatch):

@@ -129,10 +129,18 @@ def test_usage_error_exit_code_on_bad_value(tmp_path, capsys):
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):
-    code = run(["synth", "--n-pairs", 1, "--out-dir", tmp_path / "d",
-                *TINY, "--synth-warp-amplitude", 5.0])
+    # a moving image at 1e200 squares past the float range in the loss
+    data = make_dataset(tmp_path, n_pairs=1)
+    moving = data / "pair_0000.moving.sphs"
+    signal = fileio.read_signal(moving)
+    fileio.write_signal(moving, SphericalSignal(signal.level,
+                                                signal.values * 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["train", "--data", data, "--out", tmp_path / "m.sphk",
+                    *TINY])
     assert code == 4
-    assert "numeric failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "non-finite loss" in err
 
 
 def test_format_error_exit_code(tmp_path, capsys):
@@ -184,14 +192,14 @@ def test_flag_beats_config_file_beats_default(tmp_path):
     config_file.write_text(
         "# comment\n"
         "mesh_level=2\nbandwidth=8\nchannels=4\nheads=2\n"
-        "seed=7\nsynth_noise=0.2\n")
+        "seed=7\n")
     data = tmp_path / "data"
     code = run(["synth", "--n-pairs", 1, "--out-dir", data,
                 "--config", config_file, "--seed", 9])
     assert code == 0
     manifest = json.loads((data / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 9            # flag wins
-    assert manifest["config"]["synth_noise"] == 0.2   # file beats default
+    assert manifest["config"]["channels"] == 4        # file beats default
     assert manifest["config"]["epochs"] == TrainConfig().epochs
 
 
@@ -279,6 +287,25 @@ def test_synth_train_register_eval_chain(tmp_path, capsys):
                      tmp_path / "out.sphd.manifest.json",
                      tmp_path / "eval.csv.manifest.json"):
         assert manifest.exists(), manifest
+
+
+def test_train_writes_its_checkpoint_once(tmp_path, monkeypatch, capsys):
+    # train() saves after every epoch; the last save is the final model
+    data = make_dataset(tmp_path)
+    writes = []
+    write_checkpoint = fileio.write_checkpoint
+    monkeypatch.setattr(fileio, "write_checkpoint",
+                        lambda *args: writes.append(args[0])
+                        or write_checkpoint(*args))
+    ckpt = tmp_path / "model.sphk"
+    assert run(["train", "--data", data, "--out", ckpt, *TINY]) == 0
+    assert writes == [str(ckpt)]
+    assert run(["register", "--checkpoint", ckpt,
+                "--moving", data / "pair_0000.moving.sphs",
+                "--fixed", data / "pair_0000.fixed.sphs",
+                "--out-field", tmp_path / "f.sphd",
+                "--out-warped", tmp_path / "w.sphs"]) == 0
+    assert "cc_after=" in capsys.readouterr().out
 
 
 def test_register_zero_head_gives_identity_and_zero_distortion(
@@ -481,6 +508,22 @@ def test_learned_crf_compatibility_checkpoint_exits_3(tmp_path, capsys,
         assert "unknown config keys: ['crf_sigma', 'stages']" in err
     else:
         assert "unexpected ['crf.coarse.mu', 'crf.fine.mu']" in err
+
+
+def test_synthetic_data_settings_checkpoint_exits_3(tmp_path, capsys):
+    # configs written while the label hops and the synthetic-data settings
+    # were config fields hold five keys since removed
+    ckpt = zero_head_checkpoint(tmp_path)
+    config, tensors = fileio.read_checkpoint(ckpt)
+    config.update(label_hops=1, synth_warp_amplitude=0.5, synth_warp_degree=2,
+                  synth_noise=0.1, synth_detail=0.35)
+    fileio.write_checkpoint(ckpt, config, tensors)
+    assert register_with(tmp_path, ckpt) == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and "byte 12" in err
+    assert ("unknown config keys: ['label_hops', 'synth_detail', "
+            "'synth_noise', 'synth_warp_amplitude', 'synth_warp_degree']"
+            in err)
 
 
 def test_eval_ground_truth_field_beats_unregistered(tmp_path, capsys):

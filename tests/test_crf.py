@@ -197,7 +197,7 @@ def test_refinement_equivariant_under_ring_rotation():
 
 
 def test_refinement_on_real_control_grid():
-    grid = build_label_sets(1, 3, hops=1)
+    grid = build_label_sets(1, 3)
     params = CrfParams(iterations=5, sigma=mean_edge_arc(grid), weight=0.5)
     Q = random_q(grid.n_controls, grid.n_labels, seed=9)
     refined = crf_refine(Q, grid, params)

@@ -21,13 +21,13 @@ from mesh_arcs import max_edge_arc
 # ---------------------------------------------------------------------------
 
 def test_label_count_is_seven_for_one_hop():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     assert grid.n_controls == 42
     assert grid.n_labels == 7
 
 
 def test_interior_controls_get_self_plus_one_ring():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     label_mesh = generate_icosphere(2)
     # control vertices 12..41 have degree 6 on the label mesh
     for c in range(12, 42):
@@ -36,7 +36,7 @@ def test_interior_controls_get_self_plus_one_ring():
 
 
 def test_pentagon_controls_pad_with_identity():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     for c in range(12):
         row = grid.labels[c]
         assert row[0] == c
@@ -45,24 +45,21 @@ def test_pentagon_controls_pad_with_identity():
 
 
 def test_identity_slot_is_exact_control_position():
-    grid = build_label_sets(1, 3, hops=1)
+    grid = build_label_sets(1, 3)
     np.testing.assert_array_equal(grid.label_positions[:, 0, :],
                                   grid.control_positions)
 
 
 def test_labels_within_hop_radius():
-    for hops in (1, 2):
-        grid = build_label_sets(1, 2, hops=hops)
-        label_mesh = generate_icosphere(2)
-        radius = hops * max_edge_arc(label_mesh) + 1e-12
-        cos = np.einsum("clx,cx->cl", grid.label_positions,
-                        grid.control_positions)
-        arcs = np.arccos(np.clip(cos, -1.0, 1.0))
-        assert arcs.max() <= radius
+    grid = build_label_sets(1, 2)
+    radius = max_edge_arc(generate_icosphere(2)) + 1e-12
+    cos = np.einsum("clx,cx->cl", grid.label_positions, grid.control_positions)
+    arcs = np.arccos(np.clip(cos, -1.0, 1.0))
+    assert arcs.max() <= radius
 
 
 def test_neighbours_ordered_nearest_first():
-    grid = build_label_sets(1, 2, hops=2)
+    grid = build_label_sets(1, 2)
     cos = np.einsum("clx,cx->cl", grid.label_positions, grid.control_positions)
     arcs = np.arccos(np.clip(cos, -1.0, 1.0))
     for c in range(12, grid.n_controls):    # interior rows have no padding
@@ -70,10 +67,10 @@ def test_neighbours_ordered_nearest_first():
 
 
 def test_label_sets_are_built_once_and_frozen():
-    first = build_label_sets(1, 3, hops=1)
-    assert build_label_sets(1, 3, hops=1) is first
+    first = build_label_sets(1, 3)
+    assert build_label_sets(1, 3) is first
     discrete_reg._label_sets.cache_clear()
-    fresh = build_label_sets(1, 3, hops=1)
+    fresh = build_label_sets(1, 3)
     assert fresh is not first
     for name in ("labels", "label_positions", "control_positions", "edges"):
         got, expected = getattr(first, name), getattr(fresh, name)
@@ -82,15 +79,13 @@ def test_label_sets_are_built_once_and_frozen():
         assert got.dtype == expected.dtype
 
 
-def test_invalid_levels_and_hops_rejected():
+def test_invalid_levels_rejected():
     with pytest.raises(ValueError, match="label level"):
-        build_label_sets(2, 2, hops=1)
-    with pytest.raises(ValueError, match="hops"):
-        build_label_sets(1, 2, hops=0)
+        build_label_sets(2, 2)
 
 
 def test_grid_validation_catches_tampering():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     bad = grid.label_positions.copy()
     bad[0, 0] = [0.0, 0.0, 1.0]
     if np.array_equal(bad[0, 0], grid.control_positions[0]):
@@ -108,14 +103,14 @@ def test_grid_validation_catches_tampering():
 # ---------------------------------------------------------------------------
 
 def test_uniform_logits_give_uniform_probabilities():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     logits = np.zeros((642, grid.n_labels))
     Q = predict_probabilities(logits, grid)
     np.testing.assert_allclose(Q.value, 1.0 / grid.n_labels, atol=1e-15)
 
 
 def test_large_logit_saturates():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     logits = np.zeros((grid.n_controls, grid.n_labels))
     logits[:, 3] = 50.0
     Q = predict_probabilities(logits, grid)
@@ -123,14 +118,14 @@ def test_large_logit_saturates():
 
 
 def test_probability_rows_sum_to_one():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     logits = np.random.default_rng(0).standard_normal((642, grid.n_labels))
     Q = predict_probabilities(logits, grid)
     assert np.max(np.abs(Q.value.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_prefix_rows_only():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     rng = np.random.default_rng(1)
     logits = rng.standard_normal((642, grid.n_labels))
     tampered = logits.copy()
@@ -142,7 +137,7 @@ def test_prefix_rows_only():
 
 
 def test_nonfinite_logits_rejected():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     logits = np.zeros((642, grid.n_labels))
     logits[5, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -161,7 +156,7 @@ def test_q_validation():
 # ---------------------------------------------------------------------------
 
 def test_uniform_q_decodes_to_identity():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     Q = DeformationProbabilities(
         np.full((grid.n_controls, grid.n_labels), 1.0 / grid.n_labels))
     np.testing.assert_array_equal(argmax_deformation(Q, grid),
@@ -169,7 +164,7 @@ def test_uniform_q_decodes_to_identity():
 
 
 def test_one_hot_q_decodes_to_that_label():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     rng = np.random.default_rng(2)
     slots = rng.integers(grid.n_labels, size=grid.n_controls)
     Q = np.zeros((grid.n_controls, grid.n_labels))
@@ -183,7 +178,7 @@ def test_one_hot_q_decodes_to_that_label():
 
 
 def test_argmax_matches_row_scan_oracle():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     rng = np.random.default_rng(3)
     raw = rng.random((grid.n_controls, grid.n_labels))
     Q = DeformationProbabilities(raw / raw.sum(axis=1, keepdims=True))
@@ -198,7 +193,7 @@ def test_argmax_matches_row_scan_oracle():
 
 
 def test_argmax_output_stays_in_label_set():
-    grid = build_label_sets(2, 3, hops=1)
+    grid = build_label_sets(2, 3)
     rng = np.random.default_rng(4)
     raw = rng.random((grid.n_controls, grid.n_labels))
     Q = DeformationProbabilities(raw / raw.sum(axis=1, keepdims=True))
@@ -208,7 +203,7 @@ def test_argmax_output_stays_in_label_set():
 
 
 def test_argmax_invariant_to_monotone_row_transform():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     rng = np.random.default_rng(5)
     raw = rng.random((grid.n_controls, grid.n_labels)) + 0.1
     Q = DeformationProbabilities(raw / raw.sum(axis=1, keepdims=True))
@@ -219,7 +214,7 @@ def test_argmax_invariant_to_monotone_row_transform():
 
 
 def test_soft_deformation_returns_unit_vectors():
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     rng = np.random.default_rng(6)
     raw = rng.random((grid.n_controls, grid.n_labels))
     Q = DeformationProbabilities(raw / raw.sum(axis=1, keepdims=True))
@@ -251,7 +246,7 @@ def test_zero_head_gives_uniform_probabilities():
     moving = rng.standard_normal((mesh.n_vertices, 1))
     fixed = rng.standard_normal((mesh.n_vertices, 1))
     logits = ag.value_of(unet_forward(moving, fixed, params, 2))
-    grid = build_label_sets(1, 2, hops=1)
+    grid = build_label_sets(1, 2)
     Q = predict_probabilities(logits, grid)
     np.testing.assert_allclose(Q.value, 1.0 / grid.n_labels, atol=1e-12)
 

@@ -9,9 +9,9 @@ import pytest
 
 from sphreg import sht
 from sphreg.icosphere import SphericalSignal, generate_icosphere
-from sphreg.sht import (HarmonicBasis, SpectralCoeffs, build_basis,
-                        flat_index, random_bandlimited, random_coefficients,
-                        sht_forward, sht_inverse)
+from sphreg.sht import (HarmonicBasis, build_basis, flat_index,
+                        random_bandlimited, random_coefficients, sht_forward,
+                        sht_inverse)
 
 
 def closed_form_sh(l, m, p):
@@ -126,10 +126,10 @@ def test_coefficient_recovery():
     # analysis of a synthesized signal returns the exact coefficients
     basis = build_basis(generate_icosphere(3), 8)
     rng = np.random.default_rng(2)
-    coeffs = SpectralCoeffs(8, rng.standard_normal((81, 1)))
+    coeffs = rng.standard_normal((81, 1))
     signal = sht_inverse(coeffs, basis)
     back = sht_forward(signal, basis)
-    np.testing.assert_allclose(back.values, coeffs.values, atol=1e-9)
+    np.testing.assert_allclose(back, coeffs, atol=1e-9)
 
 
 def test_bandwidth_validation():
@@ -149,12 +149,18 @@ def test_bandwidth_validation():
 def test_narrow_band_synthesis_on_wider_basis():
     basis = build_basis(generate_icosphere(2), 8)
     rng = np.random.default_rng(3)
-    coeffs = SpectralCoeffs(4, rng.standard_normal((25, 1)))
+    coeffs = rng.standard_normal((25, 1))
     wide = sht_inverse(coeffs, basis)
     narrow = sht_inverse(coeffs, build_basis(generate_icosphere(2), 4))
     np.testing.assert_allclose(wide.values, narrow.values, atol=1e-12)
-    with pytest.raises(ValueError):
-        sht_inverse(SpectralCoeffs(10, np.zeros((121, 1))), basis)
+
+
+@pytest.mark.parametrize("rows", [0, 24, 26, 80, 121])
+def test_inverse_rejects_rows_that_are_no_narrower_band(rows):
+    # (L'+1)^2 rows with L' <= 8 are 1, 4, ..., 81; 121 is L' = 10
+    basis = build_basis(generate_icosphere(2), 8)
+    with pytest.raises(ValueError, match="coefficient rows"):
+        sht_inverse(np.zeros((rows, 1)), basis)
 
 
 def test_random_bandlimited_spectrum_decay():
@@ -163,7 +169,7 @@ def test_random_bandlimited_spectrum_decay():
     powers = np.zeros(9)
     for _ in range(200):
         signal = random_bandlimited(3, 8, 1, rng)
-        coeffs = sht_forward(signal, basis).values[:, 0]
+        coeffs = sht_forward(signal, basis)[:, 0]
         for l in range(9):
             powers[l] += np.mean(coeffs[l * l:(l + 1) * (l + 1)] ** 2)
     powers /= 200

@@ -15,9 +15,11 @@ registration and the gradient check bitwise equal.  The object holds
   07's ``gradient_check``, as ``repr`` strings;
 * ``tape_nodes``: the autodiff nodes made by the first training cascade of
   that ``train`` run;
-* ``graph_off``: sha256 of the named arrays (names and bytes, in name
-  order) and the history rows of the same training with
-  ``use_graph_module=False``, so the checkpoint header does not enter it;
+* ``weights``: sha256 of the named arrays (names and bytes, in name order)
+  and the history rows of that ``train`` run, so trained weights that stay
+  bitwise equal show as such when the checkpoint's config header changes;
+* ``graph_off``: the same digest for the same training with
+  ``use_graph_module=False``;
 * ``align`` and ``align_cc``: sha256 of the field targets that
   ``align_search`` returns for a level-4 signal and its copy under a seeded
   random rotation, and ``repr`` of its CC;
@@ -244,16 +246,21 @@ def _mesh(out: dict) -> None:
     out["mesh"] = digest.hexdigest()
 
 
-def _graph_off(pairs) -> str:
-    """The ``graph_off`` entry: a 2-epoch training without the graph module."""
-    config = training.TrainConfig(epochs=2, use_graph_module=False)
-    model, history = training.train(config, pairs[:16], val_dataset=pairs[16:])
+def _weights(model, history) -> str:
+    """sha256 of a trained model's named arrays and its history rows."""
     digest = hashlib.sha256()
     for name, array in sorted(training.named_arrays(model).items()):
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(array).tobytes())
     digest.update(repr(history).encode())
     return digest.hexdigest()
+
+
+def _graph_off(pairs) -> str:
+    """The ``graph_off`` entry: a 2-epoch training without the graph module."""
+    config = training.TrainConfig(epochs=2, use_graph_module=False)
+    return _weights(*training.train(config, pairs[:16],
+                                    val_dataset=pairs[16:]))
 
 
 def main() -> int:
@@ -265,8 +272,9 @@ def main() -> int:
         log = os.path.join(work, "train.csv")
         counts: list = []
         _count_first_cascade(counts)
-        training.train(config, pairs[:16], val_dataset=pairs[16:],
-                       log_path=log, checkpoint_path=checkpoint)
+        out["weights"] = _weights(*training.train(
+            config, pairs[:16], val_dataset=pairs[16:], log_path=log,
+            checkpoint_path=checkpoint))
         out["checkpoint"] = _sha256(checkpoint)
         out["log"] = _sha256(log)
         out["tape_nodes"] = counts[0]
