@@ -200,12 +200,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_register(args: argparse.Namespace) -> int:
     started = time.time()
     config, model = load_checkpoint(args.checkpoint)
-    overrides = {}
-    if args.crf_iters is not None:
-        overrides["crf_iters"] = args.crf_iters
-    if args.crf_weight is not None:
-        overrides["crf_weight"] = args.crf_weight
-    config = dataclasses.replace(config, **overrides)
     moving = read_signal(args.moving)
     fixed = read_signal(args.fixed)
     field, warped, result = register_pair(model, config, moving, fixed)
@@ -260,7 +254,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             handle.write("triangle,J,R\n")
             for i, (j_val, r_val) in enumerate(zip(report.J, report.R)):
                 handle.write(f"{i},{j_val!r},{r_val!r}\n")
-    primary = args.out_csv or args.field
+    # <field>.manifest.json belongs to the register or align run behind it
+    primary = args.out_csv or args.out_triangles or args.field + ".eval"
     _write_manifest(primary + ".manifest.json", "eval", None,
                     {"field": args.field, "moving": args.moving,
                      "fixed": args.fixed},
@@ -347,10 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", required=True)
     p.add_argument("--out-field", default="deformation.sphd")
     p.add_argument("--out-warped", default="warped.sphs")
-    p.add_argument("--crf-iters", type=int, default=None,
-                   help="override checkpoint CRF iteration count")
-    p.add_argument("--crf-weight", type=float, default=None,
-                   help="override checkpoint CRF pairwise weight")
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("eval", help="score a deformation against a pair",

@@ -8,9 +8,10 @@ the candidate label positions.  Refinement unrolls T mean-field updates
 the anchored unary logits, and re-normalized by a row softmax.  The Potts
 compatibility is fixed, not learned: slot k points a different way at each
 control point, so a learned slot-by-slot matrix has no fixed meaning to
-learn.  It lives in the grid's frozen kernel, whose diagonal is zero.  T and
-w come from the training config and sigma is the stage grid's mean control
-edge arc; the trainer builds one ``CrfParams`` per stage and call.
+learn.  It lives in the grid's frozen kernel, whose diagonal is zero.  The
+cascade runs the fixed schedule T = ``CRF_ITERATIONS``, w = ``CRF_WEIGHT``
+with sigma the stage grid's mean control edge arc; the trainer builds one
+``CrfParams`` per stage and call.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from . import autodiff as ag
 from .discrete_reg import ControlGrid, DeformationProbabilities, check_q_shape
 
 UNARY_FLOOR = 1e-12
+# the cascade's mean-field schedule: iterations T and pairwise weight w
+CRF_ITERATIONS = 5
+CRF_WEIGHT = 0.5
 
 
 @dataclass

@@ -183,10 +183,6 @@ class BlockParams:
     bn_var: np.ndarray
     relu: bool = True
 
-    @property
-    def c_out(self) -> int:
-        return self.filt.c_out
-
 
 def init_block(c_out: int, c_in: int, L: int, rng, relu: bool = True) -> BlockParams:
     return BlockParams(

@@ -1,15 +1,17 @@
 """Cascaded two-scale registration: model assembly, synthetic data, training.
 
 The model runs two discrete registration stages: a coarse stage (control
-level ``control_coarse``) deforms the moving image first, then a fine stage
-(control level ``control_fine``) refines the result.  Training is
+level ``CONTROL_COARSE``) deforms the moving image first, then a fine stage
+(control level ``CONTROL_FINE``) refines the result.  Training is
 unsupervised: similarity is measured at the finest scale only (cascaded
 mode) or per stage (independent mode, the ablation), plus control-grid
 smoothness regularization.  There are two run modes: training relaxes the
 discrete label choice to the probability-weighted mean of label positions
 and normalises with batch statistics, folding them into running buffers it
 never reads; inference decodes the hard argmax and normalises with those
-buffers.  Label grids and the CRF schedule come from the config alone.
+buffers.  The control levels and the CRF schedule are module constants
+(here and in ``crf``), fixed for every run as in the paper's two-scale
+cascade; the config sets the model, the optimiser and the ablations.
 
 All parameters live in plain numpy arrays; during a training step they are
 wrapped as autodiff tensors, gradients accumulate over the batch, and an
@@ -27,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ag
 from . import fileio
-from .crf import CrfParams, crf_refine, mean_edge_arc
+from .crf import (CRF_ITERATIONS, CRF_WEIGHT, CrfParams, crf_refine,
+                  mean_edge_arc)
 from .discrete_reg import (ControlGrid, DeformationProbabilities, UNetParams,
                            argmax_deformation, build_label_sets, init_unet,
                            predict_probabilities, soft_deformation, unet_forward)
@@ -48,10 +51,6 @@ class TrainConfig:
     bandwidth: int = 16
     channels: int = 8
     heads: int = 4
-    control_coarse: int = 1
-    control_fine: int = 2
-    crf_iters: int = 5
-    crf_weight: float = 0.5
     lambda1: float = 0.05
     lambda2: float = 0.02
     learning_rate: float = 0.01
@@ -73,17 +72,13 @@ class TrainConfig:
                      "epochs", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not (self.control_coarse < self.control_fine < self.mesh_level + 1):
-            raise ValueError(
-                "control levels must satisfy coarse < fine <= mesh level")
+        if self.mesh_level < CONTROL_FINE:
+            raise ValueError(f"mesh level must be at least the fine control "
+                             f"level {CONTROL_FINE}, got {self.mesh_level}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("regularization weights must be nonnegative")
-        if not 0 <= self.crf_iters <= 20:
-            raise ValueError(f"crf_iters must lie in [0, 20], got {self.crf_iters}")
-        if self.crf_weight < 0:
-            raise ValueError("crf_weight must be nonnegative")
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -110,30 +105,25 @@ class ModelParams:
     fine: UNetParams
 
 
-def build_grids(config: TrainConfig) -> tuple[ControlGrid, ControlGrid]:
-    """Label grids for both stages (label level = control level + 2).
+def build_grids() -> tuple[ControlGrid, ControlGrid]:
+    """Label grids for both stages, at control levels ``CONTROL_COARSE``
+    and ``CONTROL_FINE`` (label level = control level + 2).
 
     The label mesh sits two levels below the control mesh so a label step,
     one label-mesh edge, is a quarter of the control edge.  Adjacent control
     points snapping toward each other then compress a cell by at most half,
     keeping the Jacobian of the densified map positive; with half-edge steps
     (one level) opposing snaps sit exactly at the fold threshold.  Both
-    stages need seven labels, so a level-0 coarse grid (six) is refused."""
-    coarse = build_label_sets(config.control_coarse, config.control_coarse + 2)
-    fine = build_label_sets(config.control_fine, config.control_fine + 2)
-    if coarse.n_labels != fine.n_labels:
-        raise ValueError(
-            f"label counts differ across scales ({coarse.n_labels} vs "
-            f"{fine.n_labels}): every level-0 control point has five "
-            "neighbours, not six; raise control_coarse")
-    return coarse, fine
+    grids have seven labels, so the two U-Nets share one head width."""
+    return (build_label_sets(CONTROL_COARSE, CONTROL_COARSE + 2),
+            build_label_sets(CONTROL_FINE, CONTROL_FINE + 2))
 
 
 def init_model(config: TrainConfig) -> ModelParams:
     """Seeded initial parameters: the two U-Nets.  The CRF has none; its
     Potts compatibility is fixed in the grids' kernels."""
     rng = np.random.default_rng(config.seed)
-    n_l = build_grids(config)[0].n_labels
+    n_l = build_grids()[0].n_labels
     return ModelParams(
         coarse=init_unet(config.bandwidth, config.channels, n_l, config.heads,
                          rng, use_graph=config.use_graph_module),
@@ -195,6 +185,10 @@ def _unwrap_parameters(model: ModelParams) -> None:
 # synthetic data
 # ---------------------------------------------------------------------------
 
+# Control levels of the coarse and the fine stage
+CONTROL_COARSE = 1
+CONTROL_FINE = 2
+
 # Synthetic pairs: RMS control-point displacement on the unit sphere and its
 # harmonic degree; noise std relative to the fixed image's; per-pair detail
 # std relative to the standardised template's
@@ -248,7 +242,7 @@ def synth_dataset(n_pairs: int, config: TrainConfig, seed: int) -> list[Syntheti
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     from .metrics import fold_count
-    control = generate_icosphere(config.control_coarse)
+    control = generate_icosphere(CONTROL_COARSE)
     mesh = generate_icosphere(config.mesh_level)
     basis = build_basis(mesh, config.bandwidth // 2)    # the model's, cached
 
@@ -269,8 +263,7 @@ def synth_dataset(n_pairs: int, config: TrainConfig, seed: int) -> list[Syntheti
             moves = _smooth_control_moves(control, rng)
             candidate = DeformationField(
                 config.mesh_level,
-                densify_targets(moves, config.control_coarse,
-                                config.mesh_level))
+                densify_targets(moves, CONTROL_COARSE, config.mesh_level))
             if fold_count(mesh, candidate) == 0:
                 truth = candidate
                 break
@@ -314,8 +307,7 @@ def _stage(values_moving, values_fixed, net: UNetParams, grid: ControlGrid,
     Q = predict_probabilities(logits, grid)
     t1 = time.perf_counter()
     if config.use_crf:
-        params = CrfParams(config.crf_iters, mean_edge_arc(grid),
-                           config.crf_weight)
+        params = CrfParams(CRF_ITERATIONS, mean_edge_arc(grid), CRF_WEIGHT)
         Q = crf_refine(Q, grid, params)
     t2 = time.perf_counter()
     if training:
@@ -340,7 +332,7 @@ def forward_cascade(moving, fixed, model: ModelParams, config: TrainConfig,
     tensors).  ``training`` picks the mode (see the module docstring).  In
     independent mode the second stage sees the first stage's output as a
     constant, so no gradient crosses the scale boundary."""
-    grid_coarse, grid_fine = build_grids(config)
+    grid_coarse, grid_fine = build_grids()
     timings: dict = {}
     warped1, ctrl1, dense1, q1 = _stage(
         moving, fixed, model.coarse, grid_coarse, config, training, timings)
@@ -365,8 +357,8 @@ def composed_field(result: CascadeResult, config: TrainConfig) -> DeformationFie
 def total_loss(result: CascadeResult, fixed, config: TrainConfig):
     """loss_sim + loss_reg per the cascade mode (see train()).  Returns
     (loss, sim_part, reg_part) as graph nodes / floats."""
-    reg = loss_reg((result.control1, config.control_coarse),
-                   (result.control2, config.control_fine),
+    reg = loss_reg((result.control1, CONTROL_COARSE),
+                   (result.control2, CONTROL_FINE),
                    config.lambda1, config.lambda2)
     sim = loss_sim(fixed, result.warped)
     if config.cascade_mode == "independent":

@@ -213,7 +213,7 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["use_crf=maybe", "epochs=x",
-                                  "crf_weight=heavy"])
+                                  "lambda1=heavy"])
 def test_config_file_bad_value_rejected(tmp_path, capsys, line):
     config_file = tmp_path / "bad.cfg"
     config_file.write_text(line + "\n")
@@ -355,34 +355,48 @@ def test_register_manifest_keeps_the_printed_phase_times(tmp_path, capsys):
     assert sum(phases.values()) <= manifest["duration_s"]
 
 
-def test_register_crf_override_flags(tmp_path):
-    # a zero-head model is only an exact identity when the CRF is silenced,
-    # so the override flags have an observable effect
+@pytest.mark.parametrize("argv", [
+    ["register", "--crf-iters", "0"], ["register", "--crf-weight", "0"],
+    ["synth", "--control-coarse", "1"], ["train", "--crf-iters", "5"]],
+    ids=["register-crf-iters", "register-crf-weight", "synth-control-coarse",
+         "train-crf-iters"])
+def test_fixed_schedule_flags_are_usage_errors(tmp_path, argv):
+    # the control levels and the CRF schedule are constants, not settings
+    required = {"register": ["--checkpoint", "m.sphk", "--moving", "m.sphs",
+                             "--fixed", "f.sphs"],
+                "synth": ["--n-pairs", 1, "--out-dir", tmp_path / "d"],
+                "train": ["--data", tmp_path / "d"]}[argv[0]]
+    with pytest.raises(SystemExit) as excinfo:
+        run([*argv, *required])
+    assert excinfo.value.code == 2
+
+
+def test_eval_keeps_the_manifest_of_the_run_that_wrote_the_field(tmp_path):
     data = make_dataset(tmp_path)
-    ckpt = zero_head_checkpoint(tmp_path, use_crf=True)
-    vertices = generate_icosphere(2).vertices
-
-    plain = tmp_path / "plain.sphd"
+    ckpt = zero_head_checkpoint(tmp_path)
+    field = tmp_path / "out.sphd"
     assert run(["register", "--checkpoint", ckpt,
                 "--moving", data / "pair_0000.moving.sphs",
                 "--fixed", data / "pair_0000.fixed.sphs",
-                "--out-field", plain,
-                "--out-warped", tmp_path / "w1.sphs"]) == 0
-    assert not np.array_equal(fileio.read_field(plain).targets, vertices)
-
-    silenced = tmp_path / "silenced.sphd"
-    assert run(["register", "--checkpoint", ckpt,
+                "--out-field", field,
+                "--out-warped", tmp_path / "w.sphs"]) == 0
+    assert run(["eval", "--field", field,
                 "--moving", data / "pair_0000.moving.sphs",
-                "--fixed", data / "pair_0000.fixed.sphs",
-                "--out-field", silenced,
-                "--out-warped", tmp_path / "w2.sphs",
-                "--crf-iters", 0]) == 0
-    np.testing.assert_array_equal(fileio.read_field(silenced).targets,
-                                  vertices)
-
+                "--fixed", data / "pair_0000.fixed.sphs"]) == 0
+    manifest = json.loads((tmp_path / "out.sphd.manifest.json").read_text())
+    assert manifest["command"] == "register"
+    assert list(manifest["phases"]) == ["crf", "densify", "forward", "warp"]
     manifest = json.loads(
-        (tmp_path / "silenced.sphd.manifest.json").read_text())
-    assert manifest["config"]["crf_iters"] == 0
+        (tmp_path / "out.sphd.eval.manifest.json").read_text())
+    assert manifest["command"] == "eval"
+    assert manifest["inputs"]["field"] == str(field)
+    triangles = tmp_path / "tri.csv"
+    assert run(["eval", "--field", field,
+                "--moving", data / "pair_0000.moving.sphs",
+                "--fixed", data / "pair_0000.fixed.sphs",
+                "--out-triangles", triangles]) == 0
+    manifest = json.loads((tmp_path / "tri.csv.manifest.json").read_text())
+    assert manifest["outputs"]["triangles"] == str(triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +538,21 @@ def test_synthetic_data_settings_checkpoint_exits_3(tmp_path, capsys):
     assert ("unknown config keys: ['label_hops', 'synth_detail', "
             "'synth_noise', 'synth_warp_amplitude', 'synth_warp_degree']"
             in err)
+
+
+def test_fixed_schedule_checkpoint_exits_3(tmp_path, capsys):
+    # configs written while the control levels and the CRF schedule were
+    # config fields hold four keys since removed
+    ckpt = zero_head_checkpoint(tmp_path)
+    config, tensors = fileio.read_checkpoint(ckpt)
+    config.update(control_coarse=1, control_fine=2, crf_iters=5,
+                  crf_weight=0.5)
+    fileio.write_checkpoint(ckpt, config, tensors)
+    assert register_with(tmp_path, ckpt) == 3
+    err = capsys.readouterr().err
+    assert "format error" in err and "byte 12" in err
+    assert ("unknown config keys: ['control_coarse', 'control_fine', "
+            "'crf_iters', 'crf_weight']" in err)
 
 
 def test_eval_ground_truth_field_beats_unregistered(tmp_path, capsys):

@@ -15,14 +15,16 @@ import pytest
 
 from sphreg import autodiff as ag
 from sphreg import training
-from sphreg.crf import CrfParams, crf_refine, mean_edge_arc
+from sphreg.crf import (CRF_ITERATIONS, CRF_WEIGHT, CrfParams, crf_refine,
+                        mean_edge_arc)
 from sphreg.discrete_reg import predict_probabilities, unet_forward
 from sphreg.graph_attention import init_graph_module
 from sphreg.icosphere import SphericalSignal, generate_icosphere
 from sphreg.metrics import distortion_report, pearson_cc
 from sphreg.shconv import init_block
-from sphreg.training import (ModelParams, TrainConfig, align_search,
-                             build_grids, composed_field, forward_cascade,
+from sphreg.training import (CONTROL_COARSE, CONTROL_FINE, ModelParams,
+                             TrainConfig, align_search, build_grids,
+                             composed_field, forward_cascade,
                              init_model, load_checkpoint, named_arrays,
                              register_pair, save_checkpoint, synth_dataset,
                              total_loss, train)
@@ -32,9 +34,8 @@ from sphreg.warp import DeformationField, warp_signal
 
 
 def tiny_config(**overrides) -> TrainConfig:
-    base = dict(mesh_level=2, bandwidth=8, channels=4, heads=2,
-                control_coarse=1, control_fine=2, epochs=3, batch_size=4,
-                learning_rate=0.05)
+    base = dict(mesh_level=2, bandwidth=8, channels=4, heads=2, epochs=3,
+                batch_size=4, learning_rate=0.05)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -97,32 +98,19 @@ def test_config_validation():
         TrainConfig(cascade_mode="parallel")
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError, match="control levels"):
-        TrainConfig(control_coarse=2, control_fine=2)
-    with pytest.raises(ValueError, match="control levels"):
-        TrainConfig(mesh_level=2, control_coarse=1, control_fine=3)
+    with pytest.raises(ValueError, match="fine control level 2, got 1"):
+        TrainConfig(mesh_level=1)
     with pytest.raises(ValueError, match="learning rate"):
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         TrainConfig(lambda1=-0.1)
 
 
-def test_config_rejects_bad_crf_schedule():
-    # the config is the schedule's only owner, so it validates it even
-    # when use_crf is off and no CrfParams is ever built
-    with pytest.raises(ValueError, match="crf_iters"):
-        TrainConfig(crf_iters=21)
-    with pytest.raises(ValueError, match="crf_iters"):
-        TrainConfig(crf_iters=-1, use_crf=False)
-    with pytest.raises(ValueError, match="crf_weight"):
-        TrainConfig(crf_weight=-0.1)
-
-
-@pytest.mark.parametrize("overrides", [dict(control_coarse=0)],
-                         ids=["control_coarse0"])
-def test_unequal_label_counts_name_the_fields_to_change(overrides):
-    with pytest.raises(ValueError, match="control_coarse"):
-        build_grids(TrainConfig(**overrides))
+def test_build_grids_gives_seven_labels_at_the_fixed_control_levels():
+    coarse, fine = build_grids()
+    assert (coarse.control_level, fine.control_level) == (1, 2)
+    assert (coarse.label_level, fine.label_level) == (3, 4)
+    assert coarse.n_labels == fine.n_labels == 7
 
 
 def test_config_json_roundtrip():
@@ -189,9 +177,9 @@ def test_forward_cascade_matches_composed_field():
 
     from sphreg.warp import DeformationField, compose, densify_targets
     phi1 = DeformationField(cfg.mesh_level, densify_targets(
-        ag.value_of(result.control1), cfg.control_coarse, cfg.mesh_level))
+        ag.value_of(result.control1), CONTROL_COARSE, cfg.mesh_level))
     phi2 = DeformationField(cfg.mesh_level, densify_targets(
-        ag.value_of(result.control2), cfg.control_fine, cfg.mesh_level))
+        ag.value_of(result.control2), CONTROL_FINE, cfg.mesh_level))
     np.testing.assert_array_equal(field.targets,
                                   compose(phi2, phi1).targets)
 
@@ -267,7 +255,7 @@ def test_training_mode_never_reads_running_buffers():
 def test_crf_schedule_defaults_from_grid():
     # each stage's kernel bandwidth is its grid's mean control edge arc
     cfg = tiny_config()
-    grid = build_grids(cfg)[0]
+    grid = build_grids()[0]
     model = init_model(cfg)
     pair = synth_dataset(1, cfg, seed=31)[0]
     result = forward_cascade(pair.moving.values, pair.fixed.values, model, cfg)
@@ -276,7 +264,7 @@ def test_crf_schedule_defaults_from_grid():
     unrefined = predict_probabilities(logits, grid)
 
     def refined(sigma: float) -> bytes:
-        params = CrfParams(cfg.crf_iters, sigma, cfg.crf_weight)
+        params = CrfParams(CRF_ITERATIONS, sigma, CRF_WEIGHT)
         return crf_refine(unrefined, grid, params).value.tobytes()
 
     assert result.Q1.value.tobytes() == refined(mean_edge_arc(grid))
@@ -353,7 +341,7 @@ def test_init_keeps_the_draw_order_of_residual_pooling_blocks():
     # starts from the numbers of a U-Net whose seven blocks all draw one
     config = TrainConfig()
     rng = np.random.default_rng(config.seed)
-    n_l = build_grids(config)[0].n_labels
+    n_l = build_grids()[0].n_labels
     L, c = config.bandwidth, config.channels
     expected = {}
     for scale in ("coarse", "fine"):

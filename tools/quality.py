@@ -26,6 +26,7 @@ script runs unchanged on older checkouts.
 """
 
 import dataclasses
+import inspect
 import sys
 import time
 
@@ -61,7 +62,9 @@ def identity_share(Q, grid) -> float:
 def run(config: TrainConfig, pairs) -> dict:
     """Train on the first TRAIN_N pairs and score the held-out tail."""
     mesh = generate_icosphere(config.mesh_level)
-    grids = build_grids(config)
+    # build_grids took the config until the control levels became constants
+    grids = (build_grids(config) if inspect.signature(build_grids).parameters
+             else build_grids())
     start = time.perf_counter()
     model, _ = train(config, pairs[:TRAIN_N], val_dataset=pairs[TRAIN_N:])
     pre, ccs, means, maxes, p98s, shares = [], [], [], [], [], []
