@@ -78,16 +78,28 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+# the TrainConfig fields that change what synth writes
+_SYNTH_FIELDS = ("mesh_level", "bandwidth", "seed")
+
+
+def _add_field_flags(group, names) -> None:
+    """One flag per TrainConfig field in ``names``.  An unset flag leaves
+    no attribute, so the help prints only the field's own default."""
+    for f in dataclasses.fields(TrainConfig):
+        if f.name in names:
+            group.add_argument("--" + f.name.replace("_", "-"),
+                               type=_PARSERS[f.type],
+                               default=argparse.SUPPRESS,
+                               metavar="BOOL" if f.type == "bool" else None,
+                               help=f"override {f.name} (default {f.default})")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="key=value config file")
-    group = parser.add_argument_group(
-        "model/config overrides (flag beats config file beats default)")
-    for f in dataclasses.fields(TrainConfig):
-        group.add_argument("--" + f.name.replace("_", "-"),
-                           type=_PARSERS[f.type], default=None,
-                           metavar="BOOL" if f.type == "bool" else None,
-                           help=f"override {f.name} (default {f.default})")
+    _add_field_flags(parser.add_argument_group(
+        "model/config overrides (flag beats config file beats default)"),
+        [f.name for f in dataclasses.fields(TrainConfig)])
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
@@ -153,7 +165,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         write_field(truth_path, pair.ground_truth)
     print(f"wrote {len(pairs)} pairs to {args.out_dir}")
     _write_manifest(os.path.join(args.out_dir, "manifest.json"), "synth",
-                    dataclasses.asdict(config), {},
+                    {name: getattr(config, name) for name in _SYNTH_FIELDS},
+                    {},
                     {"out_dir": args.out_dir, "n_pairs": args.n_pairs},
                     config.seed, started)
     return 0
@@ -269,7 +282,12 @@ def cmd_resample(args: argparse.Namespace) -> int:
     signal = read_signal(args.input)
     src_mesh = generate_icosphere(signal.level)
     dst_mesh = generate_icosphere(args.level)
-    values = barycentric_resample(signal.values, src_mesh, dst_mesh.vertices)
+    # the two levels share their first min(N_src, N_dst) vertices, which
+    # resample to their own rows: copy those and locate only the vertices
+    # a finer level adds (none for a same or coarser level)
+    shared = min(src_mesh.n_vertices, dst_mesh.n_vertices)
+    values = np.concatenate([signal.values[:shared], barycentric_resample(
+        signal.values, src_mesh, dst_mesh.vertices[shared:])])
     write_signal(args.out, SphericalSignal(args.level, values))
     print(f"resampled level {signal.level} -> {args.level} "
           f"({dst_mesh.n_vertices} vertices)")
@@ -323,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--n-pairs", type=int, required=True)
     p.add_argument("--out-dir", required=True)
-    _add_config_flags(p)
+    _add_field_flags(p.add_argument_group(
+        "data settings (flag beats default)"), _SYNTH_FIELDS)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a registration model",

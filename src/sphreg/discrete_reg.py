@@ -110,7 +110,7 @@ def build_label_sets(control_level: int, label_level: int) -> ControlGrid:
     """Label sets from one-ring neighbourhoods on the label mesh.
 
     Each control point (a label-mesh vertex by the prefix property) gets
-    slot 0 = itself, then its label-mesh ``one_ring`` nearest-first (arc
+    slot 0 = itself, then its label-mesh one-ring nearest-first (arc
     distance, index tie-break).  N_l is one more than the largest degree;
     degree-5 control points pad the trailing slot with a repeat of the
     identity label so Q stays rectangular and padding slots are inert.
@@ -128,7 +128,7 @@ def build_label_sets(control_level: int, label_level: int) -> ControlGrid:
 
 @cache
 def _label_sets(control: Icosphere, label: Icosphere) -> ControlGrid:
-    # ring_src slices: one_ring would cache a view per label-mesh vertex
+    # the one-rings of the control vertices, as slices of ring_src
     ring, offsets = label.ring_src, label.ring_offsets
     neighbor_sets: list[np.ndarray] = []
     for c in range(control.n_vertices):

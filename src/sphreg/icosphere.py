@@ -62,8 +62,8 @@ class Icosphere:
     ``edges`` are the undirected edges as sorted (i, j) pairs in
     lexicographic order.  The directed one-ring is stored in CSR form:
     ``ring_dst`` ascending, ``ring_src`` ascending within each destination,
-    and ``ring_offsets[v]:ring_offsets[v + 1]`` the slice of vertex v, of
-    which ``one_ring[v]`` is a view.
+    and ``ring_src[ring_offsets[v]:ring_offsets[v + 1]]`` the one-ring of
+    vertex v.
     ``incident_faces[v]`` lists the faces around v in ascending order,
     padded to six with the first of them.
 
@@ -71,7 +71,7 @@ class Icosphere:
     k of face f.
 
     ``neighbourhood`` is the (V, 7) attention table: row v holds v itself,
-    then ``one_ring[v]``.  The twelve degree-5 vertices pad their last slot
+    then the one-ring of v.  The twelve degree-5 vertices pad their last slot
     with v, so slot k of row v is padding exactly when k exceeds the degree
     ``ring_offsets[v + 1] - ring_offsets[v]``.
     """
@@ -154,11 +154,6 @@ class Icosphere:
                    .astype(np.int64) - slot)
         return _frozen((partner % self.n_faces)
                        .reshape(3, self.n_faces).T[:, [1, 2, 0]])
-
-    @cached_property
-    def one_ring(self) -> tuple[np.ndarray, ...]:
-        """Per vertex, the view of ``ring_src`` holding its neighbours."""
-        return tuple(np.split(self.ring_src, self.ring_offsets[1:-1]))
 
     @cached_property
     def antipodes(self) -> np.ndarray:

@@ -1,6 +1,12 @@
-"""Edge arc lengths of a mesh, for tests that bound distances by them."""
+"""Mesh helpers for tests: edge arc lengths, for tests that bound distances
+by them, and per-vertex one-rings, for reference loops over neighbours."""
 
 import numpy as np
+
+
+def one_ring(mesh) -> tuple:
+    """Per vertex, the view of ``mesh.ring_src`` holding its neighbours."""
+    return tuple(np.split(mesh.ring_src, mesh.ring_offsets[1:-1]))
 
 
 def _edge_arcs(mesh):

@@ -29,6 +29,8 @@ from sphreg.training import (_FAMILIES, _SAMPLES_PER_FAMILY, TrainConfig,
                              train)
 from sphreg.warp import DeformationField, identity_field
 
+from mesh_arcs import one_ring
+
 TRAIN_N = 64
 HELD_OUT = 16
 
@@ -128,13 +130,14 @@ def _oracle_gat(features: np.ndarray, mesh, layer: GatLayer):
     a = np.asarray(ag.value_of(layer.a))
     heads, d_head, _ = W.shape
     n = features.shape[0]
+    rings = one_ring(mesh)
     head_outputs = []
     rows = []
     for h in range(heads):
         projected = features @ W[h].T
         out = np.zeros((n, d_head))
         for i in range(n):
-            neighbours = [i] + list(mesh.one_ring[i])
+            neighbours = [i] + list(rings[i])
             logits = np.empty(len(neighbours))
             for k, j in enumerate(neighbours):
                 z = a[h] @ np.concatenate([projected[i], projected[j]])

@@ -7,7 +7,9 @@ the documented return codes (0 ok, 2 usage, 3 format, 4 numeric).
 """
 
 import argparse
+import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -15,23 +17,25 @@ import pytest
 
 import sphreg
 from sphreg import cli, fileio
-from sphreg.icosphere import SphericalSignal, generate_icosphere
+from sphreg.icosphere import (SphericalSignal, barycentric_resample,
+                              generate_icosphere)
 from sphreg.metrics import pearson_cc
 from sphreg.training import TrainConfig, init_model, save_checkpoint
 from sphreg.warp import DeformationField, densify_targets
 
-TINY = ["--mesh-level", "2", "--bandwidth", "8", "--channels", "4",
-        "--heads", "2", "--epochs", "1", "--batch-size", "2"]
+SYNTH_TINY = ["--mesh-level", "2", "--bandwidth", "8"]
+TINY = [*SYNTH_TINY, "--channels", "4", "--heads", "2", "--epochs", "1",
+        "--batch-size", "2"]
 
 
 def run(argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
-def make_dataset(tmp_path, n_pairs: int = 2, extra=()):
+def make_dataset(tmp_path, n_pairs: int = 2):
     data = tmp_path / "data"
     code = run(["synth", "--n-pairs", n_pairs, "--out-dir", data,
-                *TINY, *extra])
+                *SYNTH_TINY])
     assert code == 0
     return data
 
@@ -123,7 +127,8 @@ def test_parser_is_built_once_and_namespaces_are_independent(tmp_path,
 
 
 def test_usage_error_exit_code_on_bad_value(tmp_path, capsys):
-    code = run(["synth", "--n-pairs", 0, "--out-dir", tmp_path / "d", *TINY])
+    code = run(["synth", "--n-pairs", 0, "--out-dir", tmp_path / "d",
+                *SYNTH_TINY])
     assert code == 2
     assert "n_pairs" in capsys.readouterr().err
 
@@ -192,22 +197,22 @@ def test_flag_beats_config_file_beats_default(tmp_path):
     config_file.write_text(
         "# comment\n"
         "mesh_level=2\nbandwidth=8\nchannels=4\nheads=2\n"
-        "seed=7\n")
-    data = tmp_path / "data"
-    code = run(["synth", "--n-pairs", 1, "--out-dir", data,
+        "seed=7\nepochs=1\n")
+    data = make_dataset(tmp_path, n_pairs=1)
+    ckpt = tmp_path / "m.sphk"
+    code = run(["train", "--data", data, "--out", ckpt,
                 "--config", config_file, "--seed", 9])
     assert code == 0
-    manifest = json.loads((data / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "m.sphk.manifest.json").read_text())
     assert manifest["config"]["seed"] == 9            # flag wins
     assert manifest["config"]["channels"] == 4        # file beats default
-    assert manifest["config"]["epochs"] == TrainConfig().epochs
+    assert manifest["config"]["lambda1"] == TrainConfig().lambda1
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     config_file = tmp_path / "bad.cfg"
     config_file.write_text("momentum=0.9\n")
-    code = run(["synth", "--n-pairs", 1, "--out-dir", tmp_path / "d",
-                "--config", config_file])
+    code = run(["train", "--data", tmp_path / "d", "--config", config_file])
     assert code == 2
     assert "unknown config key" in capsys.readouterr().err
 
@@ -217,8 +222,7 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
 def test_config_file_bad_value_rejected(tmp_path, capsys, line):
     config_file = tmp_path / "bad.cfg"
     config_file.write_text(line + "\n")
-    code = run(["synth", "--n-pairs", 1, "--out-dir", tmp_path / "d",
-                "--config", config_file])
+    code = run(["train", "--data", tmp_path / "d", "--config", config_file])
     assert code == 2
     assert f"bad.cfg:1: {line.split('=')[0]}" in capsys.readouterr().err
 
@@ -226,14 +230,24 @@ def test_config_file_bad_value_rejected(tmp_path, capsys, line):
 def test_config_file_malformed_line_rejected(tmp_path, capsys):
     config_file = tmp_path / "bad.cfg"
     config_file.write_text("mesh_level 2\n")
-    code = run(["synth", "--n-pairs", 1, "--out-dir", tmp_path / "d",
-                "--config", config_file])
+    code = run(["train", "--data", tmp_path / "d", "--config", config_file])
     assert code == 2
     assert "expected key=value" in capsys.readouterr().err
 
 
+def test_config_flag_help_states_one_default(capsys):
+    # the formatter appended argparse's None to each help's own default:
+    # "override epochs (default 15) (default: None)"
+    with pytest.raises(SystemExit):
+        run(["train", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for f in dataclasses.fields(TrainConfig):
+        assert f"override {f.name} (default {f.default})" in text
+    assert not re.search(r"\(default [^)]*\) \(default: ", text)
+
+
 # ---------------------------------------------------------------------------
-# synth determinism
+# synth
 # ---------------------------------------------------------------------------
 
 def test_synth_is_deterministic_across_runs(tmp_path):
@@ -242,6 +256,31 @@ def test_synth_is_deterministic_across_runs(tmp_path):
     for name in ("pair_0000.fixed.sphs", "pair_0000.moving.sphs",
                  "pair_0000.truth.sphd", "pair_0001.fixed.sphs"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_synth_manifest_records_only_the_settings_it_used(tmp_path):
+    data = make_dataset(tmp_path, n_pairs=1)
+    manifest = json.loads((data / "manifest.json").read_text())
+    assert manifest["config"] == {"mesh_level": 2, "bandwidth": 8, "seed": 0}
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--channels", "4"), ("--heads", "2"), ("--lambda1", "0.3"),
+    ("--lambda2", "0.1"), ("--learning-rate", "0.1"), ("--epochs", "1"),
+    ("--batch-size", "1"), ("--use-graph-module", "false"),
+    ("--use-crf", "false"), ("--cascade-mode", "independent"),
+    ("--config", "empty.cfg")])
+def test_synth_rejects_the_flags_it_does_not_read(tmp_path, flag, value):
+    # synth accepted every TrainConfig flag and wrote the same pairs with
+    # or without them, but recorded them in its manifest
+    (tmp_path / "empty.cfg").write_text("")
+    if flag == "--config":
+        value = tmp_path / value
+    with pytest.raises(SystemExit) as excinfo:
+        run(["synth", "--n-pairs", 1, "--out-dir", tmp_path / "d",
+             *SYNTH_TINY, flag, value])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "d").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +628,27 @@ def test_resample_between_levels(tmp_path, capsys):
     assert upsampled.level == 3
     source = fileio.read_signal(data / "pair_0000.fixed.sphs")
     # coarse vertices are a prefix of the fine mesh: values carry over
-    np.testing.assert_allclose(upsampled.values[:162], source.values,
-                               atol=1e-12)
+    assert upsampled.values[:162].tobytes() == source.values.tobytes()
+
+
+def test_resample_equals_the_locator_at_every_level_pair(tmp_path):
+    # resample copies the vertices both levels share; it must give the
+    # bits that locating every target vertex gives
+    rng = np.random.default_rng(26)
+    for src in range(7):
+        mesh = generate_icosphere(src)
+        values = rng.standard_normal((mesh.n_vertices, 2))
+        signal = tmp_path / f"in{src}.sphs"
+        fileio.write_signal(signal, SphericalSignal(src, values))
+        for dst in range(7):
+            out = tmp_path / "out.sphs"
+            assert run(["resample", "--input", signal, "--level", dst,
+                        "--out", out]) == 0
+            expected = barycentric_resample(
+                values, mesh, generate_icosphere(dst).vertices)
+            got = fileio.read_signal(out)
+            assert got.level == dst
+            assert got.values.tobytes() == expected.tobytes(), (src, dst)
 
 
 def test_align_improves_rotated_pair(tmp_path, capsys):

@@ -13,7 +13,7 @@ from sphreg.icosphere import generate_icosphere
 from sphreg.shconv import ZonalFilter, init_zonal_filter, zonal_convolve
 from sphreg.sht import build_basis
 
-from mesh_arcs import max_edge_arc
+from mesh_arcs import max_edge_arc, one_ring
 
 
 # ---------------------------------------------------------------------------
@@ -28,10 +28,10 @@ def test_label_count_is_seven_for_one_hop():
 
 def test_interior_controls_get_self_plus_one_ring():
     grid = build_label_sets(1, 2)
-    label_mesh = generate_icosphere(2)
+    rings = one_ring(generate_icosphere(2))
     # control vertices 12..41 have degree 6 on the label mesh
     for c in range(12, 42):
-        expected = {c} | set(label_mesh.one_ring[c].tolist())
+        expected = {c} | set(rings[c].tolist())
         assert set(grid.labels[c].tolist()) == expected
 
 

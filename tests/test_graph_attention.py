@@ -19,6 +19,8 @@ from sphreg.graph_attention import (GatLayer, GraphModuleParams, LEAKY_SLOPE,
 from sphreg.icosphere import generate_icosphere, vertex_count
 from sphreg.sht import build_basis
 
+from mesh_arcs import one_ring
+
 
 def oracle_gat(features: np.ndarray, mesh, layer: GatLayer):
     """Per-vertex loop implementation; returns (output, attention rows)."""
@@ -26,13 +28,14 @@ def oracle_gat(features: np.ndarray, mesh, layer: GatLayer):
     a = np.asarray(ag.value_of(layer.a))
     heads, d_head, _ = W.shape
     n = features.shape[0]
+    rings = one_ring(mesh)
     head_outputs = []
     rows = []
     for h in range(heads):
         projected = features @ W[h].T
         out = np.zeros((n, d_head))
         for i in range(n):
-            neighbours = [i] + list(mesh.one_ring[i])
+            neighbours = [i] + list(rings[i])
             logits = np.empty(len(neighbours))
             for k, j in enumerate(neighbours):
                 z = a[h] @ np.concatenate([projected[i], projected[j]])
@@ -82,8 +85,8 @@ def test_uniform_attention_reduces_to_neighbourhood_mean():
     features = rng.standard_normal((mesh.n_vertices, 6))
     projected = features @ np.asarray(layer.W)[0].T
     expected = np.stack([
-        projected[[v] + list(mesh.one_ring[v])].mean(axis=0)
-        for v in range(mesh.n_vertices)])
+        projected[[v] + list(ring)].mean(axis=0)
+        for v, ring in enumerate(one_ring(mesh))])
     produced = ag.value_of(gat_forward(features, mesh, layer))
     assert np.max(np.abs(produced - expected)) < 1e-12
 
@@ -100,9 +103,9 @@ def test_edges_cover_one_ring_plus_self():
     # v, its one ring ascending, then v again in the padding slot if any
     mesh = generate_icosphere(1)
     degree = np.diff(mesh.ring_offsets)
-    for v in range(mesh.n_vertices):
+    for v, ring in enumerate(one_ring(mesh)):
         row = mesh.neighbourhood[v]
-        assert row.tolist() == [v] + mesh.one_ring[v].tolist() + \
+        assert row.tolist() == [v] + ring.tolist() + \
             [v] * (6 - degree[v])
     assert set(degree.tolist()) == {5, 6}
 

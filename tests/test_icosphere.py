@@ -12,11 +12,11 @@ import pytest
 from sphreg import autodiff as ag
 from sphreg import icosphere
 from sphreg.discrete_reg import build_label_sets
-from sphreg.icosphere import (Icosphere, SphericalSignal, barycentric_resample,
+from sphreg.icosphere import (SphericalSignal, barycentric_resample,
                               generate_icosphere, locate_faces, vertex_count)
 from sphreg.metrics import smoothness_penalty
 
-from mesh_arcs import max_edge_arc, mean_edge_arc
+from mesh_arcs import max_edge_arc, mean_edge_arc, one_ring
 
 
 @pytest.mark.parametrize("level,verts", [(0, 12), (1, 42), (2, 162),
@@ -43,7 +43,7 @@ def test_vertices_unit_norm():
 
 def test_twelve_degree_five_vertices_first():
     mesh = generate_icosphere(2)
-    degrees = np.array([len(ring) for ring in mesh.one_ring])
+    degrees = np.array([len(ring) for ring in one_ring(mesh)])
     assert (degrees[:12] == 5).all()
     assert (degrees[12:] == 6).all()
 
@@ -72,10 +72,10 @@ def test_antipodes_pair_every_vertex_with_minus_it(level):
 
 
 def test_one_ring_is_symmetric():
-    mesh = generate_icosphere(1)
-    for v, ring in enumerate(mesh.one_ring):
+    rings = one_ring(generate_icosphere(1))
+    for v, ring in enumerate(rings):
         for u in ring:
-            assert v in mesh.one_ring[u]
+            assert v in rings[u]
 
 
 def test_edge_arcs_shrink_roughly_by_half_per_level():
@@ -345,11 +345,9 @@ def test_memoised_locator_tables_are_frozen():
     # one cached table serves every caller; the writes store the same
     # values, so a writable table fails the test without corrupting it
     mesh = generate_icosphere(2)
-    for table in (mesh.corner_inverse, mesh.split_normals, mesh.one_ring[0]):
+    for table in (mesh.corner_inverse, mesh.split_normals, mesh.ring_src):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[0]
-    with pytest.raises(TypeError):
-        mesh.one_ring[0] = mesh.one_ring[0]
 
 
 def _oracle_locate(mesh, targets, rows_per_block=256):
@@ -476,7 +474,7 @@ def _reference_index_sets(mesh):
     for i, j in edges:
         neighbors[i].append(j)
         neighbors[j].append(i)
-    one_ring = [np.array(sorted(n), dtype=np.int64) for n in neighbors]
+    rings = [np.array(sorted(n), dtype=np.int64) for n in neighbors]
 
     order = np.argsort(faces.ravel(), kind="stable")
     face_ids = order // 3
@@ -490,14 +488,14 @@ def _reference_index_sets(mesh):
         table[v, len(incident):] = incident[0]
 
     neighbourhood = np.array([[v] + list(ring) + [v] * (6 - len(ring))
-                              for v, ring in enumerate(one_ring)], dtype=np.int64)
+                              for v, ring in enumerate(rings)], dtype=np.int64)
     ring_dst = np.concatenate([np.full(len(ring), v, dtype=np.int64)
-                               for v, ring in enumerate(one_ring)])
+                               for v, ring in enumerate(rings)])
     ring_src = np.concatenate([np.asarray(ring, dtype=np.int64)
-                               for ring in one_ring])
-    degree = np.array([len(ring) for ring in one_ring], dtype=np.float64)
+                               for ring in rings])
+    degree = np.array([len(ring) for ring in rings], dtype=np.float64)
     control_edges = np.array([(i, j) for i in range(mesh.n_vertices)
-                              for j in one_ring[i]], dtype=np.int64)
+                              for j in rings[i]], dtype=np.int64)
     faces_of_edge = {}
     for f, corners in enumerate(faces.tolist()):
         for k in range(3):
@@ -507,7 +505,7 @@ def _reference_index_sets(mesh):
         [[next(g for g in faces_of_edge[frozenset(corners[:k] + corners[k + 1:])]
                if g != f) for k in range(3)]
          for f, corners in enumerate(faces.tolist())], dtype=np.int64)
-    return dict(edges=edges, one_ring=one_ring, table=table,
+    return dict(edges=edges, one_ring=rings, table=table,
                 neighbourhood=neighbourhood, ring_dst=ring_dst,
                 ring_src=ring_src, degree=degree, control_edges=control_edges,
                 face_neighbours=face_neighbours)
@@ -527,8 +525,9 @@ def test_index_sets_match_reference_loops(level):
     _assert_same(mesh.ring_dst, ref["ring_dst"])
     _assert_same(mesh.ring_src, ref["ring_src"])
     _assert_same(np.diff(mesh.ring_offsets).astype(np.float64), ref["degree"])
-    assert len(mesh.one_ring) == len(ref["one_ring"])
-    for got, expected in zip(mesh.one_ring, ref["one_ring"]):
+    rings = one_ring(mesh)
+    assert len(rings) == len(ref["one_ring"])
+    for got, expected in zip(rings, ref["one_ring"]):
         _assert_same(got, expected)
     _assert_same(mesh.incident_faces, ref["table"])
 
@@ -548,15 +547,12 @@ def test_index_sets_match_reference_loops(level):
     assert ag.value_of(smoothness_penalty(targets, level)) == expected
 
 
-def test_one_ring_is_built_on_first_use():
-    # a level-6 mesh is built without its one-ring list, which then matches
-    # the CSR slices of ring_src
-    parent = icosphere.generate_icosphere(5)
-    mesh = Icosphere(6, *icosphere._subdivide(parent))
-    assert "one_ring" not in vars(mesh)
-    rings = mesh.one_ring
+def test_mesh_caches_no_per_vertex_one_ring():
+    # the one-ring is read as CSR slices of ring_src; a mesh that cached a
+    # view per vertex kept 40,962 of them for life at level 6
+    mesh = generate_icosphere(6)
+    rings = one_ring(mesh)
     assert len(rings) == mesh.n_vertices
-    for v, ring in enumerate(rings):
-        lo, hi = mesh.ring_offsets[v], mesh.ring_offsets[v + 1]
-        np.testing.assert_array_equal(ring, mesh.ring_src[lo:hi])
-    assert mesh.one_ring is rings
+    assert [len(ring) for ring in rings] == np.diff(mesh.ring_offsets).tolist()
+    assert np.concatenate(rings).tobytes() == mesh.ring_src.tobytes()
+    assert not hasattr(mesh, "one_ring")

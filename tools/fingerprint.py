@@ -29,6 +29,10 @@ registration and the gradient check bitwise equal.  The object holds
   resampled from level 6 at the level-4 vertices, where every target is a
   source vertex and snaps, and from level 4 at the level-6 vertices, where
   the level-4 prefix snaps and the rest interpolates;
+* ``cli_resample_6_6``, ``cli_resample_6_4`` and ``cli_resample_4_6``:
+  sha256 of the ``.sphs`` files that ``cli.main(["resample", ...])`` writes
+  for two-channel signals from level 6 at level 6, from level 6 at level 4
+  and from level 4 at level 6, so the command's own path is covered;
 * ``locate``: sha256 of the faces and unnormalised coordinates that
   ``locate_faces`` returns at level 6 for random targets, the vertices
   jittered by about 1e-9 and the edge midpoints (the level-7 vertices);
@@ -61,8 +65,10 @@ signatures differ.  BLAS must run on one thread: the checkpoint bytes
 depend on the thread count.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -72,7 +78,7 @@ import numpy as np
 
 import sphreg
 from sphreg import autodiff as ag
-from sphreg import fileio, icosphere, metrics, shconv, sht, training, warp
+from sphreg import cli, fileio, icosphere, metrics, shconv, sht, training, warp
 
 
 def _sha256(path: str) -> str:
@@ -148,6 +154,21 @@ def _field_ops(out: dict) -> None:
             signal.values, icosphere.generate_icosphere(src),
             icosphere.generate_icosphere(dst).vertices)
         out[key] = hashlib.sha256(values.tobytes()).hexdigest()
+
+
+def _cli_resample(out: dict) -> None:
+    """Add the ``cli_resample_*`` entries to ``out``."""
+    rng = np.random.default_rng(16)
+    with tempfile.TemporaryDirectory() as work:
+        for src, dst in ((6, 6), (6, 4), (4, 6)):
+            source = os.path.join(work, f"in{src}.sphs")
+            result = os.path.join(work, "out.sphs")
+            fileio.write_signal(source, sht.random_bandlimited(src, 8, 2, rng))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["resample", "--input", source,
+                                 "--level", str(dst), "--out", result])
+            assert code == 0
+            out[f"cli_resample_{src}_{dst}"] = _sha256(result)
 
 
 def _locate(out: dict) -> None:
@@ -304,6 +325,7 @@ def main() -> int:
     out["grad_crf_on"] = repr(float(training.gradient_check(
         check, pair, rng=np.random.default_rng(71))))
     _field_ops(out)
+    _cli_resample(out)
     _locate(out)
     _zonal(out)
     _zonal_pool(out)
