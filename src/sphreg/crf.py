@@ -8,10 +8,11 @@ the candidate label positions.  Refinement unrolls T mean-field updates
 the anchored unary logits, and re-normalized by a row softmax.  The Potts
 compatibility is fixed, not learned: slot k points a different way at each
 control point, so a learned slot-by-slot matrix has no fixed meaning to
-learn.  It lives in the grid's frozen kernel, whose diagonal is zero.  The
-cascade runs the fixed schedule T = ``CRF_ITERATIONS``, w = ``CRF_WEIGHT``
-with sigma the stage grid's mean control edge arc; the trainer builds one
-``CrfParams`` per stage and call.
+learn.  It lives in the frozen kernel that ``kernel_stack`` builds from a
+grid's label positions and edges, once per grid and sigma; its diagonal is
+zero.  The cascade runs the fixed schedule T = ``CRF_ITERATIONS``,
+w = ``CRF_WEIGHT`` with sigma the stage grid's mean control edge arc; the
+trainer builds one ``CrfParams`` per stage and call.
 """
 
 from __future__ import annotations
@@ -54,6 +55,23 @@ def mean_edge_arc(grid: ControlGrid) -> float:
     return float(np.mean(np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))))
 
 
+@cache
+def kernel_stack(grid: ControlGrid, sigma: float) -> np.ndarray:
+    """K[e, l, l'] = [l != l'] exp(-arc^2 / (2 sigma^2)), arc running from
+    pos_dst(l) to pos_src(l') over the grid's edges: the Gaussian kernel
+    times the Potts compatibility, so its diagonal is zero.  Built once per
+    grid and sigma, and frozen."""
+    pos_dst = grid.label_positions[grid.edges[:, 0]]    # (E, N_l, 3)
+    pos_src = grid.label_positions[grid.edges[:, 1]]
+    cos = np.einsum("elx,emx->elm", pos_dst, pos_src)
+    arc = np.arccos(np.clip(cos, -1.0, 1.0))
+    kernel = np.exp(-(arc ** 2) / (2.0 * sigma * sigma))
+    slots = np.arange(grid.n_labels)
+    kernel[:, slots, slots] = 0.0
+    kernel.setflags(write=False)
+    return kernel
+
+
 def crf_energy(assignment, Q: DeformationProbabilities, grid: ControlGrid,
                params: CrfParams) -> float:
     """Energy of one hard assignment: unary -log Q plus the Potts-masked
@@ -70,7 +88,7 @@ def crf_energy(assignment, Q: DeformationProbabilities, grid: ControlGrid,
     q = Q.value
     unary = -np.log(q[np.arange(grid.n_controls), assignment] + UNARY_FLOOR).sum()
     dst, src = grid.edges.T
-    kernel = grid.kernel_stack(params.sigma)
+    kernel = kernel_stack(grid, params.sigma)
     pairwise = params.weight * np.sum(
         kernel[np.arange(len(dst)), assignment[dst], assignment[src]])
     return float(unary + pairwise)
@@ -88,7 +106,7 @@ def crf_refine(Q: DeformationProbabilities, grid: ControlGrid,
     check_q_shape(Q, grid)
     if params.iterations == 0 or params.weight == 0 or len(grid.edges) == 0:
         return Q
-    kernel = grid.kernel_stack(params.sigma)            # (E, N_l, N_l)
+    kernel = kernel_stack(grid, params.sigma)   # (E, N_l, N_l)
     dst, src = grid.edges.T
     anchor = ag.log(ag.add(Q.Q, UNARY_FLOOR))
     q = Q.Q

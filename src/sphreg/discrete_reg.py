@@ -5,7 +5,9 @@ may move to one of N_l candidate positions (its "labels") chosen from a finer
 icosphere: itself (slot 0, the identity move) plus its one-ring neighbours
 there.  The U-Net below scores the candidates per control point; the
 resulting row-stochastic matrix Q drives either a hard argmax deformation
-(inference) or a probability-weighted soft deformation (training).
+(inference) or a probability-weighted soft deformation (training).  The
+CRF that refines Q between the two (``crf``) builds its pairwise kernel from
+the grid's label positions and edges.
 
 Architecture: three zonal-convolution encoder blocks, the last two pooling
 by spectral truncation with no residual (bandwidths L, L/2, L/4, channels C,
@@ -24,6 +26,7 @@ from functools import cache
 import numpy as np
 
 from . import autodiff as ag
+from .errors import NumericError
 from .graph_attention import GraphModuleParams, graph_enhanced_module, init_graph_module
 from .icosphere import Icosphere, generate_icosphere, vertex_count
 from .sht import build_basis
@@ -37,10 +40,9 @@ class ControlGrid:
     ``labels[c]`` indexes label-level vertices; ``label_positions[c, 0]``
     is always the control point's own position (the identity move).
     ``edges`` holds directed one-ring pairs (dst, src) of the control mesh.
-    ``kernel_stack(sigma)`` is the CRF's frozen Gaussian kernel over those
-    edges, masked by the Potts compatibility.  Grids compare and hash by
-    identity, and the kernel is memoised per grid and sigma, so it assumes
-    ``edges`` and ``label_positions`` do not change.
+    A grid holds label geometry only.  Grids compare and hash by identity,
+    so caches keyed on a grid, such as the CRF's kernel, assume its arrays
+    do not change.
     """
 
     control_level: int
@@ -85,25 +87,6 @@ class ControlGrid:
     @property
     def n_labels(self) -> int:
         return self.labels.shape[1]
-
-    def kernel_stack(self, sigma: float) -> np.ndarray:
-        """K[e, l, l'] = [l != l'] exp(-arc^2 / (2 sigma^2)), arc running from
-        pos_dst(l) to pos_src(l'): the Gaussian kernel times the Potts
-        compatibility, so its diagonal is zero."""
-        return _kernel_stack(self, sigma)
-
-
-@cache
-def _kernel_stack(grid: ControlGrid, sigma: float) -> np.ndarray:
-    pos_dst = grid.label_positions[grid.edges[:, 0]]    # (E, N_l, 3)
-    pos_src = grid.label_positions[grid.edges[:, 1]]
-    cos = np.einsum("elx,emx->elm", pos_dst, pos_src)
-    arc = np.arccos(np.clip(cos, -1.0, 1.0))
-    kernel = np.exp(-(arc ** 2) / (2.0 * sigma * sigma))
-    slots = np.arange(grid.n_labels)
-    kernel[:, slots, slots] = 0.0
-    kernel.setflags(write=False)
-    return kernel
 
 
 def build_label_sets(control_level: int, label_level: int) -> ControlGrid:
@@ -260,10 +243,11 @@ def unet_forward(moving, fixed, params: UNetParams, mesh_level: int,
 
 
 def predict_probabilities(logits, grid: ControlGrid) -> DeformationProbabilities:
-    """Row-softmax of the control-point prefix rows of the logits."""
+    """Row-softmax of the control-point prefix rows of the logits; a
+    non-finite logit, as from weights that overflow, raises NumericError."""
     value = ag.value_of(logits)
     if not np.all(np.isfinite(value)):
-        raise ValueError("logits must be finite")
+        raise NumericError("logits must be finite")
     if value.ndim != 2 or value.shape[1] != grid.n_labels:
         raise ValueError(
             f"logits must be (N, {grid.n_labels}), got {value.shape}")

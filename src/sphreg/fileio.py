@@ -62,7 +62,7 @@ class _Reader:
             self.offset -= 4
             self.fail(f"bad magic {got!r}, expected {expected!r}")
 
-    def u32(self, what: str) -> int:
+    def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
     def f64_array(self, count: int, what: str) -> np.ndarray:
@@ -81,7 +81,7 @@ class _Reader:
 
 def _check_version(reader: _Reader, expected: int = _VERSION):
     at = reader.offset
-    version = reader.u32("version")
+    version = reader.u32()
     if version != expected:
         raise FormatError(at, f"{reader.path}: unsupported version {version}")
 
@@ -121,9 +121,9 @@ def read_signal(path) -> SphericalSignal:
         r = _Reader(f.read(), str(path))
     r.magic(b"SPHS")
     _check_version(r)
-    level = r.u32("level")
+    level = r.u32()
     _check_level(r, level)
-    channels = r.u32("channels")
+    channels = r.u32()
     if channels == 0:
         raise FormatError(r.offset - 4, f"{r.path}: zero channels")
     n = vertex_count(level)
@@ -149,7 +149,7 @@ def read_field(path):
         r = _Reader(f.read(), str(path))
     r.magic(b"SPHD")
     _check_version(r)
-    level = r.u32("level")
+    level = r.u32()
     _check_level(r, level)
     n = vertex_count(level)
     at = r.offset
@@ -195,25 +195,25 @@ def read_checkpoint(path):
         r.fail("version 1 checkpoint: its graph module was trained on the "
                "full mesh and does not fit this model; train the model again")
     _check_version(r, _CHECKPOINT_VERSION)
-    blob_len = r.u32("config length")
+    blob_len = r.u32()
     try:
         config = json.loads(r.take(blob_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(r.offset - blob_len,
                           f"{r.path}: config is not valid JSON ({exc})") from exc
-    count = r.u32("tensor count")
+    count = r.u32()
     tensors = {}
     for _ in range(count):
-        name_len = r.u32("name length")
+        name_len = r.u32()
         try:
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(r.offset - name_len,
                               f"{r.path}: tensor name is not UTF-8") from None
-        rank = r.u32("rank")
+        rank = r.u32()
         if rank > 8:
             raise FormatError(r.offset - 4, f"{r.path}: tensor {name} rank {rank}")
-        dims = tuple(r.u32(f"dim") for _ in range(rank))
+        dims = tuple(r.u32() for _ in range(rank))
         tensors[name] = r.f64_array(math.prod(dims),
                                     f"tensor {name}").reshape(dims)
     r.done()

@@ -405,15 +405,14 @@ def barycentric_resample(values: np.ndarray, mesh: Icosphere,
     return that vertex's row bitwise, so resampling a signal at its own
     vertices is the identity.  Such a target lies only in faces around the
     vertex, so the vertex is the descent's seed and the row skips
-    ``_settle``.  Targets run per block, as in ``locate_faces``.
+    ``_settle``.  Targets run per block, as in ``locate_faces``.  ``values``
+    is (N, C), one row per mesh vertex.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        return barycentric_resample(values[:, None], mesh, targets)[:, 0]
-    if values.shape[0] != mesh.n_vertices:
+    if values.ndim != 2 or values.shape[0] != mesh.n_vertices:
         raise ValueError(
-            f"barycentric_resample: {values.shape[0]} rows for mesh with "
-            f"{mesh.n_vertices} vertices")
+            f"barycentric_resample: values of shape {values.shape} for mesh "
+            f"with {mesh.n_vertices} vertices")
 
     targets, blocks = _unit_blocks(targets)
     out = np.empty((len(targets), values.shape[1]))

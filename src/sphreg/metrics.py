@@ -23,20 +23,11 @@ from functools import cache
 import numpy as np
 
 from . import autodiff as ag
-from .icosphere import (Icosphere, SphericalSignal, _cross3, _dot3, _norm3,
-                        _sum3, generate_icosphere)
+from .icosphere import (Icosphere, _cross3, _dot3, _norm3, _sum3,
+                        generate_icosphere)
 from .warp import DeformationField
 
 _STAT_KEYS = ("mean", "std", "max", "p95", "p98")
-
-
-def _as_column(signal, name: str):
-    if isinstance(signal, SphericalSignal):
-        if signal.channels != 1:
-            raise ValueError(f"{name} must be single-channel, "
-                             f"got {signal.channels} channels")
-        return signal.values
-    return signal
 
 
 def require_variance(values: np.ndarray, name: str, rows: bool = False):
@@ -59,24 +50,20 @@ def pearson_cc(a, b):
     scored against an (N, 1) ``a``; the result is then the K correlations.
     Each row's reductions run over its N contiguous values, so every
     candidate gets the bits of a lone call."""
-    if isinstance(a, SphericalSignal) and isinstance(b, SphericalSignal):
-        if a.level != b.level:
-            raise ValueError(f"level mismatch: {a.level} vs {b.level}")
-    av, bv = _as_column(a, "a"), _as_column(b, "b")
-    a_shape, b_shape = ag.value_of(av).shape, ag.value_of(bv).shape
-    rows = (isinstance(bv, np.ndarray) and bv.ndim == 2
+    a_shape, b_shape = ag.value_of(a).shape, ag.value_of(b).shape
+    rows = (isinstance(b, np.ndarray) and b.ndim == 2
             and a_shape == (b_shape[1], 1))
     if a_shape != b_shape and not rows:
         raise ValueError("signals must share shape")
     kw = {}
     if rows:
         kw = {"axis": -1, "keepdims": True}
-        av = ag.value_of(av).reshape(1, -1)
-        bv = np.ascontiguousarray(bv)
-    require_variance(ag.value_of(av), "first")
-    require_variance(ag.value_of(bv), "second", rows=rows)
-    ca = ag.sub(av, ag.reduce_mean(av, **kw))
-    cb = ag.sub(bv, ag.reduce_mean(bv, **kw))
+        a = ag.value_of(a).reshape(1, -1)
+        b = np.ascontiguousarray(b)
+    require_variance(ag.value_of(a), "first")
+    require_variance(ag.value_of(b), "second", rows=rows)
+    ca = ag.sub(a, ag.reduce_mean(a, **kw))
+    cb = ag.sub(b, ag.reduce_mean(b, **kw))
     num = ag.reduce_sum(ag.mul(ca, cb), **kw)
     denom = ag.sqrt(ag.mul(ag.reduce_sum(ag.square(ca), **kw),
                            ag.reduce_sum(ag.square(cb), **kw)))
@@ -86,10 +73,9 @@ def pearson_cc(a, b):
 
 def mean_squared_difference(a, b):
     """Mean squared pointwise difference (tensor-aware)."""
-    av, bv = _as_column(a, "a"), _as_column(b, "b")
-    if ag.value_of(av).shape != ag.value_of(bv).shape:
+    if ag.value_of(a).shape != ag.value_of(b).shape:
         raise ValueError("signals must share shape")
-    return ag.reduce_mean(ag.square(ag.sub(av, bv)))
+    return ag.reduce_mean(ag.square(ag.sub(a, b)))
 
 
 def loss_sim(fixed, warped):
@@ -115,24 +101,11 @@ def smoothness_penalty(targets, mesh_level: int):
     return ag.reduce_sum(scaled)
 
 
-def _field_parts(field):
-    if isinstance(field, DeformationField):
-        return field.targets, field.mesh_level
-    return field
-
-
 def loss_reg(field1, field2, lam1: float, lam2: float):
-    """0.5 * (lam1 * g(field1) + lam2 * g(field2)) over control-scale fields.
-
-    Each field is a DeformationField or a (targets, mesh_level) pair so the
-    training graph can pass tensors.
-    """
-    if lam1 < 0 or lam2 < 0:
-        raise ValueError("regularization weights must be nonnegative")
-    t1, l1 = _field_parts(field1)
-    t2, l2 = _field_parts(field2)
-    g1 = smoothness_penalty(t1, l1)
-    g2 = smoothness_penalty(t2, l2)
+    """0.5 * (lam1 * g(field1) + lam2 * g(field2)) over control-scale fields,
+    each a (targets, mesh_level) pair whose targets may be a tensor."""
+    g1 = smoothness_penalty(*field1)
+    g2 = smoothness_penalty(*field2)
     return ag.mul(0.5, ag.add(ag.mul(lam1, g1), ag.mul(lam2, g2)))
 
 

@@ -39,8 +39,8 @@ from .icosphere import (SphericalSignal, _norm3, barycentric_resample,
                         generate_icosphere)
 from .metrics import loss_reg, loss_sim, pearson_cc
 from .sht import build_basis, random_coefficients, sht_inverse
-from .warp import (DeformationField, check_unit_targets, compose,
-                   densify_targets, warp_signal, warp_values)
+from .warp import (DeformationField, compose, densify_targets, warp_signal,
+                   warp_values)
 
 CASCADE_MODES = ("cascaded", "independent")
 
@@ -386,8 +386,6 @@ class Adam:
         correction2 = 1.0 - b2 ** self.step_count
         for name, tensor in tensors.items():
             g = tensor.grad
-            if g is None:      # parameter unused under this configuration
-                continue
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / correction1
@@ -518,8 +516,7 @@ def gradient_check(config: TrainConfig, pair: SyntheticPair,
     tensors = _wrap_parameters(model)
     loss = run_loss()
     loss.backward()
-    grads = {name: (np.zeros_like(t.value) if t.grad is None else t.grad.copy())
-             for name, t in tensors.items()}
+    grads = {name: t.grad.copy() for name, t in tensors.items()}
     _unwrap_parameters(model)
 
     specs = _leaf_specs(model)
@@ -640,10 +637,7 @@ def align_search(moving: SphericalSignal, fixed: SphericalSignal,
         targets = (coarse_mesh.vertices
                    @ rotations[axis].transpose(0, 2, 1)).reshape(-1, 3)
         targets /= _norm3(targets)[:, None]
-        check_unit_targets(targets)
         warped[axis] = barycentric_resample(m_coarse, coarse_mesh, targets)
-    if not np.all(np.isfinite(warped)):
-        raise ValueError("warped values must be finite")
     # a candidate's (N, C) values as one row: reduced over its N * C
     # contiguous values, as a lone call on the (N, C) block is; the first
     # largest CC is the candidate a strict > over the rows in order keeps

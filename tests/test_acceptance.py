@@ -5,7 +5,8 @@ prints a single PASS/FAIL line with the numbers (visible with ``-s`` or on
 failure).  Checks 1-7 and 10 are self-contained oracle and invariance
 checks; 8 and 9 share three module-scoped desk-scale training runs
 (cascaded with all modules on, independent two-scale, graph module off)
-on the default configuration.
+on the default configuration.  The cascaded run's history also carries the
+desk-scale loss-trend check.
 """
 
 import dataclasses
@@ -328,9 +329,11 @@ def desk_split():
 
 def _train_and_score(config, pairs, mesh):
     """Train on the first TRAIN_N pairs, register the held-out tail, and
-    aggregate CC and |log2 J| statistics over the held-out fields."""
+    aggregate CC and |log2 J| statistics over the held-out fields; the
+    training history rides along."""
     start = time.perf_counter()
-    model, _ = train(config, pairs[:TRAIN_N], val_dataset=pairs[TRAIN_N:])
+    model, history = train(config, pairs[:TRAIN_N],
+                           val_dataset=pairs[TRAIN_N:])
     ccs, maxes, p98s, means = [], [], [], []
     clean = 0
     for pair in pairs[TRAIN_N:]:
@@ -347,7 +350,8 @@ def _train_and_score(config, pairs, mesh):
             "p98": float(np.mean(p98s)),
             "mean_abs": float(np.mean(means)),
             "clean_frac": clean / HELD_OUT,
-            "seconds": time.perf_counter() - start}
+            "seconds": time.perf_counter() - start,
+            "history": history}
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +385,14 @@ def test_08_desk_scale_registration(desk_split, cascaded_run):
             f"cc {pre_cc:.4f} -> {run['cc']:.4f} gain {gain:+.4f} (>=0.10), "
             f"mean |log2J| {run['mean_abs']:.3f} (<1.0), zero-fold "
             f"{run['clean_frac']:.0%} (>=90%), {run['seconds']:.0f}s (<=1800s)")
+
+
+@pytest.mark.desk
+def test_training_reduces_loss_at_desk_scale(cascaded_run):
+    # check 08's run trains the default configuration, so its history
+    # carries the loss trend over the first ten epochs
+    history = cascaded_run["history"]
+    assert history[9]["loss"] < history[0]["loss"]
 
 
 @pytest.mark.desk

@@ -148,6 +148,21 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in err and "non-finite loss" in err
 
 
+def test_overflowing_checkpoint_exits_4(tmp_path, capsys):
+    # finite weights whose forward overflows give non-finite logits
+    ckpt = tmp_path / "big.sphk"
+    config, tensors = fileio.read_checkpoint(zero_head_checkpoint(tmp_path))
+    for scale in ("coarse", "fine"):
+        for block in ("enc1", "enc2"):
+            tensors[f"{scale}.{block}.bn_gamma"] *= 1e200
+    fileio.write_checkpoint(ckpt, config, tensors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = register_with(tmp_path, ckpt)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "logits must be finite" in err
+
+
 def test_format_error_exit_code(tmp_path, capsys):
     data = make_dataset(tmp_path)
     bad = data / "pair_0000.fixed.sphs"

@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
-from sphreg.crf import CrfParams, crf_energy, crf_refine, mean_edge_arc
+from sphreg.crf import (CrfParams, crf_energy, crf_refine, kernel_stack,
+                        mean_edge_arc)
 from sphreg.discrete_reg import (ControlGrid, DeformationProbabilities,
                                  argmax_deformation, build_label_sets,
                                  soft_deformation)
@@ -211,10 +212,10 @@ def test_kernel_stack_built_once_per_grid_and_sigma(monkeypatch):
     arccos, builds = np.arccos, []
     monkeypatch.setattr(np, "arccos", lambda x: builds.append(1) or arccos(x))
     crf_refine(random_q(5, 3, seed=12), grid, params)
-    kernel = grid.kernel_stack(0.4)
+    kernel = kernel_stack(grid, 0.4)
     crf_refine(random_q(5, 3, seed=13), grid, params)
     assert len(builds) == 1
-    assert grid.kernel_stack(0.4) is kernel
+    assert kernel_stack(grid, 0.4) is kernel
     assert not kernel.flags.writeable
 
     pos_dst = grid.label_positions[grid.edges[:, 0]]

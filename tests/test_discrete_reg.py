@@ -9,6 +9,7 @@ from sphreg.discrete_reg import (ControlGrid, DeformationProbabilities,
                                  argmax_deformation, build_label_sets,
                                  init_unet, predict_probabilities,
                                  soft_deformation, unet_forward)
+from sphreg.errors import NumericError
 from sphreg.icosphere import generate_icosphere
 from sphreg.shconv import ZonalFilter, init_zonal_filter, zonal_convolve
 from sphreg.sht import build_basis
@@ -140,7 +141,7 @@ def test_nonfinite_logits_rejected():
     grid = build_label_sets(1, 2)
     logits = np.zeros((642, grid.n_labels))
     logits[5, 2] = np.nan
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(NumericError, match="finite"):
         predict_probabilities(logits, grid)
 
 

@@ -119,6 +119,13 @@ def test_resample_at_vertices_is_bitwise_identity():
     np.testing.assert_array_equal(out, values)
 
 
+def test_resample_takes_one_row_per_vertex():
+    mesh = generate_icosphere(1)
+    for values in (np.zeros(mesh.n_vertices), np.zeros((41, 1))):
+        with pytest.raises(ValueError, match="values of shape"):
+            barycentric_resample(values, mesh, mesh.vertices)
+
+
 def test_resample_linear_function_high_accuracy():
     # A degree-1 spherical harmonic is linear in xyz, so gnomonic barycentric
     # interpolation reproduces it to second order in the edge length.
@@ -334,7 +341,7 @@ def test_non_finite_targets_are_rejected(bad_row):
     mesh = generate_icosphere(2)
     targets = mesh.vertices[:3].copy()
     targets[bad_row] = np.nan
-    values = np.zeros(mesh.n_vertices)
+    values = np.zeros((mesh.n_vertices, 1))
     for call in (lambda: locate_faces(mesh, targets),
                  lambda: barycentric_resample(values, mesh, targets)):
         with pytest.raises(ValueError, match=f"target {bad_row} has norm nan"):
@@ -400,7 +407,7 @@ def test_locate_faces_matches_exhaustive_oracle(level):
 def _located_and_resampled(mesh, targets, values):
     faces, lam = locate_faces(mesh, targets)
     return (faces, lam, barycentric_resample(values, mesh, targets),
-            barycentric_resample(values[:, 0], mesh, targets))
+            barycentric_resample(values[:, :1], mesh, targets))
 
 
 @pytest.mark.parametrize("block", [7, 1000])
@@ -428,7 +435,7 @@ def test_non_finite_target_is_named_by_its_global_row():
     mesh = generate_icosphere(5)
     targets = mesh.vertices.copy()
     targets[5000] = np.nan
-    values = np.zeros(mesh.n_vertices)
+    values = np.zeros((mesh.n_vertices, 1))
     for call in (lambda: locate_faces(mesh, targets),
                  lambda: barycentric_resample(values, mesh, targets)):
         with pytest.raises(ValueError, match="target 5000 has norm nan"):

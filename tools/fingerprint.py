@@ -33,6 +33,11 @@ registration and the gradient check bitwise equal.  The object holds
   sha256 of the ``.sphs`` files that ``cli.main(["resample", ...])`` writes
   for two-channel signals from level 6 at level 6, from level 6 at level 4
   and from level 4 at level 6, so the command's own path is covered;
+* ``cli_train_register``: sha256 of the checkpoint, field and warped files
+  that ``cli.main`` writes for ``synth`` -> ``train`` -> ``register`` at
+  mesh level 2, bandwidth 8, 4 channels, 2 heads, 1 epoch and batch 1, and
+  the sorted ``phases`` keys of the register manifest, so the commands'
+  own paths through training and registration are covered;
 * ``locate``: sha256 of the faces and unnormalised coordinates that
   ``locate_faces`` returns at level 6 for random targets, the vertices
   jittered by about 1e-9 and the edge midpoints (the level-7 vertices);
@@ -169,6 +174,35 @@ def _cli_resample(out: dict) -> None:
                                  "--level", str(dst), "--out", result])
             assert code == 0
             out[f"cli_resample_{src}_{dst}"] = _sha256(result)
+
+
+def _cli_train_register(out: dict) -> None:
+    """Add the ``cli_train_register`` entry to ``out``."""
+    tiny = ["--mesh-level", "2", "--bandwidth", "8"]
+    with tempfile.TemporaryDirectory() as work:
+        data = os.path.join(work, "data")
+        checkpoint = os.path.join(work, "model.sphk")
+        field = os.path.join(work, "field.sphd")
+        warped = os.path.join(work, "warped.sphs")
+        pair = os.path.join(data, "pair_0000")
+        commands = (
+            ["synth", "--n-pairs", "2", "--out-dir", data, *tiny],
+            ["train", "--data", data, "--out", checkpoint, *tiny,
+             "--channels", "4", "--heads", "2", "--epochs", "1",
+             "--batch-size", "1"],
+            ["register", "--checkpoint", checkpoint,
+             "--moving", pair + ".moving.sphs",
+             "--fixed", pair + ".fixed.sphs",
+             "--out-field", field, "--out-warped", warped])
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            assert code == 0
+        with open(field + ".manifest.json", encoding="utf-8") as handle:
+            phases = sorted(json.load(handle)["phases"])
+        out["cli_train_register"] = {
+            "checkpoint": _sha256(checkpoint), "field": _sha256(field),
+            "warped": _sha256(warped), "phases": phases}
 
 
 def _locate(out: dict) -> None:
@@ -326,6 +360,7 @@ def main() -> int:
         check, pair, rng=np.random.default_rng(71))))
     _field_ops(out)
     _cli_resample(out)
+    _cli_train_register(out)
     _locate(out)
     _zonal(out)
     _zonal_pool(out)
