@@ -28,6 +28,7 @@ take plain index arrays, so callers pass the tables they already own.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -198,12 +199,9 @@ def matmul(a, b):
     return record(av @ bv, (a, b), backward)
 
 
-def einsum2(subscripts, a, b):
-    """Two-operand einsum with automatic backward.
-
-    Each index of one operand must appear in the output or in the other
-    operand (plain contractions only, no internal traces).
-    """
+@cache
+def _einsum_adjoints(subscripts: str) -> tuple[str, str]:
+    """The subscripts of the two gradient einsums, checked once per string."""
     in_spec, out_spec = subscripts.replace(" ", "").split("->")
     spec_a, spec_b = in_spec.split(",")
     for name, spec, other in (("a", spec_a, spec_b), ("b", spec_b, spec_a)):
@@ -211,13 +209,23 @@ def einsum2(subscripts, a, b):
             raise ValueError(f"repeated index in operand {name}: {subscripts}")
         if not set(spec) <= set(out_spec) | set(other):
             raise ValueError(f"dangling index in operand {name}: {subscripts}")
+    return f"{out_spec},{spec_b}->{spec_a}", f"{out_spec},{spec_a}->{spec_b}"
+
+
+def einsum2(subscripts, a, b):
+    """Two-operand einsum with automatic backward.
+
+    Each index of one operand must appear in the output or in the other
+    operand (plain contractions only, no internal traces).
+    """
+    to_a, to_b = _einsum_adjoints(subscripts)
     av, bv = value_of(a), value_of(b)
 
     def backward(g):
         if is_tensor(a):
-            accumulate(a, np.einsum(f"{out_spec},{spec_b}->{spec_a}", g, bv))
+            accumulate(a, np.einsum(to_a, g, bv))
         if is_tensor(b):
-            accumulate(b, np.einsum(f"{out_spec},{spec_a}->{spec_b}", g, av))
+            accumulate(b, np.einsum(to_b, g, av))
 
     return record(np.einsum(subscripts, av, bv), (a, b), backward)
 

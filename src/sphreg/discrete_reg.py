@@ -212,7 +212,7 @@ def unet_forward(moving, fixed, params: UNetParams, mesh_level: int,
 
     ``moving`` and ``fixed`` are (N, 1) vertex signals (arrays or autodiff
     tensors).  Gradient flows through both inputs and all parameters.
-    ``training`` selects the batch norms' mode (see ``shconv.batch_norm``).
+    ``training`` selects the batch norms' mode (see ``shconv.shconv_block``).
     """
     n = vertex_count(mesh_level)
     for name, sig in (("moving", moving), ("fixed", fixed)):

@@ -60,6 +60,12 @@ def init_gat_layer(d_in: int, heads: int, rng) -> GatLayer:
     )
 
 
+@cache
+def _padding(mesh: Icosphere) -> np.ndarray:
+    """Frozen (N, 7, 1) mask of the padding slots of ``mesh.neighbourhood``."""
+    return _frozen(np.arange(7)[:, None] > np.diff(mesh.ring_offsets)[:, None, None])
+
+
 def gat_forward(features, mesh: Icosphere, layer: GatLayer):
     """One-ring + self attention on an icosphere, all heads in one pass over
     the mesh's neighbourhood table."""
@@ -70,7 +76,6 @@ def gat_forward(features, mesh: Icosphere, layer: GatLayer):
         raise ValueError(f"layer expects width {layer.d_in}, got {d_in}")
     heads, d_head = layer.heads, layer.d_head
     table = mesh.neighbourhood                                  # (N, 7)
-    padding = np.arange(mesh.neighbourhood.shape[1]) > np.diff(mesh.ring_offsets)[:, None]
 
     projected = ag.einsum2("nd,hkd->nhk", features, layer.W)    # (N, H, D_head)
     # each head's destination and source halves are the even and odd rows
@@ -85,7 +90,7 @@ def gat_forward(features, mesh: Icosphere, layer: GatLayer):
     # softmax over each row, stabilised by a detached row max (padding slots
     # repeat slot 0, so they leave it unchanged); padding slots are shifted
     # by +inf, so their weight is exactly zero
-    shift = np.where(padding[:, :, None], np.inf,
+    shift = np.where(_padding(mesh), np.inf,
                      ag.value_of(logits).max(axis=1, keepdims=True))
     weights = ag.exp(ag.sub(logits, shift))
     attention = ag.div(weights, ag.reduce_sum(weights, axis=1, keepdims=True))

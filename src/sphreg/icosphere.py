@@ -397,36 +397,51 @@ def locate_faces(mesh: Icosphere, targets: np.ndarray):
     return faces, lam
 
 
+def locate_points(mesh: Icosphere, targets: np.ndarray):
+    """Where ``barycentric_resample`` reads each unit-norm target, per block
+    as in ``locate_faces``: the seeds, the rows off every vertex, and their
+    face corners and normalised weights, for ``interpolate`` to reuse."""
+    targets, blocks = _unit_blocks(targets)
+    located = []
+    for rows in blocks:
+        block = targets[rows]
+        leaf, seeds = _descend(mesh, block)
+        rest = np.flatnonzero(
+            _dot3(block, np.take(mesh.vertices, seeds, axis=0)) < _SNAP_DOT)
+        face_idx, lam = _settle(mesh, block[rest], leaf[rest], seeds[rest])
+        located.append((rows, seeds, rest, np.take(mesh.faces, face_idx, axis=0),
+                        lam / _sum3(lam)[:, None]))
+    return mesh, len(targets), located
+
+
+def interpolate(values: np.ndarray, located) -> np.ndarray:
+    """Sample (N, C) per-vertex ``values`` at the targets of ``located``,
+    one row per mesh vertex: a target on a vertex reads its row bitwise."""
+    (mesh, count, blocks), values = located, np.asarray(values, np.float64)
+    if values.ndim != 2 or values.shape[0] != mesh.n_vertices:
+        raise ValueError(
+            f"barycentric_resample: values of shape {values.shape} for mesh "
+            f"with {mesh.n_vertices} vertices")
+    out = np.empty((count, values.shape[1]))
+    for rows, seeds, rest, corners, weights in blocks:
+        out[rows] = np.take(values, seeds, axis=0)
+        out[rows.start + rest] = np.einsum(
+            "tk,tkc->tc", weights, np.take(values, corners, axis=0))
+    return out
+
+
 def barycentric_resample(values: np.ndarray, mesh: Icosphere,
                          targets: np.ndarray) -> np.ndarray:
-    """Sample per-vertex ``values`` on ``mesh`` at unit-norm ``targets``.
+    """Sample per-vertex ``values`` on ``mesh`` at unit-norm ``targets``:
+    ``interpolate`` at ``locate_points``.
 
     Targets that coincide with a mesh vertex (to ~1e-12 in dot product)
     return that vertex's row bitwise, so resampling a signal at its own
     vertices is the identity.  Such a target lies only in faces around the
     vertex, so the vertex is the descent's seed and the row skips
-    ``_settle``.  Targets run per block, as in ``locate_faces``.  ``values``
-    is (N, C), one row per mesh vertex.
+    ``_settle``.  ``values`` is (N, C), one row per mesh vertex.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != mesh.n_vertices:
-        raise ValueError(
-            f"barycentric_resample: values of shape {values.shape} for mesh "
-            f"with {mesh.n_vertices} vertices")
-
-    targets, blocks = _unit_blocks(targets)
-    out = np.empty((len(targets), values.shape[1]))
-    for rows in blocks:
-        block = targets[rows]
-        leaf, seeds = _descend(mesh, block)
-        out[rows] = np.take(values, seeds, axis=0)
-        rest = np.flatnonzero(
-            _dot3(block, np.take(mesh.vertices, seeds, axis=0)) < _SNAP_DOT)
-        face_idx, lam = _settle(mesh, block[rest], leaf[rest], seeds[rest])
-        out[rows.start + rest] = np.einsum(
-            "tk,tkc->tc", lam / _sum3(lam)[:, None],
-            np.take(values, np.take(mesh.faces, face_idx, axis=0), axis=0))
-    return out
+    return interpolate(values, locate_points(mesh, targets))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ class HarmonicBasis:
         return (self.L + 1) ** 2
 
     @cached_property
+    def pairing(self) -> tuple[np.ndarray, np.ndarray]:
+        """[P; Q], every vertex once, and its inverse permutation, frozen:
+        one gather splits vertex rows into the halves, one joins them."""
+        pairs = np.concatenate([self.P, self.Q])
+        return _frozen(pairs), _frozen(np.argsort(pairs))
+
+    @cached_property
     def even(self) -> np.ndarray:
         """(N/2, n_even) Y[P] at the even degrees."""
         return _frozen(self.Y[np.ix_(self.P, parity_columns(self.L)[0])])

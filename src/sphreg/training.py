@@ -8,10 +8,11 @@ mode) or per stage (independent mode, the ablation), plus control-grid
 smoothness regularization.  There are two run modes: training relaxes the
 discrete label choice to the probability-weighted mean of label positions
 and normalises with batch statistics, folding them into running buffers it
-never reads; inference decodes the hard argmax and normalises with those
-buffers.  The control levels and the CRF schedule are module constants
-(here and in ``crf``), fixed for every run as in the paper's two-scale
-cascade; the config sets the model, the optimiser and the ablations.
+never reads; inference decodes the hard argmax, folds those buffers into
+the filters, and locates each stage's dense targets once.  The control
+levels and the CRF schedule are module constants (here and in ``crf``),
+fixed for every run as in the paper's two-scale cascade; the config sets
+the model, the optimiser and the ablations.
 
 All parameters live in plain numpy arrays; during a training step they are
 wrapped as autodiff tensors, gradients accumulate over the batch, and an
@@ -36,7 +37,7 @@ from .discrete_reg import (ControlGrid, DeformationProbabilities, UNetParams,
                            predict_probabilities, soft_deformation, unet_forward)
 from .errors import FormatError, NumericError
 from .icosphere import (SphericalSignal, _norm3, barycentric_resample,
-                        generate_icosphere)
+                        generate_icosphere, interpolate, locate_points)
 from .metrics import loss_reg, loss_sim, pearson_cc
 from .sht import build_basis, random_coefficients, sht_inverse
 from .warp import (DeformationField, compose, densify_targets, warp_signal,
@@ -294,6 +295,7 @@ class CascadeResult:
     control2: object          # (N_c2, 3) stage-2 control targets
     dense1: object            # (N, 3) stage-1 targets densified to the mesh
     dense2: object            # (N, 3) stage-2 targets densified to the mesh
+    located2: object          # inference: ``locate_points`` of dense2
     Q1: DeformationProbabilities
     Q2: DeformationProbabilities
     timings: dict
@@ -317,13 +319,16 @@ def _stage(values_moving, values_fixed, net: UNetParams, grid: ControlGrid,
     dense = densify_targets(control, grid.control_level, config.mesh_level)
     t3 = time.perf_counter()
     mesh = generate_icosphere(config.mesh_level)
-    warped = warp_values(values_moving, dense, mesh)
+    # inference locates its hard targets once for the warp and ``compose``
+    located = None if training else locate_points(mesh, dense)
+    warped = (warp_values(values_moving, dense, mesh) if training
+              else interpolate(values_moving, located))
     t4 = time.perf_counter()
     timings["forward"] = timings.get("forward", 0.0) + (t1 - t0)
     timings["crf"] = timings.get("crf", 0.0) + (t2 - t1)
     timings["densify"] = timings.get("densify", 0.0) + (t3 - t2)
     timings["warp"] = timings.get("warp", 0.0) + (t4 - t3)
-    return warped, control, dense, Q
+    return warped, control, dense, Q, located
 
 
 def forward_cascade(moving, fixed, model: ModelParams, config: TrainConfig,
@@ -334,16 +339,17 @@ def forward_cascade(moving, fixed, model: ModelParams, config: TrainConfig,
     constant, so no gradient crosses the scale boundary."""
     grid_coarse, grid_fine = build_grids()
     timings: dict = {}
-    warped1, ctrl1, dense1, q1 = _stage(
+    warped1, ctrl1, dense1, q1, _ = _stage(
         moving, fixed, model.coarse, grid_coarse, config, training, timings)
     stage2_in = warped1
     if config.cascade_mode == "independent":
         stage2_in = ag.value_of(warped1)
-    warped2, ctrl2, dense2, q2 = _stage(
+    warped2, ctrl2, dense2, q2, located2 = _stage(
         stage2_in, fixed, model.fine, grid_fine, config, training, timings)
     return CascadeResult(warped=warped2, warped_coarse=warped1,
                          control1=ctrl1, control2=ctrl2, dense1=dense1,
-                         dense2=dense2, Q1=q1, Q2=q2, timings=timings)
+                         dense2=dense2, located2=located2, Q1=q1, Q2=q2,
+                         timings=timings)
 
 
 def composed_field(result: CascadeResult, config: TrainConfig) -> DeformationField:
@@ -351,7 +357,7 @@ def composed_field(result: CascadeResult, config: TrainConfig) -> DeformationFie
     first, so it is the second argument of compose)."""
     phi1 = DeformationField(config.mesh_level, ag.value_of(result.dense1))
     phi2 = DeformationField(config.mesh_level, ag.value_of(result.dense2))
-    return compose(phi2, phi1)
+    return compose(phi2, phi1, result.located2)
 
 
 def total_loss(result: CascadeResult, fixed, config: TrainConfig):

@@ -37,8 +37,8 @@ import numpy as np
 from . import autodiff as ag
 from .errors import NumericError
 from .icosphere import (Icosphere, SphericalSignal, _norm3,
-                        barycentric_resample, generate_icosphere, locate_faces,
-                        vertex_count)
+                        barycentric_resample, generate_icosphere, interpolate,
+                        locate_faces, locate_points, vertex_count)
 
 # a walk stops in a face where no gnomonic coordinate is below -tolerance:
 # a vertex on a deformed edge may compute a tiny negative coordinate in
@@ -207,11 +207,7 @@ def warp_values(values, targets, src_mesh: Icosphere):
     The containing faces are located from detached target values and held
     fixed; within a face the gnomonic weights are smooth in the target, so
     gradients flow through both the sample points and the sampled values.
-    Plain-array calls route through barycentric_resample and keep its
-    exact-vertex snapping.
     """
-    if not (ag.is_tensor(values) or ag.is_tensor(targets)):
-        return barycentric_resample(values, src_mesh, targets)
     target_values = ag.value_of(targets)
     faces, _ = locate_faces(src_mesh, target_values)
     corner_ids = src_mesh.faces[faces]                          # (T, 3)
@@ -233,15 +229,19 @@ def warp_signal(signal: SphericalSignal, field: DeformationField) -> SphericalSi
                            barycentric_resample(signal.values, mesh, field.targets))
 
 
-def compose(first: DeformationField, second: DeformationField) -> DeformationField:
-    """Field equivalent to applying ``first`` then ``second`` (pull-back)."""
+def compose(first: DeformationField, second: DeformationField,
+            located=None) -> DeformationField:
+    """Field equivalent to applying ``first`` then ``second`` (pull-back).
+    ``located``, if given, is ``locate_points`` of ``first.targets`` on
+    their mesh, found earlier, so they are not located again."""
     if first.mesh_level != second.mesh_level:
         raise ValueError(
             f"compose: field levels differ ({first.mesh_level} vs "
             f"{second.mesh_level})")
-    mesh = generate_icosphere(first.mesh_level)
-    targets = barycentric_resample(second.targets, mesh, first.targets)
-    targets = ag.row_normalize(targets)
+    if located is None:
+        located = locate_points(generate_icosphere(first.mesh_level),
+                                first.targets)
+    targets = ag.row_normalize(interpolate(second.targets, located))
     return DeformationField(first.mesh_level, targets)
 
 

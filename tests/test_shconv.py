@@ -163,14 +163,12 @@ def test_batch_norm_training_stats_and_running_update():
     rng = np.random.default_rng(7)
     params = init_block(3, 2, 4, rng)
     values = rng.standard_normal((100, 3)) * 2.0 + 1.5
-    out = ag.value_of(batch_norm(values, params, training=True))
+    out = ag.value_of(batch_norm(values, params))
     assert np.abs(out.mean(axis=0)).max() < 1e-9
     assert np.abs(out.std(axis=0) - 1.0).max() < 1e-3
     # one momentum-0.1 update pulls the buffers toward the batch stats
     np.testing.assert_allclose(params.bn_mean, 0.1 * values.mean(axis=0),
                                atol=1e-12)
-    inference = ag.value_of(batch_norm(values, params, training=False))
-    assert inference.shape == values.shape
 
 
 def test_block_relu_clamps_and_block_shapes():
@@ -381,12 +379,46 @@ def test_fused_block_is_bitwise_the_composite(shape):
     assert fused[3] == composite[3]                      # input gradient
     for name in ("h", "alpha", "bn_gamma", "bn_beta"):
         assert fused[4][name] == composite[4][name], name
-    assert fused[5] == composite[5]                      # inference forward
+    # inference folds batch norm into the filter, which moves rounding only
+    inference, reference = (np.frombuffer(run[5]) for run in (fused, composite))
+    assert np.abs(inference - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 # (c_out, c_in, filter bandwidth, bandwidth of the basis it pools from) of
 # the default U-Net's two pooling blocks, whose filters have no alpha
 POOLING_BLOCKS = [(16, 8, 8, 16), (32, 16, 4, 8)]
+
+
+@pytest.mark.parametrize(
+    "shape", UNET_BLOCKS + POOLING_BLOCKS,
+    ids=[f"{s[1]}to{s[0]}L{s[2]}" + ("" if s in UNET_BLOCKS else f"of{s[3]}")
+         for s in UNET_BLOCKS + POOLING_BLOCKS])
+def test_inference_block_folds_batch_norm_into_the_filter(shape):
+    # scaling the gains and alpha by gamma / sd and adding beta - mean * s
+    # is the running-stat batch norm up to rounding: 1e-14 of the output's
+    # largest value, with negative scales and means that shift every channel
+    c_out, c_in, L = shape[:3]
+    pooling = shape in POOLING_BLOCKS
+    basis = build_basis(generate_icosphere(3), shape[3] if pooling else L)
+    rng = np.random.default_rng(c_out * 100 + c_in + 2)
+    params = init_block(c_out, c_in, L, rng, relu=pooling or shape[3])
+    if pooling:
+        params.filt.alpha = None
+    params.bn_gamma = rng.uniform(-1.5, 1.5, c_out)
+    params.bn_gamma[0] = -abs(params.bn_gamma[0])
+    params.bn_beta = rng.standard_normal(c_out)
+    params.bn_mean = rng.standard_normal(c_out)
+    params.bn_var = rng.uniform(0.5, 2.0, c_out)
+    x = rng.standard_normal((basis.Y.shape[0], c_in))
+    kept = copy.deepcopy(params)
+    folded = shconv_block(x, params, basis)
+    reference = composite_batch_norm(zonal_convolve(x, params.filt, basis),
+                                     params, training=False)
+    if params.relu:
+        reference = ag.relu(reference)
+    assert np.abs(folded - reference).max() <= 1e-14 * np.abs(reference).max()
+    for name in ("bn_mean", "bn_var", "bn_gamma", "bn_beta"):
+        assert getattr(params, name).tobytes() == getattr(kept, name).tobytes()
 
 
 def _conv_case(shape):

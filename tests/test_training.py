@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from sphreg import autodiff as ag
-from sphreg import training
+from sphreg import icosphere, training
 from sphreg.crf import (CRF_ITERATIONS, CRF_WEIGHT, CrfParams, crf_refine,
                         mean_edge_arc)
 from sphreg.discrete_reg import predict_probabilities, unet_forward
 from sphreg.graph_attention import init_graph_module
-from sphreg.icosphere import SphericalSignal, generate_icosphere
+from sphreg.icosphere import (SphericalSignal, barycentric_resample,
+                              generate_icosphere, interpolate, locate_points)
 from sphreg.metrics import distortion_report, pearson_cc
 from sphreg.shconv import init_block
 from sphreg.training import (CONTROL_COARSE, CONTROL_FINE, ModelParams,
@@ -29,7 +30,8 @@ from sphreg.training import (CONTROL_COARSE, CONTROL_FINE, ModelParams,
                              total_loss, train)
 from sphreg.training import (_golden_spiral_axes, _unwrap_parameters,
                              _wrap_parameters)
-from sphreg.warp import DeformationField, warp_signal
+from sphreg.sht import random_bandlimited
+from sphreg.warp import DeformationField, densify_targets, warp_signal
 
 
 def tiny_config(**overrides) -> TrainConfig:
@@ -392,6 +394,64 @@ def test_register_pair_builds_no_tensors(monkeypatch):
     field, warped, _ = register_pair(model, cfg, pair.moving, pair.fixed)
     assert len(created) == 0
     assert type(warped.values) is np.ndarray
+
+
+def test_register_pair_locates_each_stage_once(monkeypatch):
+    # the stage-2 warp and the composition read the same dense targets, so
+    # they share one point location: one descent per stage, not three
+    cfg = TrainConfig()
+    model = init_model(cfg)
+    pair = synth_dataset(1, cfg, seed=0)[0]
+    register_pair(model, cfg, pair.moving, pair.fixed)    # fills the caches
+    descents = []
+    descend = icosphere._descend
+
+    def counting_descend(*args):
+        descents.append(1)
+        return descend(*args)
+
+    monkeypatch.setattr(icosphere, "_descend", counting_descend)
+    register_pair(model, cfg, pair.moving, pair.fixed)
+    assert len(descents) == 2
+
+
+def _smooth_level5_field() -> np.ndarray:
+    """Fold-free level-5 targets from smooth moves of the level-1 vertices."""
+    rng = np.random.default_rng(11)
+    shift = random_bandlimited(1, 2, 3, rng).values
+    moves = generate_icosphere(1).vertices + 0.3 * shift / np.sqrt(
+        (shift ** 2).sum(axis=1).mean())
+    moves /= np.linalg.norm(moves, axis=1, keepdims=True)
+    return densify_targets(moves, 1, 5)
+
+
+def test_shared_location_is_bitwise_two_resamples():
+    # one location read by two value arrays, each interpolated on its own,
+    # gives what two independent barycentric_resample calls give: on the
+    # hard-decoded level-3 fields of register_pair and on a smooth level-5
+    # field, where most targets fall inside faces
+    cfg = TrainConfig()
+    model = init_model(cfg)
+    cases = []
+    for pair in synth_dataset(2, cfg, seed=3):
+        field, warped, result = register_pair(model, cfg, pair.moving,
+                                              pair.fixed)
+        cases.append((3, result.dense2, [result.warped_coarse, result.dense1]))
+        assert field.targets.tobytes() == ag.row_normalize(
+            barycentric_resample(result.dense1, generate_icosphere(3),
+                                 result.dense2)).tobytes()
+        assert warped.values.tobytes() == barycentric_resample(
+            result.warped_coarse, generate_icosphere(3),
+            result.dense2).tobytes()
+    targets = _smooth_level5_field()
+    signal = random_bandlimited(5, 8, 1, np.random.default_rng(12))
+    cases.append((5, targets, [signal.values, targets]))
+    for level, targets, arrays in cases:
+        mesh = generate_icosphere(level)
+        located = locate_points(mesh, targets)
+        for values in arrays[::-1] + arrays:
+            assert interpolate(values, located).tobytes() == \
+                barycentric_resample(values, mesh, targets).tobytes()
 
 
 # ---------------------------------------------------------------------------

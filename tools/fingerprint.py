@@ -11,6 +11,9 @@ registration and the gradient check bitwise equal.  The object holds
 * ``field`` and ``warped``: sha256 of the ``.sphd`` and ``.sphs`` files that
   ``register_pair`` gives for pair 17 with the model read back from that
   checkpoint;
+* ``register``: sha256 of the field targets and warped values that
+  ``register_pair`` gives for all 20 pairs of that dataset with the same
+  model, so bitwise registration rests on more than one pair;
 * ``grad_crf_off`` and ``grad_crf_on``: the two figures of acceptance check
   07's ``gradient_check``, as ``repr`` strings;
 * ``tape_nodes``: the autodiff nodes made by the first training cascade of
@@ -344,6 +347,13 @@ def main() -> int:
         fileio.write_signal(warped_path, warped)
         out["field"] = _sha256(field_path)
         out["warped"] = _sha256(warped_path)
+        digest = hashlib.sha256()
+        for pair in pairs:
+            registered, moved, _ = training.register_pair(
+                model, loaded_config, pair.moving, pair.fixed)
+            digest.update(registered.targets.tobytes())
+            digest.update(moved.values.tobytes())
+        out["register"] = digest.hexdigest()
     out["graph_off"] = _graph_off(pairs)
     out["eval"] = {"pair17": _distortion(field),
                    "smooth_l5": _distortion(
